@@ -16,8 +16,8 @@ from .fem import (AssemblyError, DofMap, FormKind, QuadratureRule,
                   shape_gradients)
 from .system import (ConstraintError, ConstraintSet, CornerStrategy,
                      EvpSystem, StabilizationParams, TipStrategy, build_ag,
-                     build_constraints, build_osgs, build_sg, expand_vector,
-                     make_params, reduce_system)
+                     build_constraints, build_osgs, build_sg, make_params,
+                     reduce_system)
 from .eig import (EigenField, EigenSolveError, SolverConfig, Spectrum,
                   attach_eigenfunction, filter_zeros, solve_generalized)
 from .study import (CRACK_REFERENCE, L_SHAPE_REFERENCE, EigenTable,

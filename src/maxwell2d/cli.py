@@ -119,8 +119,14 @@ def _merge(cli_ns: argparse.Namespace, file_vals: dict) -> dict:
     return merged
 
 
+def _N_list(opts: dict) -> tuple:
+    return tuple(int(tok) for tok in str(opts["N"]).split(",") if tok.strip())
+
+
 def _validate(opts: dict, explicit: set) -> None:
     domain = opts["domain"]
+    if domain == "crack" and any(N % 2 for N in _N_list(opts)):
+        raise ValueError("--domain crack needs even --N values")
     if opts["corner"] == "bisector" and domain != "lshape":
         raise ValueError("--corner bisector needs --domain lshape")
     if "tip" in explicit and opts["tip"] != "free" and domain != "crack":
@@ -132,12 +138,11 @@ def _validate(opts: dict, explicit: set) -> None:
 
 
 def _to_study_config(opts: dict) -> StudyConfig:
-    N_list = tuple(int(tok) for tok in str(opts["N"]).split(",") if tok.strip())
     return StudyConfig(
         domain=DomainSpec(DomainKind(opts["domain"])),
         mesh=opts["mesh"],
         formulation=opts["formulation"],
-        N_list=N_list,
+        N_list=_N_list(opts),
         degree=int(opts["degree"]),
         mu=float(opts["mu"]), ell=float(opts["ell"]),
         c_u=float(opts["cu"]), c_p=float(opts["cp"]),

@@ -100,11 +100,7 @@ class ConstraintSet:
 
     def reduction_matrix(self) -> sp.csr_matrix:
         """T with x_full = T x_reduced; retained dofs keep their order."""
-        drop = np.zeros(self.ndof, dtype=bool)
-        drop[self.fixed] = True
-        for s, _m, _f in self.mpcs:
-            drop[s] = True
-        keep = np.where(~drop)[0]
+        keep = self.retained_dofs()
         col = -np.ones(self.ndof, dtype=np.int64)
         col[keep] = np.arange(len(keep))
         rows = list(keep)
@@ -255,7 +251,3 @@ def reduce_system(system: EvpSystem, constraints: ConstraintSet) -> EvpSystem:
     A = (T.T @ system.A @ T).tocsr()
     M = (T.T @ system.M @ T).tocsr()
     return replace(system, A=A, M=M, constraints=constraints)
-
-
-def expand_vector(constraints: ConstraintSet, x_reduced: np.ndarray) -> np.ndarray:
-    return constraints.expand(x_reduced)

@@ -58,6 +58,8 @@ def test_inconsistent_combinations(capsys):
     assert cli_main(["--domain", "lshape", "--tip", "both-zero"]) == 2
     assert cli_main(["--domain", "square", "--mesh", "cc",
                      "--grading-exponent", "3"]) == 2
+    assert cli_main(["--domain", "crack", "--N", "2,3"]) == 2
+    assert "even" in capsys.readouterr().err
 
 
 def test_export_mode(tmp_path, capsys):

@@ -6,9 +6,10 @@ from numpy.testing import assert_allclose
 from maxwell2d import (CRACKED_SQUARE, L_SHAPE, SQUARE_PI, CornerStrategy,
                        EvpSystem, SolverConfig, Spectrum, TipStrategy,
                        attach_eigenfunction, build_constraints,
-                       build_criss_cross, build_dofmap, build_osgs, build_sg,
-                       build_uniform, filter_zeros, make_params,
+                       build_ag, build_criss_cross, build_dofmap, build_osgs,
+                       build_sg, build_uniform, filter_zeros, make_params,
                        powell_sabin_refine, reduce_system, solve_generalized)
+from maxwell2d.eig import signed_operator
 
 
 def reduced_sg(domain, mesh, **kwargs):
@@ -44,22 +45,43 @@ def test_sg_square_first_nonzero_both_methods():
     assert arnoldi.n_zero_filtered == 0  # the walk upward never sees them
 
 
+def reduced_stabilized(build, mesh, **kwargs):
+    system = build(mesh, 1, make_params(1.0, 0.1, 0.01, 0.6, mesh.h))
+    return reduce_system(system, build_constraints(system.dofmap, **kwargs))
+
+
 def test_shift_invert_matches_dense_oracle():
     # <= 600 reduced dofs: first 10 nonzero eigenvalues to relative 1e-8
-    mesh = build_criss_cross(SQUARE_PI, 5)
-    for formulation in ("sg", "osgs"):
-        if formulation == "sg":
-            reduced = reduced_sg(SQUARE_PI, mesh)
-        else:
-            params = make_params(1.0, 0.1, 0.01, 0.6, mesh.h)
-            system = build_osgs(mesh, 1, params)
-            reduced = reduce_system(system, build_constraints(system.dofmap))
+    square = build_criss_cross(SQUARE_PI, 5)
+    lshape = build_criss_cross(L_SHAPE, 3)
+    cases = [reduced_sg(SQUARE_PI, square),
+             reduced_stabilized(build_ag, square),
+             reduced_stabilized(build_osgs, square),
+             reduced_stabilized(build_osgs, lshape,
+                                corner=CornerStrategy.BISECTOR_NORMAL)]
+    for reduced in cases:
         assert reduced.n <= 600
         dense = filter_zeros(solve_generalized(
             reduced, SolverConfig(nev=10, method="dense")))
-        arnoldi = filter_zeros(solve_generalized(
+        lanczos = filter_zeros(solve_generalized(
             reduced, SolverConfig(nev=10, method="shift-invert")))
-        assert_allclose(arnoldi.values[:10], dense.values[:10], rtol=1e-8)
+        assert_allclose(lanczos.values[:10], dense.values[:10], rtol=1e-8)
+        assert lanczos.n_complex_rejected == 0
+
+
+def test_signed_operator_symmetric():
+    # D commutes with T: the bisector MPC couples u1 to u2, both unsigned
+    lshape = powell_sabin_refine(build_uniform(L_SHAPE, 3))
+    crack = powell_sabin_refine(build_uniform(CRACKED_SQUARE, 4))
+    for build in (build_ag, build_osgs):
+        bisector = reduced_stabilized(build, lshape,
+                                      corner=CornerStrategy.BISECTOR_NORMAL)
+        assert bisector.constraints.mpcs
+        for reduced in (bisector, reduced_stabilized(build, crack,
+                                                     tip=TipStrategy.FREE)):
+            DA = signed_operator(reduced)
+            assert abs(reduced.A - reduced.A.T).max() > 1e-3
+            assert abs(DA - DA.T).max() <= 1e-12 * abs(DA).max()
 
 
 def test_dense_cap():
@@ -90,6 +112,7 @@ def test_ag_osgs_spectra_pass_filter_untouched():
     system = build_osgs(mesh, 1, params)
     reduced = reduce_system(system, build_constraints(system.dofmap))
     spec = solve_generalized(reduced, SolverConfig(nev=8, method="dense"))
+    assert spec.lu_nnz == spec.n_op_applications == 0
     out = filter_zeros(spec)
     assert out.n_zero_filtered == 0
     assert np.all(out.values > 0)
@@ -113,6 +136,9 @@ def test_determinism():
     b = solve_generalized(reduced, cfg)
     assert np.array_equal(a.values, b.values)
     assert np.array_equal(a.vectors, b.vectors)
+    assert a.lu_nnz == b.lu_nnz > 0
+    assert a.n_op_applications == b.n_op_applications > 0
+    assert a.n_complex_rejected == 0
 
 
 def test_shift_independence():
