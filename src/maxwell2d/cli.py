@@ -6,11 +6,13 @@ allowed); explicit command-line values win over file values.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
+from enum import Enum
 
 from .meshgen import DomainKind, DomainSpec
-from .study import StudyConfig, compute_eigenfunction, emit_table, \
-    export_eigenfunction, run_study
+from .study import DEFAULT_NEV, StudyConfig, compute_eigenfunction, \
+    emit_table, export_eigenfunction, run_study
 from .system import CornerStrategy, TipStrategy
 
 _CHOICES = {
@@ -24,25 +26,37 @@ _CHOICES = {
     "stab-h": ("auto", "diameter", "spacing"),
 }
 
+# Flag name -> StudyConfig field for the flags whose default is the field's.
+_STUDY_FIELDS = {
+    "degree": "degree",
+    "mu": "mu",
+    "ell": "ell",
+    "cu": "c_u",
+    "cp": "c_p",
+    "corner": "corner",
+    "tip": "tip",
+    "shift": "shift",
+    "zero-tol": "zero_tol",
+    "solver": "solver",
+    "grading-exponent": "grading_exponent",
+    "seed": "seed",
+    "stab-h": "stab_length",
+}
+
+
+def _flag_value(value):
+    return value.value if isinstance(value, Enum) else value
+
+
+_FIELD_DEFAULTS = {f.name: f.default for f in dataclasses.fields(StudyConfig)}
 _DEFAULTS = {
     "domain": "square",
     "mesh": "cc",
     "formulation": "osgs",
-    "degree": 1,
     "N": "5,10,15,20,25",
-    "mu": 1.0,
-    "ell": 0.1,
-    "cu": 0.01,
-    "cp": 0.6,
-    "corner": "both-zero",
-    "tip": "free",
-    "shift": 0.5,
-    "zero-tol": 1e-6,
-    "solver": "auto",
-    "grading-exponent": 2.0,
     "format": "md",
-    "seed": 1234,
-    "stab-h": "auto",
+    **{key: _flag_value(_FIELD_DEFAULTS[name])
+       for key, name in _STUDY_FIELDS.items()},
 }
 
 
@@ -72,7 +86,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="write the table here instead of stdout")
     p.add_argument("--format", choices=_CHOICES["format"])
     p.add_argument("--export-mode", dest="export_mode", type=int,
-                   help="also export this eigenfunction index at the largest N")
+                   help="also export this eigenfunction index (0 <= k < nev) "
+                        "of the largest N")
     return p
 
 
@@ -135,26 +150,27 @@ def _validate(opts: dict, explicit: set) -> None:
         raise ValueError("--mesh cc-graded needs --domain crack")
     if "grading-exponent" in explicit and opts["mesh"] != "cc-graded":
         raise ValueError("--grading-exponent needs --mesh cc-graded")
+    mode = opts.get("export-mode")
+    if mode is not None:
+        nev = opts.get("nev")
+        if nev is None:
+            nev = DEFAULT_NEV[DomainKind(domain)]
+        if not 0 <= mode < nev:
+            raise ValueError(f"--export-mode {mode} is not a table mode; "
+                             f"need 0 <= k < nev = {nev}")
 
 
 def _to_study_config(opts: dict) -> StudyConfig:
+    fields = {name: opts[key] for key, name in _STUDY_FIELDS.items()}
+    fields["corner"] = CornerStrategy(fields["corner"])
+    fields["tip"] = TipStrategy(fields["tip"])
     return StudyConfig(
         domain=DomainSpec(DomainKind(opts["domain"])),
         mesh=opts["mesh"],
         formulation=opts["formulation"],
         N_list=_N_list(opts),
-        degree=int(opts["degree"]),
-        mu=float(opts["mu"]), ell=float(opts["ell"]),
-        c_u=float(opts["cu"]), c_p=float(opts["cp"]),
-        corner=CornerStrategy(opts["corner"]),
-        tip=TipStrategy(opts["tip"]),
         nev=opts.get("nev"),
-        shift=float(opts["shift"]),
-        zero_tol=float(opts["zero-tol"]),
-        solver=opts["solver"],
-        seed=int(opts["seed"]),
-        grading_exponent=float(opts["grading-exponent"]),
-        stab_length=opts["stab-h"],
+        **fields,
     )
 
 
@@ -182,7 +198,7 @@ def cli_main(argv) -> int:
             sys.stdout.write(text)
         mode = opts.get("export-mode")
         if mode is not None:
-            fld, mesh = compute_eigenfunction(config, config.N_list[-1], mode)
+            fld, mesh = compute_eigenfunction(table, mode)
             path = (f"{opts['out']}.mode{mode}.txt" if opts.get("out")
                     else f"eigenfunction_mode{mode}.txt")
             export_eigenfunction(fld, mesh, path)

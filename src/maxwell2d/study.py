@@ -11,16 +11,16 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import meshgen
-from .eig import EigenField, SolverConfig, attach_eigenfunction, \
+from .eig import EigenField, SolverConfig, Spectrum, attach_eigenfunction, \
     filter_zeros, solve_generalized
 from .meshgen import DomainKind, DomainSpec, GradingSpec, Mesh
-from .system import CornerStrategy, TipStrategy, build_ag, build_constraints, \
-    build_osgs, build_sg, make_params, reduce_system
+from .system import CornerStrategy, EvpSystem, TipStrategy, build_ag, \
+    build_constraints, build_osgs, build_sg, make_params, reduce_system
 
 # Benchmark reference spectra.  Modes inherited from the enclosing square
 # are analytically multiples of pi^2/4 and carried at full precision;
@@ -126,8 +126,19 @@ def stabilization_length(config: StudyConfig, mesh: Mesh) -> float:
     return mesh.h
 
 
-def run_case(config: StudyConfig, N: int, return_spectrum: bool = False):
-    """Mesh, assemble, constrain, reduce, solve; first nev values ascending."""
+@dataclass(frozen=True)
+class Case:
+    """One solved case: the first nev values ascending, the spectrum they
+    come from, and the reduced system and mesh its eigenvectors live on."""
+
+    values: np.ndarray
+    spectrum: Spectrum
+    reduced: EvpSystem
+    mesh: Mesh
+
+
+def run_case(config: StudyConfig, N: int) -> Case:
+    """Mesh, assemble, constrain, reduce and solve the case at N."""
     mesh = build_mesh(config, N)
     if config.formulation == "sg":
         system = build_sg(mesh, config.degree, mu=config.mu)
@@ -145,10 +156,7 @@ def run_case(config: StudyConfig, N: int, return_spectrum: bool = False):
     spectrum = solve_generalized(reduced, solver)
     if config.formulation == "sg":
         spectrum = filter_zeros(spectrum, config.zero_tol)
-    values = spectrum.values[:config.nev_effective]
-    if return_spectrum:
-        return values, spectrum, reduced, mesh
-    return values
+    return Case(spectrum.values[:config.nev_effective], spectrum, reduced, mesh)
 
 
 def convergence_rate(e_prev: float, e_curr: float,
@@ -169,7 +177,8 @@ class EigenTable:
     """Per-N eigenvalue columns with pairwise rates against the references.
 
     rates[:, 0] is NaN (no previous column); a saturated cell (error below
-    the floor on either side of the pair) carries +inf.
+    the floor on either side of the pair) carries +inf.  `finest` is the
+    solved case of the last N, kept for eigenfunction export.
     """
 
     domain: DomainSpec
@@ -178,6 +187,7 @@ class EigenTable:
     references: np.ndarray
     values: np.ndarray
     rates: np.ndarray
+    finest: Case | None = field(default=None, compare=False, repr=False)
 
     @property
     def n_rows(self) -> int:
@@ -190,7 +200,9 @@ def run_study(config: StudyConfig) -> EigenTable:
     nrows = len(refs)
     columns = []
     for N in config.N_list:
-        vals = run_case(config, N)
+        finest = None  # release the coarser case before the next solve
+        finest = run_case(config, N)
+        vals = finest.values
         if len(vals) < nrows:
             raise RuntimeError(
                 f"solver returned {len(vals)} values, need {nrows} (N={N})")
@@ -209,7 +221,7 @@ def run_study(config: StudyConfig) -> EigenTable:
                                                config.N_list[j])
     return EigenTable(domain=config.domain, formulation=config.formulation,
                       N_list=tuple(config.N_list), references=refs,
-                      values=values, rates=rates)
+                      values=values, rates=rates, finest=finest)
 
 
 def _cell(value: float, rate: float, markdown: bool) -> str:
@@ -287,7 +299,8 @@ def export_eigenfunction(fld: EigenField, mesh: Mesh, path) -> None:
             f.write(", ".join(parts) + "\n")
 
 
-def compute_eigenfunction(config: StudyConfig, N: int, index: int):
-    """Solve one case and expand the requested eigenfunction."""
-    values, spectrum, reduced, mesh = run_case(config, N, return_spectrum=True)
-    return attach_eigenfunction(spectrum, reduced, index), mesh
+def compute_eigenfunction(table: EigenTable, index: int):
+    """Expand eigenfunction `index` of the table's finest case, reusing the
+    solve `run_study` already did; returns the field and its mesh."""
+    case = table.finest
+    return attach_eigenfunction(case.spectrum, case.reduced, index), case.mesh

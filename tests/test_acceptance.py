@@ -205,7 +205,7 @@ def test_criterion_08_crack_osgs_ps_free_tip(crack_osgs_ps):
 def first_nonzero_lshape_n9(formulation, corner, shift):
     cfg = StudyConfig(domain=L_SHAPE, mesh="ps", formulation=formulation,
                       N_list=(9,), nev=10, corner=corner, shift=shift, **LS)
-    return run_case(cfg, 9)[0]
+    return run_case(cfg, 9).values[0]
 
 
 def test_criterion_09_corner_strategy_contrast():

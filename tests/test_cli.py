@@ -1,6 +1,28 @@
+import argparse
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 
-from maxwell2d import cli_main
+import maxwell2d
+from maxwell2d import SQUARE_PI, StudyConfig, attach_eigenfunction, \
+    cli_main, export_eigenfunction, run_case, study
+from maxwell2d.cli import _merge, _to_study_config
+
+SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+
+
+def count_solves(monkeypatch) -> list:
+    calls = []
+    solve = study.solve_generalized
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(study, "solve_generalized", counted)
+    return calls
 
 
 def test_help_exits_zero(capsys):
@@ -62,6 +84,37 @@ def test_inconsistent_combinations(capsys):
     assert "even" in capsys.readouterr().err
 
 
+def test_export_mode_out_of_range_rejected_before_solving(monkeypatch, capsys):
+    calls = count_solves(monkeypatch)
+    small = ["--domain", "square", "--mesh", "cc", "--formulation", "sg",
+             "--N", "2"]
+    assert cli_main(small + ["--export-mode", "-1"]) == 2
+    assert cli_main(small + ["--nev", "2", "--export-mode", "20"]) == 2
+    assert cli_main(small + ["--export-mode", "17"]) == 2   # default nev 17
+    assert calls == []
+    assert "--export-mode" in capsys.readouterr().err
+
+
+def test_defaults_come_from_study_config():
+    config = _to_study_config(_merge(argparse.Namespace(), {}))
+    assert config == StudyConfig(domain=SQUARE_PI, mesh="cc",
+                                 formulation="osgs",
+                                 N_list=(5, 10, 15, 20, 25))
+
+
+def test_trace_hooks_resolve(monkeypatch):
+    spec = importlib.util.spec_from_file_location("perfbench_spans",
+                                                  SPANS_PATH)
+    spans = importlib.util.module_from_spec(spec)
+    # dataclasses resolve annotations through sys.modules
+    monkeypatch.setitem(sys.modules, spec.name, spans)
+    spec.loader.exec_module(spans)
+    assert spans.HOOKS
+    for module, attr, *_ in spans.HOOKS:
+        assert callable(getattr(getattr(maxwell2d, module), attr)), \
+            f"{module}.{attr}"
+
+
 def test_export_mode(tmp_path, capsys):
     out = tmp_path / "t.md"
     code = cli_main(["--domain", "square", "--mesh", "cc",
@@ -78,3 +131,23 @@ def test_export_mode(tmp_path, capsys):
         vals = [float(tok) for tok in line.split(",")]
         mags.append(np.hypot(vals[2], vals[3]))
     assert np.isclose(max(mags), 1.0)
+
+
+def test_export_reuses_finest_solve(tmp_path, monkeypatch, capsys):
+    calls = count_solves(monkeypatch)
+    out = tmp_path / "t.csv"
+    code = cli_main(["--domain", "square", "--mesh", "cc",
+                     "--formulation", "osgs", "--N", "3,6", "--nev", "3",
+                     "--solver", "shift-invert", "--seed", "7",
+                     "--format", "csv", "--out", str(out),
+                     "--export-mode", "1"])
+    assert code == 0
+    assert len(calls) == 2
+    config = StudyConfig(domain=SQUARE_PI, mesh="cc", formulation="osgs",
+                         N_list=(3, 6), nev=3, solver="shift-invert", seed=7)
+    case = run_case(config, 6)
+    expected = tmp_path / "expected.txt"
+    export_eigenfunction(attach_eigenfunction(case.spectrum, case.reduced, 1),
+                         case.mesh, expected)
+    exported = tmp_path / "t.csv.mode1.txt"
+    assert exported.read_bytes() == expected.read_bytes()

@@ -91,7 +91,7 @@ def test_stabilization_length_conventions():
 def test_run_case_square_sg_n25():
     cfg = StudyConfig(domain=SQUARE_PI, mesh="cc", formulation="sg",
                       N_list=(25,), nev=3)
-    vals = run_case(cfg, 25)
+    vals = run_case(cfg, 25).values
     assert_allclose(vals[0], 1.0004, atol=5e-5)
 
 
@@ -99,7 +99,7 @@ def test_run_case_lshape_sg_ps_n25():
     cfg = StudyConfig(domain=L_SHAPE, mesh="ps", formulation="sg",
                       N_list=(25,), nev=2,
                       corner=CornerStrategy.BISECTOR_NORMAL)
-    vals = run_case(cfg, 25)
+    vals = run_case(cfg, 25).values
     assert_allclose(vals[0], 1.4786, atol=2e-3)
 
 
@@ -198,7 +198,7 @@ def test_compute_eigenfunction_lshape_peak(tmp_path):
     cfg = StudyConfig(domain=L_SHAPE, mesh="ps", formulation="sg",
                       N_list=(6,), nev=2,
                       corner=CornerStrategy.BISECTOR_NORMAL)
-    fld, mesh = compute_eigenfunction(cfg, 6, 0)
+    fld, mesh = compute_eigenfunction(run_study(cfg), 0)
     path = tmp_path / "mode0.txt"
     export_eigenfunction(fld, mesh, path)
     rows = np.array([[float(tok) for tok in line.split(",")]
