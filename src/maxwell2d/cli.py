@@ -12,7 +12,7 @@ from enum import Enum
 
 from .meshgen import DomainKind, DomainSpec
 from .study import DEFAULT_NEV, StudyConfig, compute_eigenfunction, \
-    emit_table, export_eigenfunction, run_study
+    emit_table, export_eigenfunction, reference_values, run_study
 from .system import CornerStrategy, TipStrategy
 
 _CHOICES = {
@@ -86,8 +86,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="write the table here instead of stdout")
     p.add_argument("--format", choices=_CHOICES["format"])
     p.add_argument("--export-mode", dest="export_mode", type=int,
-                   help="also export this eigenfunction index (0 <= k < nev) "
-                        "of the largest N")
+                   help="also export this eigenfunction index (0 <= k < "
+                        "the table's row count) of the largest N")
     return p
 
 
@@ -150,14 +150,17 @@ def _validate(opts: dict, explicit: set) -> None:
         raise ValueError("--mesh cc-graded needs --domain crack")
     if "grading-exponent" in explicit and opts["mesh"] != "cc-graded":
         raise ValueError("--grading-exponent needs --mesh cc-graded")
+    nev = opts.get("nev")
+    if nev is not None and nev < 1:
+        raise ValueError("--nev must be at least 1")
     mode = opts.get("export-mode")
     if mode is not None:
-        nev = opts.get("nev")
-        if nev is None:
-            nev = DEFAULT_NEV[DomainKind(domain)]
-        if not 0 <= mode < nev:
+        spec = DomainSpec(DomainKind(domain))
+        rows = len(reference_values(
+            spec, DEFAULT_NEV[spec.kind] if nev is None else nev))
+        if not 0 <= mode < rows:
             raise ValueError(f"--export-mode {mode} is not a table mode; "
-                             f"need 0 <= k < nev = {nev}")
+                             f"need 0 <= k < {rows}, the table's row count")
 
 
 def _to_study_config(opts: dict) -> StudyConfig:

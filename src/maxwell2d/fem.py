@@ -15,7 +15,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .meshgen import EdgeTag, Mesh, NodeTag, edge_records
+from .meshgen import GEOM_TOL, EdgeTag, Mesh, NodeTag, edge_table
 
 
 class AssemblyError(Exception):
@@ -187,44 +187,28 @@ def build_dofmap(mesh: Mesh, degree: int, formulation: str) -> DofMap:
                       coords=mesh.points.copy(), on_h=on_h, on_v=on_v,
                       on_boundary=on_h | on_v, special=special)
 
-    records = edge_records(mesh.points, mesh.triangles, mesh.domain)
-    keys = sorted(records.keys(), key=lambda k: (int(k[0]), int(k[1]), int(k[2])))
-    edge_id = {k: nv + idx for idx, k in enumerate(keys)}
+    keys, edge_ids, counts = edge_table(mesh.points, mesh.triangles, mesh.domain)
+    # edge nodes follow the sorted (lo, hi, side) keys
+    order = np.lexsort(keys.T[::-1])
+    node_of = np.empty_like(order)
+    node_of[order] = nv + np.arange(order.size)
     ne = len(keys)
     n_scalar = nv + ne
 
+    lo, hi, side = keys.T
     coords = np.vstack([mesh.points,
-                        np.array([0.5 * (mesh.points[k[0]] + mesh.points[k[1]])
-                                  for k in keys])])
-    eon_h = np.zeros(n_scalar, dtype=bool)
-    eon_v = np.zeros(n_scalar, dtype=bool)
-    eon_h[:nv], eon_v[:nv] = on_h, on_v
-    boundary_tag = {}
-    for (i, j), tag in mesh.boundary_edges:
-        boundary_tag.setdefault((min(i, j), max(i, j)), []).append(tag)
-    for k in keys:
-        if len(records[k]) != 1:
-            continue
-        node = edge_id[k]
-        lo, hi, side = k
-        tags = boundary_tag.get((min(lo, hi), max(lo, hi)), [])
-        if side > 0:
-            tag = EdgeTag.CRACK_TOP
-        elif side < 0:
-            tag = EdgeTag.CRACK_BOTTOM
-        else:
-            tag = tags[0]
-        if tag is EdgeTag.VERTICAL:
-            eon_v[node] = True
-        else:
-            eon_h[node] = True
+                        0.5 * (mesh.points[lo[order]] + mesh.points[hi[order]])])
+    # a boundary edge node is vertical exactly when classify_boundary tagged
+    # its edge VERTICAL: off the crack and with equal end abscissae
+    vertical = (side == 0) & \
+        (np.abs(mesh.points[lo, 0] - mesh.points[hi, 0]) < GEOM_TOL)
+    boundary = counts == 1
+    eon_h = np.concatenate([on_h, np.zeros(ne, dtype=bool)])
+    eon_v = np.concatenate([on_v, np.zeros(ne, dtype=bool)])
+    eon_v[node_of[boundary & vertical]] = True
+    eon_h[node_of[boundary & ~vertical]] = True
 
-    element_nodes = np.empty((mesh.n_triangles, 6), dtype=np.int64)
-    element_nodes[:, :3] = mesh.triangles
-    for key, owners in records.items():
-        for (t, loc) in owners:
-            element_nodes[t, 3 + loc] = edge_id[key]
-
+    element_nodes = np.hstack([mesh.triangles, node_of[edge_ids]])
     specials = np.concatenate([special, np.full(ne, NodeTag.INTERIOR, dtype=np.int8)])
     return DofMap(mesh=mesh, degree=2, formulation=formulation, fields=fields,
                   n_scalar=n_scalar, element_nodes=element_nodes, coords=coords,
@@ -232,49 +216,19 @@ def build_dofmap(mesh: Mesh, degree: int, formulation: str) -> DofMap:
                   special=specials)
 
 
-class TripletMatrix:
-    """Coordinate-format accumulator; finalize() sums duplicates into CSR."""
-
-    def __init__(self, shape):
-        self.shape = shape
-        self._rows = []
-        self._cols = []
-        self._vals = []
-
-    def add(self, rows, cols, vals):
-        self._rows.append(np.asarray(rows).ravel())
-        self._cols.append(np.asarray(cols).ravel())
-        self._vals.append(np.asarray(vals, dtype=float).ravel())
-
-    def finalize(self) -> sp.csr_matrix:
-        if not self._rows:
-            return sp.csr_matrix(self.shape)
-        coo = sp.coo_matrix(
-            (np.concatenate(self._vals),
-             (np.concatenate(self._rows), np.concatenate(self._cols))),
-            shape=self.shape)
-        out = coo.tocsr()
-        out.sum_duplicates()
-        return out
-
-
 class FormKind(Enum):
     CURL_CURL = "curl_curl"
     MASS_VEC = "mass_vec"
-    MASS_SCALAR = "mass_scalar"
     GRAD_COUPLING = "grad_coupling"
     DIV_DIV = "div_div"
     GRAD_GRAD = "grad_grad"
     DIV_SCALAR = "div_scalar"
-    GRAD_VEC = "grad_vec"
 
 
 _FORM_NEEDS = {
-    FormKind.MASS_SCALAR: "p",
     FormKind.GRAD_COUPLING: "p",
     FormKind.GRAD_GRAD: "p",
     FormKind.DIV_SCALAR: "p",
-    FormKind.GRAD_VEC: "xi1",
 }
 
 
@@ -314,17 +268,20 @@ def scalar_kernels(mesh: Mesh, dofmap: DofMap) -> dict:
     gx_el = np.einsum("tq,qa,tqb->tab", wdet, shp, g[..., 0])
     gy_el = np.einsum("tq,qa,tqb->tab", wdet, shp, g[..., 1])
 
+    # one CSR pattern for all six: slot[k] is where element entry k lands
     nodes = dofmap.element_nodes
     nloc = nodes.shape[1]
-    rows = np.repeat(nodes, nloc, axis=1)
-    cols = np.tile(nodes, (1, nloc))
     n = dofmap.n_scalar
+    rows = np.repeat(nodes, nloc, axis=1).ravel()
+    cols = np.tile(nodes, (1, nloc)).ravel()
+    entries, slot = np.unique(rows * n + cols, return_inverse=True)
+    indices = entries % n
+    indptr = np.searchsorted(entries, np.arange(n + 1) * n)
     out = {}
     for name, el in (("mass", mass_el), ("kxx", kxx_el), ("kxy", kxy_el),
                      ("kyy", kyy_el), ("gx", gx_el), ("gy", gy_el)):
-        acc = TripletMatrix((n, n))
-        acc.add(rows, cols, el)
-        out[name] = acc.finalize()
+        data = np.bincount(slot, weights=el.ravel())
+        out[name] = sp.csr_matrix((data, indices, indptr), shape=(n, n))
     return out
 
 
@@ -348,9 +305,7 @@ def assemble_form(kind: FormKind, mesh: Mesh, dofmap: DofMap,
         return sp.bmat([[kyy, -kxy.T], [-kxy, kxx]], format="csr")
     if kind is FormKind.MASS_VEC:
         return sp.block_diag([mass, mass], format="csr")
-    if kind is FormKind.MASS_SCALAR:
-        return mass.copy()
-    if kind is FormKind.GRAD_COUPLING or kind is FormKind.GRAD_VEC:
+    if kind is FormKind.GRAD_COUPLING:
         return sp.bmat([[gx], [gy]], format="csr")
     if kind is FormKind.DIV_DIV:
         return sp.bmat([[kxx, kxy], [kxy.T, kyy]], format="csr")

@@ -10,6 +10,11 @@ The cracked domain is meshed by duplicating every grid node strictly
 between the crack tip (0, 0) and the mouth (1, 0); the tip stays a single
 node shared by both faces.  Edge bookkeeping is side-aware so that the two
 geometrically coincident crack faces are kept distinct everywhere.
+
+All edge topology comes from one array table, ``edge_table``: the
+Powell-Sabin split numbers its midpoints from it, ``classify_boundary``
+finds the boundary edges in it, and the P2 dofmap places its edge nodes
+with it.  None of them loops over triangles, edges or nodes in Python.
 """
 from __future__ import annotations
 
@@ -158,31 +163,42 @@ def crack_closure_mask(points: np.ndarray, domain: DomainSpec) -> np.ndarray:
     return (np.abs(y) < GEOM_TOL) & (x > -GEOM_TOL) & (x < 1.0 + GEOM_TOL)
 
 
-def edge_records(points, triangles, domain):
+def edge_table(points, triangles, domain):
     """Census of element edges keyed by (lo, hi, side).
 
     side is 0 for ordinary edges; for edges on the crack segment it is +1
     when the owning triangle lies above the slit and -1 below, so the two
-    crack faces never share a key even if they share a node pair.
-    Values are lists of (triangle index, local edge index), local edges
-    being (0,1), (1,2), (2,0).
+    crack faces never share a key even if they share a node pair.  Local
+    edges are (0,1), (1,2), (2,0).
+
+    Returns ``(keys, edge_ids, counts)``: the (E, 3) keys in first-seen
+    order (triangle by triangle, local edge by local edge), the (T, 3)
+    index into ``keys`` of each triangle's edges and the (E,) number of
+    triangles owning each edge.  Raises MeshError when an edge has more
+    than two owners.
     """
+    start = np.asarray(triangles, dtype=np.int64)
+    end = np.roll(start, -1, axis=1)
+    opposite = np.roll(start, -2, axis=1)
     on_crack = crack_closure_mask(points, domain)
-    records: dict = {}
-    for t, (a, b, c) in enumerate(triangles):
-        for loc, (i, j, opp) in enumerate(((a, b, c), (b, c, a), (c, a, b))):
-            side = 0
-            if on_crack[i] and on_crack[j]:
-                side = 1 if points[opp, 1] > 0.0 else -1
-            key = (min(i, j), max(i, j), side)
-            records.setdefault(key, []).append((t, loc))
-    return records
-
-
-def _check_conforming(records):
-    for key, owners in records.items():
-        if len(owners) > 2:
-            raise MeshError(f"edge {key} shared by {len(owners)} triangles")
+    side = np.where(on_crack[start] & on_crack[end],
+                    np.where(points[opposite, 1] > 0.0, 1, -1), 0).ravel()
+    lo, hi = np.minimum(start, end).ravel(), np.maximum(start, end).ravel()
+    # one integer per key, ordered like the (lo, hi, side) tuples
+    code = (lo * points.shape[0] + hi) * 3 + side + 1
+    _, first, inverse, counts = np.unique(code, return_index=True,
+                                          return_inverse=True,
+                                          return_counts=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    keys = np.stack([lo, hi, side], axis=1)[first[order]]
+    counts = counts[order]
+    if np.any(counts > 2):
+        k = int(np.argmax(counts > 2))
+        raise MeshError(f"edge {tuple(keys[k].tolist())} shared by "
+                        f"{counts[k]} triangles")
+    return keys, rank[inverse].reshape(start.shape), counts
 
 
 def _graded_axis(N: int, exponent: float) -> np.ndarray:
@@ -219,15 +235,12 @@ def _split_crack(points, triangles, domain):
                         (x > GEOM_TOL) & (x < 1.0 - GEOM_TOL))[0]
     if interior.size == 0:
         return points, triangles
-    bottom = {int(i): points.shape[0] + k for k, i in enumerate(interior)}
+    bottom = np.arange(points.shape[0])
+    bottom[interior] = points.shape[0] + np.arange(interior.size)
     points = np.vstack([points, points[interior]])
     triangles = triangles.copy()
-    centro_y = points[triangles, 1].mean(axis=1)
-    for t in np.where(centro_y < 0.0)[0]:
-        for k in range(3):
-            j = int(triangles[t, k])
-            if j in bottom:
-                triangles[t, k] = bottom[j]
+    below = points[triangles, 1].mean(axis=1) < 0.0
+    triangles[below] = bottom[triangles[below]]
     return points, triangles
 
 
@@ -301,33 +314,21 @@ def powell_sabin_refine(base: Mesh) -> Mesh:
     """Powell-Sabin 6-split: barycenter plus edge midpoints per triangle.
 
     Node count grows to V + E + T and the triangle count to 6 T, with
-    crack-face edge midpoints duplicated per face copy.
+    crack-face edge midpoints duplicated per face copy.  New nodes are
+    numbered after the V base nodes: the E midpoints in the first-seen
+    edge order of ``edge_table``, then one barycenter per base triangle.
     """
-    records = edge_records(base.points, base.triangles, base.domain)
-    _check_conforming(records)
-    pts = [tuple(p) for p in base.points]
-    mid_index = {}
-    for key in records:
-        lo, hi, _side = key
-        mid_index[key] = len(pts)
-        pts.append((0.5 * (pts[lo][0] + pts[hi][0]),
-                    0.5 * (pts[lo][1] + pts[hi][1])))
-    edge_of = {}
-    for key, owners in records.items():
-        for owner in owners:
-            edge_of[owner] = mid_index[key]
-    tris = []
-    for t, (a, b, c) in enumerate(base.triangles):
-        g = len(pts)
-        pa, pb, pc = pts[a], pts[b], pts[c]
-        pts.append(((pa[0] + pb[0] + pc[0]) / 3.0, (pa[1] + pb[1] + pc[1]) / 3.0))
-        mab = edge_of[(t, 0)]
-        mbc = edge_of[(t, 1)]
-        mca = edge_of[(t, 2)]
-        tris += [(a, mab, g), (mab, b, g), (b, mbc, g),
-                 (mbc, c, g), (c, mca, g), (mca, a, g)]
-    points = np.asarray(pts, dtype=float)
-    triangles = np.asarray(tris, dtype=np.int64)
+    p, t = base.points, base.triangles
+    keys, edge_ids, _ = edge_table(p, t, base.domain)
+    mids = 0.5 * (p[keys[:, 0]] + p[keys[:, 1]])
+    centers = (p[t[:, 0]] + p[t[:, 1]] + p[t[:, 2]]) / 3.0
+    points = np.vstack([p, mids, centers])
+    a, b, c = t.T
+    mab, mbc, mca = (base.n_points + edge_ids).T
+    g = base.n_points + len(keys) + np.arange(len(t))
+    triangles = np.stack([a, mab, g, mab, b, g, b, mbc, g,
+                          mbc, c, g, c, mca, g, mca, a, g],
+                         axis=1).reshape(-1, 3)
     prov = _provisional(points, triangles, base.domain, base.grid_step / 2.0)
     return classify_boundary(prov, base.domain)
 
@@ -362,62 +363,43 @@ def classify_boundary(mesh: Mesh, domain: DomainSpec) -> Mesh:
     """
     points, triangles = mesh.points, mesh.triangles
     n = points.shape[0]
-    areas = 0.5 * ((points[triangles[:, 1], 0] - points[triangles[:, 0], 0])
-                   * (points[triangles[:, 2], 1] - points[triangles[:, 0], 1])
-                   - (points[triangles[:, 1], 1] - points[triangles[:, 0], 1])
-                   * (points[triangles[:, 2], 0] - points[triangles[:, 0], 0]))
-    if np.any(areas <= 0.0):
+    if np.any(mesh.signed_areas() <= 0.0):
         raise MeshError("mesh contains a non-CCW or degenerate triangle")
 
-    records = edge_records(points, triangles, domain)
-    _check_conforming(records)
-    boundary_edges = []
-    on_h = np.zeros(n, dtype=bool)
-    on_v = np.zeros(n, dtype=bool)
-    crack_side = np.zeros(n, dtype=np.int8)  # +1 top face, -1 bottom, 0 both/none
-    seen_top = np.zeros(n, dtype=bool)
-    seen_bot = np.zeros(n, dtype=bool)
-    for (lo, hi, side), owners in records.items():
-        if len(owners) != 1:
-            continue
-        if side != 0:
-            tag = EdgeTag.CRACK_TOP if side > 0 else EdgeTag.CRACK_BOTTOM
-        elif abs(points[lo, 0] - points[hi, 0]) < GEOM_TOL:
-            tag = EdgeTag.VERTICAL
-        elif abs(points[lo, 1] - points[hi, 1]) < GEOM_TOL:
-            tag = EdgeTag.HORIZONTAL
-        else:
-            raise MeshError(f"boundary edge ({lo}, {hi}) is not axis-aligned")
-        boundary_edges.append(((int(lo), int(hi)), tag))
-        if tag is EdgeTag.VERTICAL:
-            on_v[[lo, hi]] = True
-        else:
-            on_h[[lo, hi]] = True
-            if tag is EdgeTag.CRACK_TOP:
-                seen_top[[lo, hi]] = True
-            elif tag is EdgeTag.CRACK_BOTTOM:
-                seen_bot[[lo, hi]] = True
-    crack_side[seen_top & ~seen_bot] = 1
-    crack_side[seen_bot & ~seen_top] = -1
+    keys, _, counts = edge_table(points, triangles, domain)
+    lo, hi, side = keys[counts == 1].T
+    tag = np.select(
+        [side > 0, side < 0,
+         np.abs(points[lo, 0] - points[hi, 0]) < GEOM_TOL,
+         np.abs(points[lo, 1] - points[hi, 1]) < GEOM_TOL],
+        [EdgeTag.CRACK_TOP, EdgeTag.CRACK_BOTTOM, EdgeTag.VERTICAL,
+         EdgeTag.HORIZONTAL], -1)
+    if np.any(tag < 0):
+        k = int(np.argmax(tag < 0))
+        raise MeshError(f"boundary edge ({lo[k]}, {hi[k]}) is not axis-aligned")
+    boundary_edges = list(zip(zip(lo.tolist(), hi.tolist()),
+                              map(EdgeTag, tag.tolist())))
 
-    tags = np.full(n, NodeTag.INTERIOR, dtype=np.int8)
+    def touched(mask):
+        hit = np.zeros(n, dtype=bool)
+        hit[lo[mask]] = hit[hi[mask]] = True
+        return hit
+
+    on_v = touched(tag == EdgeTag.VERTICAL)
+    on_h = touched(tag != EdgeTag.VERTICAL)
+    seen_top = touched(tag == EdgeTag.CRACK_TOP)
+    seen_bot = touched(tag == EdgeTag.CRACK_BOTTOM)
+
     x, y = points[:, 0], points[:, 1]
     at_origin = (np.abs(x) < GEOM_TOL) & (np.abs(y) < GEOM_TOL)
-    on_crack = crack_closure_mask(points, domain)
-    for i in range(n):
-        if domain.kind is DomainKind.L_SHAPE and at_origin[i]:
-            tags[i] = NodeTag.REENTRANT_CORNER
-        elif domain.has_crack and at_origin[i]:
-            tags[i] = NodeTag.CRACK_TIP
-        elif on_crack[i] and crack_side[i] != 0 and not on_v[i]:
-            tags[i] = (NodeTag.CRACK_FACE_TOP if crack_side[i] > 0
-                       else NodeTag.CRACK_FACE_BOTTOM)
-        elif on_h[i] and on_v[i]:
-            tags[i] = NodeTag.CONVEX_CORNER
-        elif on_h[i]:
-            tags[i] = NodeTag.EDGE_HORIZONTAL
-        elif on_v[i]:
-            tags[i] = NodeTag.EDGE_VERTICAL
+    on_face = crack_closure_mask(points, domain) & (seen_top != seen_bot) & ~on_v
+    tags = np.select(
+        [at_origin & domain.has_reentrant_corner, at_origin & domain.has_crack,
+         on_face & seen_top, on_face, on_h & on_v, on_h, on_v],
+        [NodeTag.REENTRANT_CORNER, NodeTag.CRACK_TIP, NodeTag.CRACK_FACE_TOP,
+         NodeTag.CRACK_FACE_BOTTOM, NodeTag.CONVEX_CORNER,
+         NodeTag.EDGE_HORIZONTAL, NodeTag.EDGE_VERTICAL],
+        NodeTag.INTERIOR).astype(np.int8)
 
     geom = _on_domain_boundary(points, domain)
     mismatch = np.where(geom != (tags != NodeTag.INTERIOR))[0]

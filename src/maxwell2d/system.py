@@ -186,16 +186,14 @@ def build_osgs(mesh: Mesh, degree: int, params: StabilizationParams) -> EvpSyste
     kdd = assemble_form(FormKind.DIV_DIV, mesh, dofmap, kernels)
     kgg = assemble_form(FormKind.GRAD_GRAD, mesh, dofmap, kernels)
     g = assemble_form(FormKind.GRAD_COUPLING, mesh, dofmap, kernels)
-    gv = assemble_form(FormKind.GRAD_VEC, mesh, dofmap, kernels)
     d = assemble_form(FormKind.DIV_SCALAR, mesh, dofmap, kernels)
     mv = assemble_form(FormKind.MASS_VEC, mesh, dofmap, kernels)
-    ms = assemble_form(FormKind.MASS_SCALAR, mesh, dofmap, kernels)
     tp, tu = params.tau_p, params.tau_u
     A = sp.bmat([
         [params.mu * kcc + tu * kdd, g,        None,      -tu * d.T],
-        [(-g).T,                     tp * kgg, -tp * gv.T, None],
-        [None,                       -tp * gv, tp * mv,    None],
-        [-tu * d,                    None,     None,       tu * ms],
+        [(-g).T,                     tp * kgg, -tp * g.T, None],
+        [None,                       -tp * g,  tp * mv,   None],
+        [-tu * d,                    None,     None,      tu * kernels["mass"]],
     ], format="csr")
     return EvpSystem(A=A, M=_mass_full(mv, dofmap), dofmap=dofmap,
                      formulation="osgs", params=params)
@@ -217,29 +215,21 @@ def build_constraints(dofmap: DofMap,
             not dofmap.mesh.domain.has_reentrant_corner:
         raise ConstraintError(
             "bisector-normal corner handling needs a re-entrant corner")
-    fixed = []
-    mpcs = []
     u1, u2 = dofmap.offset("u1"), dofmap.offset("u2")
-    p_off = dofmap.offset("p") if "p" in dofmap.fields else None
-    for i in range(dofmap.n_scalar):
-        tag = dofmap.special[i]
-        if tag == NodeTag.REENTRANT_CORNER:
-            if corner is CornerStrategy.BOTH_ZERO:
-                fixed += [u1 + i, u2 + i]
-            elif corner is CornerStrategy.BISECTOR_NORMAL:
-                mpcs.append((u2 + i, u1 + i, -1.0))
-        elif tag == NodeTag.CRACK_TIP:
-            if tip is TipStrategy.BOTH_ZERO:
-                fixed += [u1 + i, u2 + i]
-        else:
-            if dofmap.on_h[i]:
-                fixed.append(u1 + i)
-            if dofmap.on_v[i]:
-                fixed.append(u2 + i)
-        if p_off is not None and dofmap.on_boundary[i]:
-            fixed.append(p_off + i)
-    return ConstraintSet(ndof=dofmap.ndof,
-                         fixed=np.array(sorted(fixed), dtype=np.int64),
+    corner_node = dofmap.special == NodeTag.REENTRANT_CORNER
+    tip_node = dofmap.special == NodeTag.CRACK_TIP
+    plain = ~corner_node & ~tip_node
+    pinned = (corner_node & (corner is CornerStrategy.BOTH_ZERO)) | \
+        (tip_node & (tip is TipStrategy.BOTH_ZERO))
+    fixed = [u1 + np.flatnonzero(pinned | (plain & dofmap.on_h)),
+             u2 + np.flatnonzero(pinned | (plain & dofmap.on_v))]
+    if "p" in dofmap.fields:
+        fixed.append(dofmap.offset("p") + np.flatnonzero(dofmap.on_boundary))
+    coupled = np.flatnonzero(
+        corner_node & (corner is CornerStrategy.BISECTOR_NORMAL))
+    mpcs = zip((u2 + coupled).tolist(), (u1 + coupled).tolist(),
+               [-1.0] * coupled.size)
+    return ConstraintSet(ndof=dofmap.ndof, fixed=np.sort(np.concatenate(fixed)),
                          mpcs=tuple(mpcs))
 
 

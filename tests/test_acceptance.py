@@ -227,7 +227,7 @@ def test_criterion_09_corner_strategy_contrast():
 def test_criterion_10_property_suite(osgs_cc_square, ag_cc_square,
                                      osgs_ps_lshape, crack_osgs_ps):
     # mesh invariants on a representative sample
-    from maxwell2d.meshgen import edge_records
+    from maxwell2d.meshgen import edge_table
     from maxwell2d import powell_sabin_refine
     meshes = [build_criss_cross(SQUARE_PI, 4), build_uniform(L_SHAPE, 3),
               build_criss_cross(CRACKED_SQUARE, 6)]
@@ -235,10 +235,10 @@ def test_criterion_10_property_suite(osgs_cc_square, ag_cc_square,
         assert np.all(mesh.signed_areas() > 0)
         assert_allclose(mesh.signed_areas().sum(), mesh.domain.area,
                         rtol=1e-12)
-        records = edge_records(mesh.points, mesh.triangles, mesh.domain)
-        assert set(len(v) for v in records.values()) <= {1, 2}
+        keys, _, counts = edge_table(mesh.points, mesh.triangles, mesh.domain)
+        assert set(counts.tolist()) <= {1, 2}
         ps = powell_sabin_refine(mesh)
-        assert ps.n_points == mesh.n_points + len(records) + mesh.n_triangles
+        assert ps.n_points == mesh.n_points + len(keys) + mesh.n_triangles
         assert ps.n_triangles == 6 * mesh.n_triangles
     crack = meshes[2]
     pts = np.round(crack.points, 12)
@@ -248,14 +248,14 @@ def test_criterion_10_property_suite(osgs_cc_square, ag_cc_square,
     assert tip.sum() == 1
 
     # element oracles
-    from maxwell2d import FormKind, assemble_form, build_dofmap
+    from maxwell2d import FormKind, assemble_form, build_dofmap, scalar_kernels
     from maxwell2d.meshgen import Mesh
     tri = Mesh(points=np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
                triangles=np.array([[0, 1, 2]]), domain=SQUARE_PI,
                boundary_edges=[], node_tags=np.zeros(3, dtype=np.int8),
                h=0.0, grid_step=1.0)
     dm = build_dofmap(tri, 1, "ag")
-    assert_allclose(assemble_form(FormKind.MASS_SCALAR, tri, dm).toarray(),
+    assert_allclose(scalar_kernels(tri, dm)["mass"].toarray(),
                     np.array([[2, 1, 1], [1, 2, 1], [1, 1, 2]]) / 24.0,
                     atol=1e-15)
     assert_allclose(assemble_form(FormKind.GRAD_GRAD, tri, dm).toarray(),

@@ -91,8 +91,14 @@ def test_export_mode_out_of_range_rejected_before_solving(monkeypatch, capsys):
     assert cli_main(small + ["--export-mode", "-1"]) == 2
     assert cli_main(small + ["--nev", "2", "--export-mode", "20"]) == 2
     assert cli_main(small + ["--export-mode", "17"]) == 2   # default nev 17
+    # the L-shape table stops at its 5 reference values whatever nev says
+    assert cli_main(["--domain", "lshape", "--mesh", "ps", "--formulation",
+                     "sg", "--corner", "bisector", "--N", "4", "--nev", "7",
+                     "--export-mode", "6"]) == 2
+    assert cli_main(small + ["--nev", "-3", "--export-mode", "0"]) == 2
     assert calls == []
-    assert "--export-mode" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "--export-mode" in err and "--nev must be at least 1" in err
 
 
 def test_defaults_come_from_study_config():

@@ -7,10 +7,9 @@ import scipy.linalg as la
 from numpy.testing import assert_allclose
 
 from maxwell2d import (CRACKED_SQUARE, SQUARE_PI, AssemblyError, FormKind,
-                       TripletMatrix, assemble_form, build_criss_cross,
-                       build_dofmap, build_uniform, l2_project,
-                       make_quadrature, reference_element, shape_functions,
-                       shape_gradients)
+                       assemble_form, build_criss_cross, build_dofmap,
+                       build_uniform, l2_project, make_quadrature,
+                       reference_element, shape_functions, shape_gradients)
 from maxwell2d.fem import reference_nodes, scalar_kernels
 from maxwell2d.meshgen import Mesh
 
@@ -106,6 +105,19 @@ def test_dofmap_p2_adds_edge_nodes():
     assert_allclose(dofmap.coords[t0[3]], mid, atol=1e-14)
 
 
+def test_dofmap_p2_edge_node_numbering():
+    # edge nodes follow the sorted (lo, hi) vertex pairs: (0,1), (0,2),
+    # (0,3), (1,2), (2,3); the numbering feeds the fill-reducing ordering
+    dofmap = build_dofmap(build_uniform(SQUARE_PI, 1), 2, "sg")
+    h = np.pi / 2
+    assert_allclose(dofmap.coords[4:], [[h, 0], [h, h], [0, h], [np.pi, h],
+                                        [h, np.pi]], atol=1e-15)
+    assert np.array_equal(dofmap.element_nodes, [[0, 1, 2, 4, 7, 5],
+                                                 [0, 2, 3, 5, 8, 6]])
+    assert dofmap.on_h[4:].tolist() == [True, False, False, False, True]
+    assert dofmap.on_v[4:].tolist() == [False, False, True, True, False]
+
+
 def test_dofmap_p2_crack_edges_per_face():
     mesh = build_uniform(CRACKED_SQUARE, 2)
     dofmap = build_dofmap(mesh, 2, "sg")
@@ -118,7 +130,7 @@ def test_dofmap_p2_crack_edges_per_face():
 def test_mass_scalar_single_triangle():
     mesh = single_triangle_mesh()
     dofmap = build_dofmap(mesh, 1, "ag")
-    mass = assemble_form(FormKind.MASS_SCALAR, mesh, dofmap).toarray()
+    mass = scalar_kernels(mesh, dofmap)["mass"].toarray()
     expected = np.array([[2, 1, 1], [1, 2, 1], [1, 1, 2]]) / 24.0
     assert_allclose(mass, expected, atol=1e-15)
 
@@ -140,16 +152,24 @@ def test_curl_curl_single_triangle_diagonal():
     assert_allclose(kcc[d, d], 0.5, atol=1e-14)
 
 
-@pytest.mark.parametrize("kind", [FormKind.CURL_CURL, FormKind.MASS_VEC,
-                                  FormKind.MASS_SCALAR, FormKind.DIV_DIV,
-                                  FormKind.GRAD_GRAD])
-def test_symmetry(kind):
-    mesh = build_criss_cross(SQUARE_PI, 3)
-    dofmap = build_dofmap(mesh, 1, "ag")
-    a = assemble_form(kind, mesh, dofmap)
+def assert_symmetric(a):
     diff = (a - a.T)
     denom = np.abs(a.toarray()).max()
     assert np.abs(diff.toarray()).max() <= 1e-12 * denom
+
+
+@pytest.mark.parametrize("kind", [FormKind.CURL_CURL, FormKind.MASS_VEC,
+                                  FormKind.DIV_DIV, FormKind.GRAD_GRAD])
+def test_symmetry(kind):
+    mesh = build_criss_cross(SQUARE_PI, 3)
+    dofmap = build_dofmap(mesh, 1, "ag")
+    assert_symmetric(assemble_form(kind, mesh, dofmap))
+
+
+def test_scalar_mass_kernel_symmetry():
+    mesh = build_criss_cross(SQUARE_PI, 3)
+    dofmap = build_dofmap(mesh, 1, "ag")
+    assert_symmetric(scalar_kernels(mesh, dofmap)["mass"])
 
 
 @pytest.mark.parametrize("degree", [1, 2])
@@ -168,7 +188,7 @@ def test_mass_positive_definite_after_reduction():
     mesh = build_uniform(SQUARE_PI, 3)
     dofmap = build_dofmap(mesh, 1, "ag")
     mv = assemble_form(FormKind.MASS_VEC, mesh, dofmap).toarray()
-    ms = assemble_form(FormKind.MASS_SCALAR, mesh, dofmap).toarray()
+    ms = scalar_kernels(mesh, dofmap)["mass"].toarray()
     interior = ~dofmap.on_boundary
     keep = np.where(np.concatenate([interior, interior]))[0]
     assert np.all(la.eigvalsh(mv[np.ix_(keep, keep)]) > 0)
@@ -179,10 +199,10 @@ def test_adjoint_pairing():
     mesh = build_criss_cross(SQUARE_PI, 3)
     dofmap = build_dofmap(mesh, 1, "osgs")
     g = assemble_form(FormKind.GRAD_COUPLING, mesh, dofmap)
-    gv = assemble_form(FormKind.GRAD_VEC, mesh, dofmap)
-    assert (g - gv).nnz == 0
     d = assemble_form(FormKind.DIV_SCALAR, mesh, dofmap)
     kernels = scalar_kernels(mesh, dofmap)
+    stacked = sp.bmat([[kernels["gx"]], [kernels["gy"]]], format="csr")
+    assert np.abs((g - stacked)).max() == 0
     expected = sp.bmat([[kernels["gx"], kernels["gy"]]], format="csr")
     assert np.abs((d - expected)).max() == 0
 
@@ -211,11 +231,10 @@ def test_divergence_free_field_has_zero_div_energy():
 def test_form_requires_matching_fields():
     mesh = build_uniform(SQUARE_PI, 2)
     dofmap = build_dofmap(mesh, 1, "sg")
-    with pytest.raises(AssemblyError):
-        assemble_form(FormKind.GRAD_COUPLING, mesh, dofmap)
-    dofmap_ag = build_dofmap(mesh, 1, "ag")
-    with pytest.raises(AssemblyError):
-        assemble_form(FormKind.GRAD_VEC, mesh, dofmap_ag)
+    for kind in (FormKind.GRAD_COUPLING, FormKind.GRAD_GRAD,
+                 FormKind.DIV_SCALAR):
+        with pytest.raises(AssemblyError):
+            assemble_form(kind, mesh, dofmap)
 
 
 def test_l2_project_linear_fields_exact():
@@ -287,21 +306,3 @@ def test_orthogonal_projection_identity():
         projected = xa @ mv @ xb                # (P grad pa, P grad pb)
         direct = quadrature_inner_product(mesh, dofmap, pa, xa, pb, xb)
         assert abs(direct - (full - projected)) <= 1e-10 * (1 + abs(full))
-
-
-def test_triplet_matrix_sums_duplicates():
-    acc = TripletMatrix((3, 3))
-    acc.add([0, 0, 1], [0, 0, 2], [1.0, 2.5, -1.0])
-    out = acc.finalize()
-    assert out.shape == (3, 3)
-    assert out[0, 0] == 3.5
-    assert out[1, 2] == -1.0
-    assert out.nnz == 2
-
-
-def test_triplet_matrix_symmetric_storage():
-    mesh = build_criss_cross(SQUARE_PI, 2)
-    dofmap = build_dofmap(mesh, 1, "sg")
-    a = assemble_form(FormKind.MASS_VEC, mesh, dofmap)
-    rel = np.abs((a - a.T).toarray()).max() / np.abs(a.toarray()).max()
-    assert rel <= 1e-12

@@ -5,7 +5,8 @@ from numpy.testing import assert_allclose
 from maxwell2d import (CRACKED_SQUARE, L_SHAPE, SQUARE_PI, GradingSpec,
                        MeshError, NodeTag, EdgeTag, build_criss_cross,
                        build_uniform, dump_mesh, powell_sabin_refine)
-from maxwell2d.meshgen import edge_records
+from maxwell2d.meshgen import (Mesh, classify_boundary, crack_closure_mask,
+                               edge_table)
 
 
 ALL_DOMAINS = [SQUARE_PI, L_SHAPE, CRACKED_SQUARE]
@@ -118,6 +119,21 @@ def test_powell_sabin_small_counts():
     assert_allclose(ps.signed_areas().sum(), base.signed_areas().sum(), rtol=1e-12)
 
 
+def test_powell_sabin_numbering():
+    # vertices, then edge midpoints in first-seen order, then barycenters;
+    # the numbering feeds the fill-reducing ordering of the eigensolve
+    ps = powell_sabin_refine(build_uniform(SQUARE_PI, 1))
+    h, t = np.pi / 2, np.pi / 3
+    assert_allclose(ps.points, [
+        [0, 0], [np.pi, 0], [np.pi, np.pi], [0, np.pi],
+        [h, 0], [np.pi, h], [h, h], [h, np.pi], [0, h],
+        [2 * t, t], [t, 2 * t]], atol=1e-15)
+    assert np.array_equal(ps.triangles, [
+        [0, 4, 9], [4, 1, 9], [1, 5, 9], [5, 2, 9], [2, 6, 9], [6, 0, 9],
+        [0, 6, 10], [6, 2, 10], [2, 7, 10], [7, 3, 10], [3, 8, 10],
+        [8, 0, 10]])
+
+
 def test_powell_sabin_lshape_count():
     ps = powell_sabin_refine(build_uniform(L_SHAPE, 5))
     assert ps.n_triangles == 900
@@ -132,19 +148,41 @@ def test_orientation_and_area(name, mesh):
 
 @pytest.mark.parametrize("name,mesh", MESHES, ids=[n for n, _ in MESHES])
 def test_edge_manifoldness(name, mesh):
-    records = edge_records(mesh.points, mesh.triangles, mesh.domain)
-    counts = {k: len(v) for k, v in records.items()}
-    assert set(counts.values()) <= {1, 2}
-    boundary_keys = {k for k, c in counts.items() if c == 1}
-    assert len(boundary_keys) == len(mesh.boundary_edges)
+    _, _, counts = edge_table(mesh.points, mesh.triangles, mesh.domain)
+    assert set(counts.tolist()) <= {1, 2}
+    assert (counts == 1).sum() == len(mesh.boundary_edges)
+
+
+def loop_edge_census(points, triangles, domain):
+    """Reference for edge_table: owners (t, local edge) per key, keys in
+    first-seen order, built one triangle at a time."""
+    on_crack = crack_closure_mask(points, domain)
+    owners = {}
+    for t, (a, b, c) in enumerate(triangles.tolist()):
+        for loc, (i, j, opp) in enumerate(((a, b, c), (b, c, a), (c, a, b))):
+            side = 0
+            if on_crack[i] and on_crack[j]:
+                side = 1 if points[opp, 1] > 0.0 else -1
+            owners.setdefault((min(i, j), max(i, j), side), []).append((t, loc))
+    return owners
+
+
+@pytest.mark.parametrize("name,mesh", MESHES, ids=[n for n, _ in MESHES])
+def test_edge_table_matches_loop_census(name, mesh):
+    keys, edge_ids, counts = edge_table(mesh.points, mesh.triangles, mesh.domain)
+    owners = loop_edge_census(mesh.points, mesh.triangles, mesh.domain)
+    assert list(map(tuple, keys.tolist())) == list(owners)
+    assert counts.tolist() == [len(v) for v in owners.values()]
+    for e, owned in enumerate(owners.values()):
+        assert all(edge_ids[t, loc] == e for t, loc in owned)
 
 
 @pytest.mark.parametrize("name,mesh", [c for c in MESHES if not c[0].startswith("ps")],
                          ids=[n for n, _ in MESHES if not n.startswith("ps")])
 def test_powell_sabin_counting(name, mesh):
-    records = edge_records(mesh.points, mesh.triangles, mesh.domain)
+    keys, _, _ = edge_table(mesh.points, mesh.triangles, mesh.domain)
     ps = powell_sabin_refine(mesh)
-    assert ps.n_points == mesh.n_points + len(records) + mesh.n_triangles
+    assert ps.n_points == mesh.n_points + len(keys) + mesh.n_triangles
     assert ps.n_triangles == 6 * mesh.n_triangles
 
 
@@ -220,8 +258,28 @@ def test_boundary_edges_axis_aligned(name, mesh):
             assert dy < 1e-12
 
 
+def unclassified(points, triangles):
+    return Mesh(points=np.asarray(points, dtype=float),
+                triangles=np.asarray(triangles), domain=SQUARE_PI,
+                boundary_edges=[], node_tags=np.zeros(len(points), dtype=np.int8),
+                h=0.0, grid_step=1.0)
+
+
+def test_classify_rejects_clockwise_triangle():
+    square = [[0.0, 0.0], [np.pi, 0.0], [np.pi, np.pi], [0.0, np.pi]]
+    mesh = unclassified(square, [[0, 1, 2], [0, 3, 2]])
+    with pytest.raises(MeshError, match="non-CCW"):
+        classify_boundary(mesh, SQUARE_PI)
+
+
+def test_classify_rejects_slanted_boundary_edge():
+    # the hypotenuse of a lone half-square is a boundary edge off both axes
+    mesh = unclassified([[0.0, 0.0], [np.pi, 0.0], [0.0, np.pi]], [[0, 1, 2]])
+    with pytest.raises(MeshError, match="not axis-aligned"):
+        classify_boundary(mesh, SQUARE_PI)
+
+
 def test_powell_sabin_rejects_nonconforming_base():
-    from maxwell2d.meshgen import Mesh, classify_boundary
     # three triangles sharing one edge cannot be a planar mesh
     points = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0],
                        [-1.0, 1.0]])

@@ -138,7 +138,7 @@ def test_osgs_stabilization_blocks_are_psd():
     kernels = scalar_kernels(mesh, system.dofmap)
     mv = assemble_form(FormKind.MASS_VEC, mesh, system.dofmap, kernels)
     kgg = assemble_form(FormKind.GRAD_GRAD, mesh, system.dofmap, kernels)
-    gv = assemble_form(FormKind.GRAD_VEC, mesh, system.dofmap, kernels)
+    gv = assemble_form(FormKind.GRAD_COUPLING, mesh, system.dofmap, kernels)
     for _ in range(4):
         p = rng.standard_normal(n)
         xi = rng.standard_normal(2 * n)
@@ -226,6 +226,45 @@ def test_crack_tip_strategies():
             assert fixed_set(free, dofmap, "u1", int(i))
             assert not fixed_set(free, dofmap, "u2", int(i))
             assert fixed_set(free, dofmap, "p", int(i))
+
+
+def loop_constraints(dofmap, corner, tip):
+    """Reference for build_constraints: one node at a time."""
+    fixed, mpcs = [], []
+    u1, u2 = dofmap.offset("u1"), dofmap.offset("u2")
+    for i in range(dofmap.n_scalar):
+        if dofmap.special[i] == NodeTag.REENTRANT_CORNER:
+            if corner is CornerStrategy.BOTH_ZERO:
+                fixed += [u1 + i, u2 + i]
+            elif corner is CornerStrategy.BISECTOR_NORMAL:
+                mpcs.append((u2 + i, u1 + i, -1.0))
+        elif dofmap.special[i] == NodeTag.CRACK_TIP:
+            if tip is TipStrategy.BOTH_ZERO:
+                fixed += [u1 + i, u2 + i]
+        else:
+            if dofmap.on_h[i]:
+                fixed.append(u1 + i)
+            if dofmap.on_v[i]:
+                fixed.append(u2 + i)
+        if "p" in dofmap.fields and dofmap.on_boundary[i]:
+            fixed.append(dofmap.offset("p") + i)
+    return sorted(fixed), mpcs
+
+
+@pytest.mark.parametrize("domain,degree,formulation", [
+    (SQUARE_PI, 1, "sg"), (L_SHAPE, 2, "osgs"), (CRACKED_SQUARE, 1, "ag"),
+    (CRACKED_SQUARE, 2, "osgs")])
+def test_constraints_match_loop_reference(domain, degree, formulation):
+    dofmap = build_dofmap(powell_sabin_refine(build_uniform(domain, 4)),
+                          degree, formulation)
+    corners = list(CornerStrategy) if domain.has_reentrant_corner else \
+        [CornerStrategy.BOTH_ZERO, CornerStrategy.FREE]
+    for corner in corners:
+        for tip in TipStrategy:
+            cs = build_constraints(dofmap, corner, tip)
+            fixed, mpcs = loop_constraints(dofmap, corner, tip)
+            assert cs.fixed.tolist() == fixed
+            assert list(cs.mpcs) == mpcs
 
 
 def test_osgs_projection_fields_never_constrained():
