@@ -103,15 +103,15 @@ class ConstraintSet:
         keep = self.retained_dofs()
         col = -np.ones(self.ndof, dtype=np.int64)
         col[keep] = np.arange(len(keep))
-        rows = list(keep)
-        cols = list(col[keep])
-        vals = [1.0] * len(keep)
-        for s, m, f in self.mpcs:
-            if col[m] < 0:
-                raise ConstraintError(f"MPC master {m} is not a retained dof")
-            rows.append(s)
-            cols.append(col[m])
-            vals.append(f)
+        mpcs = np.array(self.mpcs, dtype=float).reshape(-1, 3)
+        slaves, masters = mpcs[:, :2].astype(np.int64).T
+        orphan = np.flatnonzero(col[masters] < 0)
+        if orphan.size:
+            raise ConstraintError(
+                f"MPC master {masters[orphan[0]]} is not a retained dof")
+        rows = np.concatenate([keep, slaves])
+        cols = np.concatenate([col[keep], col[masters]])
+        vals = np.concatenate([np.ones(len(keep)), mpcs[:, 2]])
         return sp.csr_matrix((vals, (rows, cols)), shape=(self.ndof, len(keep)))
 
     def expand(self, x_reduced: np.ndarray) -> np.ndarray:

@@ -1,15 +1,17 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from numpy.testing import assert_allclose
 
 from maxwell2d import (CRACKED_SQUARE, L_SHAPE, SQUARE_PI, CornerStrategy,
-                       EvpSystem, SolverConfig, Spectrum, TipStrategy,
-                       attach_eigenfunction, build_constraints,
+                       EigenSolveError, EvpSystem, SolverConfig, Spectrum,
+                       TipStrategy, attach_eigenfunction, build_constraints,
                        build_ag, build_criss_cross, build_dofmap, build_osgs,
                        build_sg, build_uniform, filter_zeros, make_params,
                        powell_sabin_refine, reduce_system, solve_generalized)
-from maxwell2d.eig import signed_operator
+from maxwell2d import eig
+from maxwell2d.eig import node_ordering, signed_operator
 
 
 def reduced_sg(domain, mesh, **kwargs):
@@ -51,14 +53,21 @@ def reduced_stabilized(build, mesh, **kwargs):
 
 
 def test_shift_invert_matches_dense_oracle():
-    # <= 600 reduced dofs: first 10 nonzero eigenvalues to relative 1e-8
+    # <= 600 reduced dofs: first 10 nonzero eigenvalues to relative 1e-8;
+    # P2 edge nodes and split crack-face nodes go through the node ordering
     square = build_criss_cross(SQUARE_PI, 5)
     lshape = build_criss_cross(L_SHAPE, 3)
+    p2_square = build_criss_cross(SQUARE_PI, 3)
+    crack = powell_sabin_refine(build_uniform(CRACKED_SQUARE, 4))
+    p2_system = build_osgs(p2_square, 2,
+                           make_params(1.0, 0.1, 0.01, 0.6, p2_square.h))
     cases = [reduced_sg(SQUARE_PI, square),
              reduced_stabilized(build_ag, square),
              reduced_stabilized(build_osgs, square),
              reduced_stabilized(build_osgs, lshape,
-                                corner=CornerStrategy.BISECTOR_NORMAL)]
+                                corner=CornerStrategy.BISECTOR_NORMAL),
+             reduce_system(p2_system, build_constraints(p2_system.dofmap)),
+             reduced_stabilized(build_ag, crack, tip=TipStrategy.FREE)]
     for reduced in cases:
         assert reduced.n <= 600
         dense = filter_zeros(solve_generalized(
@@ -67,6 +76,32 @@ def test_shift_invert_matches_dense_oracle():
             reduced, SolverConfig(nev=10, method="shift-invert")))
         assert_allclose(lanczos.values[:10], dense.values[:10], rtol=1e-8)
         assert lanczos.n_complex_rejected == 0
+
+
+@pytest.mark.parametrize("case", ["crack-ps", "lshape-p2-cc"])
+def test_node_ordering_fill(case):
+    if case == "crack-ps":
+        mesh = powell_sabin_refine(build_uniform(CRACKED_SQUARE, 8))
+        system = build_osgs(mesh, 1, make_params(1.0, 0.2, 0.1, 1.0, mesh.h))
+        cons = build_constraints(system.dofmap, tip=TipStrategy.FREE)
+    else:
+        mesh = build_criss_cross(L_SHAPE, 5)
+        system = build_osgs(mesh, 2, make_params(1.0, 0.1, 0.01, 0.6, mesh.h))
+        cons = build_constraints(system.dofmap,
+                                 corner=CornerStrategy.BISECTOR_NORMAL)
+    reduced = reduce_system(system, cons)
+    perm = node_ordering(reduced)
+    assert np.array_equal(np.sort(perm), np.arange(reduced.n))
+    node = cons.retained_dofs()[perm] % system.dofmap.n_scalar
+    runs = 1 + np.count_nonzero(np.diff(node))
+    assert runs == len(np.unique(node))  # one consecutive run per node
+    config = SolverConfig(nev=2, method="shift-invert")
+    spec = solve_generalized(reduced, config)
+    colamd = spla.splu(
+        (signed_operator(reduced) - config.shift * reduced.M).tocsc(),
+        permc_spec="COLAMD", diag_pivot_thresh=0.0,
+        options=dict(SymmetricMode=True))
+    assert 0 < spec.lu_nnz < colamd.nnz
 
 
 def test_signed_operator_symmetric():
@@ -85,7 +120,6 @@ def test_signed_operator_symmetric():
 
 
 def test_dense_cap():
-    from maxwell2d import EigenSolveError
     n = 3001
     system = toy_system(sp.identity(n), sp.identity(n))
     with pytest.raises(EigenSolveError):
@@ -111,8 +145,10 @@ def test_ag_osgs_spectra_pass_filter_untouched():
     params = make_params(1.0, 0.1, 0.01, 0.6, mesh.h)
     system = build_osgs(mesh, 1, params)
     reduced = reduce_system(system, build_constraints(system.dofmap))
-    spec = solve_generalized(reduced, SolverConfig(nev=8, method="dense"))
+    spec = solve_generalized(reduced, SolverConfig(nev=8, shift=0.7,
+                                                   method="dense"))
     assert spec.lu_nnz == spec.n_op_applications == 0
+    assert spec.shift == 0.7 and spec.shift_retries == 0
     out = filter_zeros(spec)
     assert out.n_zero_filtered == 0
     assert np.all(out.values > 0)
@@ -124,6 +160,22 @@ def test_residual_certificates():
     spec = solve_generalized(reduced, SolverConfig(nev=10,
                                                    method="shift-invert"))
     assert np.all(spec.residuals <= 1e-8 * (1 + np.abs(spec.values)))
+
+
+def test_certify_block_residuals():
+    mesh = build_criss_cross(SQUARE_PI, 4)
+    reduced = reduced_sg(SQUARE_PI, mesh)
+    spec = solve_generalized(reduced, SolverConfig(nev=6,
+                                                   method="shift-invert"))
+    per_pair = [np.linalg.norm(reduced.A @ x - lam * (reduced.M @ x))
+                / np.linalg.norm(x)
+                for lam, x in zip(spec.values, spec.vectors.T)]
+    assert_allclose(spec.residuals, per_pair, rtol=1e-10, atol=1e-18)
+    values = spec.values.copy()
+    values[2] *= 1.01
+    with pytest.raises(EigenSolveError, match="eigenpair 2 .* fails the "
+                       "residual certificate"):
+        eig._certify(reduced, values, spec.vectors)
 
 
 def test_determinism():
@@ -139,6 +191,7 @@ def test_determinism():
     assert a.lu_nnz == b.lu_nnz > 0
     assert a.n_op_applications == b.n_op_applications > 0
     assert a.n_complex_rejected == 0
+    assert a.shift == cfg.shift and a.shift_retries == 0
 
 
 def test_shift_independence():
@@ -153,13 +206,23 @@ def test_shift_independence():
     assert_allclose(runs[2], runs[0], rtol=1e-8)
 
 
-def test_shift_collision_retries():
+def test_shift_collision_retries(monkeypatch):
     # pencil with an eigenvalue exactly at the default shift
+    orderings = []
+
+    def counting_ordering(system):
+        orderings.append(system)
+        return node_ordering(system)
+
+    monkeypatch.setattr(eig, "node_ordering", counting_ordering)
     A = np.diag([0.5, 1.0, 2.0, 3.0, 4.0])
     system = toy_system(A, np.eye(5))
     spec = solve_generalized(system, SolverConfig(nev=2, shift=0.5,
                                                   method="shift-invert"))
     assert_allclose(spec.values[0], 0.5, atol=1e-10)
+    assert spec.shift_retries >= 1
+    assert spec.shift < 0.5
+    assert len(orderings) == 1  # the retries reuse the ordering
 
 
 def test_attach_eigenfunction_normalization():

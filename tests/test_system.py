@@ -267,6 +267,35 @@ def test_constraints_match_loop_reference(domain, degree, formulation):
             assert list(cs.mpcs) == mpcs
 
 
+def loop_reduction_matrix(cons):
+    """Reference for ConstraintSet.reduction_matrix: one triplet at a time."""
+    keep = cons.retained_dofs()
+    col = -np.ones(cons.ndof, dtype=np.int64)
+    col[keep] = np.arange(len(keep))
+    rows, cols, vals = list(keep), list(col[keep]), [1.0] * len(keep)
+    for s, m, f in cons.mpcs:
+        rows.append(s)
+        cols.append(col[m])
+        vals.append(f)
+    return sp.csr_matrix((vals, (rows, cols)), shape=(cons.ndof, len(keep)))
+
+
+@pytest.mark.parametrize("domain,degree,formulation", [
+    (L_SHAPE, 1, "sg"), (L_SHAPE, 2, "osgs"), (CRACKED_SQUARE, 1, "ag")])
+def test_reduction_matrix_matches_loop_reference(domain, degree, formulation):
+    dofmap = build_dofmap(powell_sabin_refine(build_uniform(domain, 4)),
+                          degree, formulation)
+    corners = list(CornerStrategy) if domain.has_reentrant_corner else \
+        [CornerStrategy.BOTH_ZERO]
+    for corner in corners:
+        for tip in TipStrategy:
+            cons = build_constraints(dofmap, corner, tip)
+            T, ref = cons.reduction_matrix(), loop_reduction_matrix(cons)
+            for a, b in ((T.indptr, ref.indptr), (T.indices, ref.indices),
+                         (T.data, ref.data)):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
 def test_osgs_projection_fields_never_constrained():
     mesh = build_criss_cross(CRACKED_SQUARE, 4)
     dofmap = build_dofmap(mesh, 1, "osgs")
