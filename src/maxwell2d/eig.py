@@ -28,6 +28,15 @@ nonzero eigenvalues come back from SG solves.  Every pair is certified
 against the unsigned A.  A dense QZ path doubles as the oracle and as the
 default for small systems.
 
+The factor is the largest object of a solve, so it is built next to one
+copy of the pencil only: the reduced A and M, the node ordering and the
+factor stay alive through the Lanczos iteration, nothing else.  The
+permuted P (D A - sigma M) P' is formed for each shift and dies inside
+the factorization call; D A is never kept.  In shift-invert mode eigsh
+applies only OPinv and M and never multiplies by its A argument, so the
+unsigned A is passed there.  The factor is released before the residual
+certificate allocates its n x k blocks.
+
 Grimes, Lewis and Simon (1994), "A shifted block Lanczos algorithm for
 solving sparse symmetric generalized eigenproblems".
 """
@@ -135,41 +144,79 @@ def _solve_dense(system: EvpSystem, config: SolverConfig) -> Spectrum:
                     n_complex_rejected=n_rejected, shift=config.shift)
 
 
-def signed_operator(system: EvpSystem) -> sp.csr_matrix:
-    """D A: the p, xi1 and xi2 rows of A negated, restricted to the reduced
-    dofs when the system is constrained.  Symmetric for SG, AG and OSGS."""
+def signed_operator(system: EvpSystem, shift: float = 0.0) -> sp.csr_matrix:
+    """D (A - shift M): the p, xi1 and xi2 rows negated, restricted to the
+    reduced dofs when the system is constrained.  Symmetric for SG, AG and
+    OSGS; M vanishes on the negated rows, so this is also D A - shift M."""
+    S = system.A - shift * system.M
     dofmap = system.dofmap
     flipped = [f for f in SIGN_FLIPPED_FIELDS if f in dofmap.fields]
-    if not flipped:
-        return system.A
-    d = np.ones(dofmap.ndof)
-    for field in flipped:
-        d[dofmap.field_slice(field)] = -1.0
-    if system.constraints is not None:
-        d = d[system.constraints.retained_dofs()]
-    return sp.diags(d).dot(system.A).tocsr()
+    if flipped:
+        d = np.ones(dofmap.ndof)
+        for field in flipped:
+            d[dofmap.field_slice(field)] = -1.0
+        if system.constraints is not None:
+            d = d[system.constraints.retained_dofs()]
+        S.data *= np.repeat(d, np.diff(S.indptr))
+    return S
 
 
 def node_ordering(system: EvpSystem) -> np.ndarray:
     """Fill-reducing order of the reduced dofs, blocked by nodal point.
 
-    Reduced dof i sits on node retained[i] % n_scalar.  The pattern of A and
-    M (structurally symmetric) folded onto the nodes is ordered by SuperLU's
-    minimum degree on A'+A, run on the node graph Laplacian plus I
-    (diagonally dominant, so the surrogate factor itself needs no
-    pivoting); perm_c[i] is node i's new position.  The dofs are then listed
-    node by node: perm[k] is the reduced dof placed at position k."""
-    n = system.n
+    Reduced dof i sits on node retained[i] % n_scalar.  The nonzero pattern
+    of A and M (structurally symmetric) folded onto the nodes, as integer
+    keys node_i * n_nodes + node_j, is ordered by SuperLU's minimum degree
+    on A'+A, run on the node graph Laplacian plus I (diagonally dominant,
+    so the surrogate factor itself needs no pivoting); perm_c[i] is node
+    i's new position.  The dofs are then listed node by node: perm[k] is
+    the reduced dof placed at position k."""
     dofs = system.constraints.retained_dofs() \
-        if system.constraints is not None else np.arange(n)
+        if system.constraints is not None else np.arange(system.n)
     n_nodes = system.dofmap.n_scalar
     node = dofs % n_nodes
-    P = sp.csr_matrix((np.ones(n), (np.arange(n), node)), shape=(n, n_nodes))
-    G = (P.T @ (abs(system.A) + abs(system.M)) @ P).tocsc()
-    G.data[:] = -1.0
-    surrogate = (G + sp.diags(np.diff(G.indptr) + 1.0)).tocsc()
+    keys = [np.arange(n_nodes) * (n_nodes + 1)]   # diagonals: Laplacian + I
+    for X in (system.A, system.M):
+        nonzero = X.data != 0
+        rows = np.repeat(node, np.diff(X.indptr))[nonzero]
+        keys.append(rows * n_nodes + node[X.indices[nonzero]])
+    # sort and drop repeats: np.unique takes several times longer here
+    keys = np.sort(np.concatenate(keys))
+    keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+    # symmetric pattern: the row-major keys are also the CSC layout
+    indptr = np.searchsorted(keys, np.arange(n_nodes + 1) * n_nodes)
+    col, row = np.divmod(keys, n_nodes)
+    data = np.where(row == col, np.diff(indptr)[col], -1.0)
+    surrogate = sp.csc_matrix((data, row, indptr), shape=(n_nodes, n_nodes))
     position = spla.splu(surrogate, permc_spec="MMD_AT_PLUS_A").perm_c
     return np.argsort(position[node], kind="stable")
+
+
+def _lanczos(system: EvpSystem, config: SolverConfig, perm: np.ndarray,
+             sigma: float, k: int, ncv: int, v0: np.ndarray):
+    """Factor P (D A - sigma M) P' and run ARPACK on it.  The permuted
+    matrix dies inside splu's call and the factor when this returns."""
+    n = system.n
+    lu = spla.splu(signed_operator(system, sigma)[perm][:, perm].tocsc(),
+                   permc_spec="NATURAL", diag_pivot_thresh=DIAG_PIVOT_THRESH,
+                   options=dict(SymmetricMode=True))
+    n_ops = 0
+
+    def solve(b):
+        nonlocal n_ops
+        n_ops += 1
+        x = np.empty_like(b)
+        x[perm] = lu.solve(b[perm])
+        return x
+
+    # in shift-invert mode eigsh never multiplies by A (its matvec is None),
+    # so the unsigned A stands in for D A
+    w, v = spla.eigsh(system.A, k=k, M=system.M, sigma=sigma, which="LA",
+                      v0=v0, ncv=ncv, maxiter=config.max_restarts,
+                      tol=config.tol,
+                      OPinv=spla.LinearOperator((n, n), matvec=solve,
+                                                dtype=float))
+    return w, v, int(lu.nnz), n_ops
 
 
 def _solve_shift_invert(system: EvpSystem, config: SolverConfig) -> Spectrum:
@@ -179,32 +226,13 @@ def _solve_shift_invert(system: EvpSystem, config: SolverConfig) -> Spectrum:
     ncv = int(min(n, max(ncv, k + 2)))
     rng = np.random.default_rng(config.seed)
     v0 = rng.standard_normal(n)
-    DA = signed_operator(system)
     perm = node_ordering(system)
-    DA_perm = DA[perm][:, perm]
-    M_perm = system.M[perm][:, perm]
     sigma = config.shift
     last = None
     for retries in range(3):
         try:
-            lu = spla.splu((DA_perm - sigma * M_perm).tocsc(),
-                           permc_spec="NATURAL",
-                           diag_pivot_thresh=DIAG_PIVOT_THRESH,
-                           options=dict(SymmetricMode=True))
-            n_ops = 0
-
-            def solve(b):
-                nonlocal n_ops
-                n_ops += 1
-                x = np.empty_like(b)
-                x[perm] = lu.solve(b[perm])
-                return x
-
-            w, v = spla.eigsh(DA, k=k, M=system.M, sigma=sigma, which="LA",
-                              v0=v0, ncv=ncv, maxiter=config.max_restarts,
-                              tol=config.tol,
-                              OPinv=spla.LinearOperator((n, n), matvec=solve,
-                                                        dtype=float))
+            w, v, lu_nnz, n_ops = _lanczos(system, config, perm, sigma, k,
+                                           ncv, v0)
             if np.min(np.abs(w - sigma)) < 1e-12:
                 raise RuntimeError("shift collides with a converged eigenvalue")
             break
@@ -213,7 +241,7 @@ def _solve_shift_invert(system: EvpSystem, config: SolverConfig) -> Spectrum:
                 f"ARPACK did not converge within {config.max_restarts} "
                 f"restarts: {exc}") from exc
         except RuntimeError as exc:
-            last = exc
+            last = str(exc)  # not the exception: its traceback holds frames
             # perturb downward: the LA ordering only reports values above
             # sigma, so the colliding eigenvalue must stay in range
             sigma -= max(1e-3 * abs(sigma), 1e-6)
@@ -224,7 +252,7 @@ def _solve_shift_invert(system: EvpSystem, config: SolverConfig) -> Spectrum:
     values, vectors = w[order], v[:, order]
     residuals = _certify(system, values, vectors)
     return Spectrum(values=values, vectors=vectors, residuals=residuals,
-                    lu_nnz=int(lu.nnz), n_op_applications=n_ops,
+                    lu_nnz=lu_nnz, n_op_applications=n_ops,
                     shift=sigma, shift_retries=retries)
 
 
@@ -266,10 +294,12 @@ class EigenField:
     p: np.ndarray | None = None
 
 
-def attach_eigenfunction(spectrum: Spectrum, system: EvpSystem,
-                         index: int) -> EigenField:
+def attach_eigenfunction(spectrum: Spectrum, system, index: int) -> EigenField:
     """Expand eigenvector `index` to nodal fields, normalized so the largest
-    nodal |u| is one and u1 is positive at its own largest-magnitude node."""
+    nodal |u| is one and u1 is positive at its own largest-magnitude node.
+
+    Only `system.dofmap` and `system.constraints` are read, so the reduced
+    EvpSystem or a solved study Case will do."""
     if not 0 <= index < len(spectrum.values):
         raise IndexError(f"eigenpair index {index} out of range")
     x = spectrum.vectors[:, index]

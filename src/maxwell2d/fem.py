@@ -256,21 +256,26 @@ def scalar_kernels(mesh: Mesh, dofmap: DofMap) -> dict:
     rule = make_quadrature()
     elem = reference_element(dofmap.degree, rule)
     det, inv_t = _element_geometry(mesh)
-    # physical gradients g[t, q, a, d]
-    g = np.einsum("tde,qae->tqad", inv_t, elem.ref_grads)
-    wdet = rule.weights[None, :] * det[:, None]  # (t, q); weights sum to 1/2
     shp = elem.shape
-
-    mass_el = np.einsum("tq,qa,qb->tab", wdet, shp, shp)
-    kxx_el = np.einsum("tq,tqa,tqb->tab", wdet, g[..., 0], g[..., 0])
-    kxy_el = np.einsum("tq,tqa,tqb->tab", wdet, g[..., 0], g[..., 1])
-    kyy_el = np.einsum("tq,tqa,tqb->tab", wdet, g[..., 1], g[..., 1])
-    gx_el = np.einsum("tq,qa,tqb->tab", wdet, shp, g[..., 0])
-    gy_el = np.einsum("tq,qa,tqb->tab", wdet, shp, g[..., 1])
+    # the mass only scales with the element: det times the reference mass
+    mass_el = det[:, None, None] * np.einsum("q,qa,qb->ab", rule.weights,
+                                             shp, shp)
+    nt, nloc = len(det), shp.shape[1]
+    kxx_el, kxy_el, kyy_el, gx_el, gy_el = np.zeros((5, nt, nloc, nloc))
+    # one quadrature point at a time: physical gradients g[t, d, a]
+    for q in range(len(rule.weights)):
+        g = inv_t @ elem.ref_grads[q].T
+        wdet = rule.weights[q] * det[:, None]   # weights sum to 1/2
+        wgx, wgy = wdet * g[:, 0], wdet * g[:, 1]
+        kxx_el += wgx[:, :, None] * g[:, None, 0]
+        kxy_el += wgx[:, :, None] * g[:, None, 1]
+        kyy_el += wgy[:, :, None] * g[:, None, 1]
+        wshp = wdet * shp[q]
+        gx_el += wshp[:, :, None] * g[:, None, 0]
+        gy_el += wshp[:, :, None] * g[:, None, 1]
 
     # one CSR pattern for all six: slot[k] is where element entry k lands
     nodes = dofmap.element_nodes
-    nloc = nodes.shape[1]
     n = dofmap.n_scalar
     rows = np.repeat(nodes, nloc, axis=1).ravel()
     cols = np.tile(nodes, (1, nloc)).ravel()

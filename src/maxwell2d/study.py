@@ -18,8 +18,9 @@ import numpy as np
 from . import meshgen
 from .eig import EigenField, SolverConfig, Spectrum, attach_eigenfunction, \
     filter_zeros, solve_generalized
+from .fem import DofMap
 from .meshgen import DomainKind, DomainSpec, GradingSpec, Mesh
-from .system import CornerStrategy, EvpSystem, TipStrategy, build_ag, \
+from .system import ConstraintSet, CornerStrategy, TipStrategy, build_ag, \
     build_constraints, build_osgs, build_sg, make_params, reduce_system
 
 # Benchmark reference spectra.  Modes inherited from the enclosing square
@@ -129,16 +130,20 @@ def stabilization_length(config: StudyConfig, mesh: Mesh) -> float:
 @dataclass(frozen=True)
 class Case:
     """One solved case: the first nev values ascending, the spectrum they
-    come from, and the reduced system and mesh its eigenvectors live on."""
+    come from, and what its reduced eigenvectors need to expand to nodal
+    fields: the dofmap, the constraint set and the mesh.  The matrices are
+    not kept."""
 
     values: np.ndarray
     spectrum: Spectrum
-    reduced: EvpSystem
+    dofmap: DofMap
+    constraints: ConstraintSet
     mesh: Mesh
 
 
 def run_case(config: StudyConfig, N: int) -> Case:
-    """Mesh, assemble, constrain, reduce and solve the case at N."""
+    """Mesh, assemble, constrain, reduce and solve the case at N.  Only the
+    reduced pencil is alive during the solve."""
     mesh = build_mesh(config, N)
     if config.formulation == "sg":
         system = build_sg(mesh, config.degree, mu=config.mu)
@@ -150,13 +155,15 @@ def run_case(config: StudyConfig, N: int) -> Case:
     constraints = build_constraints(system.dofmap, corner=config.corner,
                                     tip=config.tip)
     reduced = reduce_system(system, constraints)
+    del system
     solver = SolverConfig(nev=config.nev_effective, shift=config.shift,
                           zero_tol=config.zero_tol, method=config.solver,
                           tol=config.solver_tol, seed=config.seed)
     spectrum = solve_generalized(reduced, solver)
     if config.formulation == "sg":
         spectrum = filter_zeros(spectrum, config.zero_tol)
-    return Case(spectrum.values[:config.nev_effective], spectrum, reduced, mesh)
+    return Case(spectrum.values[:config.nev_effective], spectrum,
+                reduced.dofmap, constraints, mesh)
 
 
 def convergence_rate(e_prev: float, e_curr: float,
@@ -303,4 +310,4 @@ def compute_eigenfunction(table: EigenTable, index: int):
     """Expand eigenfunction `index` of the table's finest case, reusing the
     solve `run_study` already did; returns the field and its mesh."""
     case = table.finest
-    return attach_eigenfunction(case.spectrum, case.reduced, index), case.mesh
+    return attach_eigenfunction(case.spectrum, case, index), case.mesh

@@ -74,11 +74,14 @@ class ConstraintSet:
 
     def __post_init__(self):
         fixed = set(int(d) for d in self.fixed)
-        slaves = set()
-        masters = set()
-        for s, m, _f in self.mpcs:
-            slaves.add(int(s))
-            masters.add(int(m))
+        slaves = set(int(s) for s, _m, _f in self.mpcs)
+        masters = set(int(m) for _s, m, _f in self.mpcs)
+        for role, dofs in (("fixed", fixed), ("slave", slaves),
+                           ("master", masters)):
+            outside = sorted(d for d in dofs if not 0 <= d < self.ndof)
+            if outside:
+                raise ConstraintError(
+                    f"{role} dof {outside[0]} outside [0, {self.ndof})")
         if fixed & slaves:
             raise ConstraintError("a dof cannot be both fixed and a slave")
         if slaves & masters:
@@ -105,10 +108,6 @@ class ConstraintSet:
         col[keep] = np.arange(len(keep))
         mpcs = np.array(self.mpcs, dtype=float).reshape(-1, 3)
         slaves, masters = mpcs[:, :2].astype(np.int64).T
-        orphan = np.flatnonzero(col[masters] < 0)
-        if orphan.size:
-            raise ConstraintError(
-                f"MPC master {masters[orphan[0]]} is not a retained dof")
         rows = np.concatenate([keep, slaves])
         cols = np.concatenate([col[keep], col[masters]])
         vals = np.concatenate([np.ones(len(keep)), mpcs[:, 2]])

@@ -153,7 +153,7 @@ def test_export_reuses_finest_solve(tmp_path, monkeypatch, capsys):
                          N_list=(3, 6), nev=3, solver="shift-invert", seed=7)
     case = run_case(config, 6)
     expected = tmp_path / "expected.txt"
-    export_eigenfunction(attach_eigenfunction(case.spectrum, case.reduced, 1),
+    export_eigenfunction(attach_eigenfunction(case.spectrum, case, 1),
                          case.mesh, expected)
     exported = tmp_path / "t.csv.mode1.txt"
     assert exported.read_bytes() == expected.read_bytes()

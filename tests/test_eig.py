@@ -1,3 +1,6 @@
+import tracemalloc
+import weakref
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -8,10 +11,12 @@ from maxwell2d import (CRACKED_SQUARE, L_SHAPE, SQUARE_PI, CornerStrategy,
                        EigenSolveError, EvpSystem, SolverConfig, Spectrum,
                        TipStrategy, attach_eigenfunction, build_constraints,
                        build_ag, build_criss_cross, build_dofmap, build_osgs,
-                       build_sg, build_uniform, filter_zeros, make_params,
-                       powell_sabin_refine, reduce_system, solve_generalized)
+                       StudyConfig, build_sg, build_uniform, filter_zeros,
+                       make_params, powell_sabin_refine, reduce_system,
+                       run_case, solve_generalized)
 from maxwell2d import eig
 from maxwell2d.eig import node_ordering, signed_operator
+from maxwell2d.study import build_mesh, stabilization_length
 
 
 def reduced_sg(domain, mesh, **kwargs):
@@ -102,6 +107,103 @@ def test_node_ordering_fill(case):
         permc_spec="COLAMD", diag_pivot_thresh=0.0,
         options=dict(SymmetricMode=True))
     assert 0 < spec.lu_nnz < colamd.nnz
+
+
+def float_fold_ordering(system):
+    """Reference node ordering: the node graph as P' (|A| + |M|) P."""
+    n = system.n
+    dofs = system.constraints.retained_dofs() \
+        if system.constraints is not None else np.arange(n)
+    n_nodes = system.dofmap.n_scalar
+    node = dofs % n_nodes
+    P = sp.csr_matrix((np.ones(n), (np.arange(n), node)), shape=(n, n_nodes))
+    G = (P.T @ (abs(system.A) + abs(system.M)) @ P).tocsc()
+    G.data[:] = -1.0
+    surrogate = (G + sp.diags(np.diff(G.indptr) + 1.0)).tocsc()
+    position = spla.splu(surrogate, permc_spec="MMD_AT_PLUS_A").perm_c
+    return np.argsort(position[node], kind="stable")
+
+
+@pytest.mark.parametrize("config, N", [
+    (StudyConfig(domain=CRACKED_SQUARE, mesh="ps", formulation="osgs",
+                 N_list=(6,), tip=TipStrategy.FREE), 6),
+    (StudyConfig(domain=SQUARE_PI, mesh="ps", formulation="sg",
+                 N_list=(7,)), 7),
+    (StudyConfig(domain=L_SHAPE, mesh="cc", formulation="osgs", degree=2,
+                 N_list=(4,)), 4),
+    (StudyConfig(domain=L_SHAPE, mesh="ps", formulation="ag",
+                 corner=CornerStrategy.FREE, N_list=(5,)), 5),
+], ids=["crack-osgs-ps", "square-sg-ps", "lshape-osgs-p2-cc",
+        "lshape-ag-ps-free"])
+def test_node_ordering_matches_float_fold(config, N):
+    mesh = build_mesh(config, N)
+    if config.formulation == "sg":
+        system = build_sg(mesh, config.degree)
+    else:
+        build = build_ag if config.formulation == "ag" else build_osgs
+        system = build(mesh, config.degree,
+                       make_params(config.mu, config.ell, config.c_u,
+                                   config.c_p,
+                                   stabilization_length(config, mesh)))
+    reduced = reduce_system(system, build_constraints(
+        system.dofmap, corner=config.corner, tip=config.tip))
+    assert np.array_equal(node_ordering(reduced),
+                          float_fold_ordering(reduced))
+
+
+def test_solve_holds_one_pencil(monkeypatch):
+    # live traced memory when ARPACK starts: the reduced A and M, the mesh,
+    # dofmap and ordering; the unreduced system, D A and the permuted copies
+    # are gone (4.5x the reduced pencil when they were kept)
+    entry = []
+    eigsh = spla.eigsh
+
+    def spy(A, *args, **kwargs):
+        M = kwargs["M"]
+        pencil = sum(X.data.nbytes + X.indices.nbytes + X.indptr.nbytes
+                     for X in (A, M))
+        entry.append(tracemalloc.get_traced_memory()[0] / pencil)
+        return eigsh(A, *args, **kwargs)
+
+    monkeypatch.setattr(spla, "eigsh", spy)
+    config = StudyConfig(domain=CRACKED_SQUARE, mesh="ps", formulation="osgs",
+                         N_list=(8,), tip=TipStrategy.FREE,
+                         solver="shift-invert")
+    tracemalloc.start()
+    try:
+        run_case(config, 8)
+    finally:
+        tracemalloc.stop()
+    assert len(entry) == 1 and entry[0] <= 1.5
+
+
+def test_shift_invert_releases_factor(monkeypatch):
+    # the SuperLU factor is unreachable once certification starts
+    class Factor:  # SuperLU takes no weak references; this proxy does
+        def __init__(self, lu):
+            self.lu, self.nnz, self.perm_c = lu, lu.nnz, lu.perm_c
+
+        def solve(self, b):
+            return self.lu.solve(b)
+
+    factors, alive = [], []
+    splu, certify = spla.splu, eig._certify
+
+    def keep(*args, **kwargs):
+        lu = Factor(splu(*args, **kwargs))
+        factors.append(weakref.ref(lu))
+        return lu
+
+    def check(*args):
+        alive.append([ref() is not None for ref in factors])
+        return certify(*args)
+
+    monkeypatch.setattr(spla, "splu", keep)
+    monkeypatch.setattr(eig, "_certify", check)
+    mesh = build_criss_cross(SQUARE_PI, 4)
+    solve_generalized(reduced_sg(SQUARE_PI, mesh),
+                      SolverConfig(nev=4, method="shift-invert"))
+    assert alive == [[False, False]]  # the node-graph surrogate, the factor
 
 
 def test_signed_operator_symmetric():

@@ -1,7 +1,10 @@
+import gc
 import math
+import types
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from numpy.testing import assert_allclose
 
 from maxwell2d import (CRACKED_SQUARE, L_SHAPE, SQUARE_PI, CornerStrategy,
@@ -207,3 +210,26 @@ def test_compute_eigenfunction_lshape_peak(tmp_path):
     mag = np.hypot(rows[:, 2], rows[:, 3])
     peak = rows[np.argmax(mag), :2]
     assert np.linalg.norm(peak) <= 2.5 / 6
+
+
+def reachable(root):
+    """Every object reachable from root through instances and containers,
+    not through classes, modules or functions."""
+    seen, stack = {id(root): root}, [root]
+    skip = (type, types.ModuleType, types.FunctionType,
+            types.BuiltinFunctionType)
+    while stack:
+        for child in gc.get_referents(stack.pop()):
+            if id(child) not in seen and not isinstance(child, skip):
+                seen[id(child)] = child
+                stack.append(child)
+    return seen.values()
+
+
+def test_finest_case_keeps_no_matrix():
+    cfg = StudyConfig(domain=L_SHAPE, mesh="ps", formulation="osgs",
+                      N_list=(3, 4), nev=2,
+                      corner=CornerStrategy.BISECTOR_NORMAL)
+    finest = run_study(cfg).finest
+    assert not [obj for obj in reachable(finest) if sp.issparse(obj)]
+    assert finest.constraints.mpcs and finest.dofmap.formulation == "osgs"

@@ -311,6 +311,12 @@ def test_constraint_validation():
         ConstraintSet(ndof=4, fixed=np.array([]), mpcs=((1, 2, -1.0), (2, 3, 1.0)))
     with pytest.raises(ConstraintError):
         ConstraintSet(ndof=4, fixed=np.array([2]), mpcs=((1, 2, -1.0),))
+    # indices outside [0, ndof); a negative one would silently drop dof 3
+    for fixed, mpcs in (([9], ()), ([], ((1, 7, 1.0),)), ([-1], ()),
+                        ([], ((-1, 0, 1.0),))):
+        with pytest.raises(ConstraintError, match=r"outside \[0, 4\)"):
+            ConstraintSet(ndof=4, fixed=np.array(fixed, dtype=np.int64),
+                          mpcs=mpcs)
 
 
 def test_reduce_identity_without_constraints():
