@@ -10,6 +10,7 @@ import dataclasses
 import sys
 from enum import Enum
 
+from .eig import METHODS
 from .meshgen import DomainKind, DomainSpec
 from .study import DEFAULT_NEV, StudyConfig, compute_eigenfunction, \
     emit_table, export_eigenfunction, reference_values, run_study
@@ -21,7 +22,7 @@ _CHOICES = {
     "formulation": ("sg", "ag", "osgs"),
     "corner": ("both-zero", "free", "bisector"),
     "tip": ("free", "both-zero"),
-    "solver": ("auto", "dense", "shift-invert"),
+    "solver": METHODS,
     "format": ("csv", "md"),
     "stab-h": ("auto", "diameter", "spacing"),
 }
@@ -115,7 +116,8 @@ def _coerce(key: str, val: str):
     if key in _INT_KEYS:
         return int(val)
     if key in _CHOICES and val not in _CHOICES[key]:
-        raise ValueError(f"invalid value {val!r} for {key!r}")
+        raise ValueError(f"invalid value {val!r} for {key!r}; choose from "
+                         f"{', '.join(_CHOICES[key])}")
     return val
 
 

@@ -25,8 +25,16 @@ largest algebraic values so the search walks the spectrum upward from the
 shift.  That ordering skips the large machine-zero cluster of the
 standard Galerkin operator (theta = -1/sigma < 0), so only genuinely
 nonzero eigenvalues come back from SG solves.  Every pair is certified
-against the unsigned A.  A dense QZ path doubles as the oracle and as the
-default for small systems.
+against the unsigned A.
+
+This is the one solver path at every size.  Lanczos needs a finite
+spectrum larger than its window of max(4 nev, nev + 20) vectors; the
+finite spectrum has rank M members, the reduced dofs with a nonzero M row
+(M vanishes on the p, xi and eta rows).  Where rank M is no larger than
+the window, the pencil is small and a dense QZ solve stands in, keeping
+only the values at or above the shift, so neither path reports a value
+below it.  Dense QZ is otherwise the explicit oracle (method "dense"), which
+returns every finite real pair, zero modes included.
 
 The factor is the largest object of a solve, so it is built next to one
 copy of the pencil only: the reduced A and M, the node ordering and the
@@ -52,11 +60,17 @@ import scipy.sparse.linalg as spla
 
 from .system import EvpSystem
 
-IMAG_TOL = 1e-8
 RESIDUAL_TOL = 1e-8
-FINITE_CUTOFF = 1e12
+MAX_RESTARTS = 300     # ARPACK restarts before a solve fails
+DENSE_LIMIT = 3000     # largest pencil handed to dense QZ
+GUARD_PAIRS = 8        # Lanczos converges nev + 8 pairs, reports them all
 SIGN_FLIPPED_FIELDS = ("p", "xi1", "xi2")
 DIAG_PIVOT_THRESH = 0.0
+METHODS = ("shift-invert", "dense")
+# dense path only: QZ values this large are infinite, and a pair is real
+# when its imaginary part is within IMAG_TOL (1 + |lambda|)
+IMAG_TOL = 1e-8
+FINITE_CUTOFF = 1e12
 
 
 class EigenSolveError(Exception):
@@ -69,20 +83,16 @@ class SolverConfig:
 
     nev: int = 10
     shift: float = 0.5
-    zero_tol: float = 1e-6
-    method: str = "auto"          # auto | dense | shift-invert
-    ncv: int | None = None
-    tol: float = 1e-10
-    max_restarts: int = 300
-    seed: int = 1234
-    auto_dense: int = 600         # auto switches to dense at or below this
-    dense_limit: int = 3000       # hard cap for the explicit dense method
+    method: str = "shift-invert"  # or "dense", the oracle
+    tol: float = 1e-10            # ARPACK's convergence tolerance
+    seed: int = 1234              # ARPACK's start vector
 
     def __post_init__(self):
         if self.nev < 1:
             raise ValueError("nev must be at least 1")
-        if self.method not in ("auto", "dense", "shift-invert"):
-            raise ValueError(f"unknown solver method {self.method!r}")
+        if self.method not in METHODS:
+            raise ValueError(f"unknown solver method {self.method!r}; "
+                             f"choose from {', '.join(METHODS)}")
 
 
 @dataclass(frozen=True)
@@ -101,7 +111,8 @@ class Spectrum:
 
 
 def _realign(vec: np.ndarray) -> np.ndarray:
-    """Rotate a (near-)real complex vector onto the real axis."""
+    """Rotate a (near-)real complex vector onto the real axis (dense path
+    only)."""
     j = int(np.argmax(np.abs(vec)))
     phase = vec[j] / abs(vec[j])
     out = np.real(vec / phase)
@@ -122,6 +133,8 @@ def _certify(system: EvpSystem, values, vectors) -> np.ndarray:
 
 
 def _select_real(w, v):
+    """The finite real pairs of a QZ solve, ascending, and the number of
+    finite complex ones rejected (dense path only)."""
     finite = np.isfinite(w) & (np.abs(w) < FINITE_CUTOFF)
     real = np.abs(w.imag) <= IMAG_TOL * (1.0 + np.abs(w.real))
     keep = finite & real
@@ -134,6 +147,9 @@ def _select_real(w, v):
 
 
 def _solve_dense(system: EvpSystem, config: SolverConfig) -> Spectrum:
+    if system.n > DENSE_LIMIT:
+        raise EigenSolveError(
+            f"dense solve capped at {DENSE_LIMIT} dofs, got {system.n}")
     with warnings.catch_warnings(), np.errstate(divide="ignore", invalid="ignore"):
         warnings.simplefilter("ignore", la.LinAlgWarning)
         warnings.simplefilter("ignore", RuntimeWarning)
@@ -192,6 +208,16 @@ def node_ordering(system: EvpSystem) -> np.ndarray:
     return np.argsort(position[node], kind="stable")
 
 
+def lanczos_window(nev: int) -> int:
+    """Lanczos basis size (ARPACK's ncv) for nev reported values."""
+    return max(4 * nev, nev + 20)
+
+
+def mass_rank(system: EvpSystem) -> int:
+    """Reduced dofs with a nonzero M row: the size of the finite spectrum."""
+    return int(np.count_nonzero(abs(system.M).sum(axis=1)))
+
+
 def _lanczos(system: EvpSystem, config: SolverConfig, perm: np.ndarray,
              sigma: float, k: int, ncv: int, v0: np.ndarray):
     """Factor P (D A - sigma M) P' and run ARPACK on it.  The permuted
@@ -212,7 +238,7 @@ def _lanczos(system: EvpSystem, config: SolverConfig, perm: np.ndarray,
     # in shift-invert mode eigsh never multiplies by A (its matvec is None),
     # so the unsigned A stands in for D A
     w, v = spla.eigsh(system.A, k=k, M=system.M, sigma=sigma, which="LA",
-                      v0=v0, ncv=ncv, maxiter=config.max_restarts,
+                      v0=v0, ncv=ncv, maxiter=MAX_RESTARTS,
                       tol=config.tol,
                       OPinv=spla.LinearOperator((n, n), matvec=solve,
                                                 dtype=float))
@@ -220,12 +246,11 @@ def _lanczos(system: EvpSystem, config: SolverConfig, perm: np.ndarray,
 
 
 def _solve_shift_invert(system: EvpSystem, config: SolverConfig) -> Spectrum:
-    n = system.n
-    k = min(config.nev + 8, n - 2)
-    ncv = config.ncv or max(4 * config.nev, config.nev + 20)
-    ncv = int(min(n, max(ncv, k + 2)))
+    # rank M > the window, so the window fits in n and k fits in the window
+    k = config.nev + GUARD_PAIRS
+    ncv = lanczos_window(config.nev)
     rng = np.random.default_rng(config.seed)
-    v0 = rng.standard_normal(n)
+    v0 = rng.standard_normal(system.n)
     perm = node_ordering(system)
     sigma = config.shift
     last = None
@@ -238,7 +263,7 @@ def _solve_shift_invert(system: EvpSystem, config: SolverConfig) -> Spectrum:
             break
         except spla.ArpackNoConvergence as exc:
             raise EigenSolveError(
-                f"ARPACK did not converge within {config.max_restarts} "
+                f"ARPACK did not converge within {MAX_RESTARTS} "
                 f"restarts: {exc}") from exc
         except RuntimeError as exc:
             last = str(exc)  # not the exception: its traceback holds frames
@@ -257,20 +282,25 @@ def _solve_shift_invert(system: EvpSystem, config: SolverConfig) -> Spectrum:
 
 
 def solve_generalized(system: EvpSystem, config: SolverConfig) -> Spectrum:
-    """Solve the reduced pencil for the eigenvalues around/above the shift.
+    """Solve the reduced pencil for the eigenvalues above the shift.
 
-    The dense path returns every finite real-dominant eigenpair; the
-    shift-invert path returns nev plus a small safety margin, all
-    certified against ||A x - lambda M x|| <= 1e-8 (1 + |lambda|) ||x||.
+    The default method is shift-invert Lanczos at every size; it returns
+    nev plus a guard of GUARD_PAIRS values, ascending from the shift.  A
+    pencil whose finite spectrum (rank M) fits in the Lanczos window is
+    solved by dense QZ instead, keeping the values at or above the shift.
+    method="dense" is the oracle: every finite real pair, below the shift
+    too, for at most DENSE_LIMIT dofs.  Every returned pair is certified
+    against ||A x - lambda M x|| <= 1e-8 (1 + |lambda|) ||x||.
     """
-    method = config.method
-    if method == "auto":
-        method = "dense" if system.n <= config.auto_dense else "shift-invert"
-    elif method == "dense" and system.n > config.dense_limit:
-        raise EigenSolveError(
-            f"dense solve capped at {config.dense_limit} dofs, got {system.n}")
-    if method == "dense":
+    if config.method == "dense":
         return _solve_dense(system, config)
+    if mass_rank(system) <= lanczos_window(config.nev):
+        # too few finite eigenvalues to fill the Lanczos window
+        spectrum = _solve_dense(system, config)
+        keep = spectrum.values >= config.shift
+        return replace(spectrum, values=spectrum.values[keep],
+                       vectors=spectrum.vectors[:, keep],
+                       residuals=spectrum.residuals[keep])
     return _solve_shift_invert(system, config)
 
 

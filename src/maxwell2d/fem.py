@@ -13,7 +13,6 @@ from enum import Enum
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .meshgen import GEOM_TOL, EdgeTag, Mesh, NodeTag, edge_table
 
@@ -320,31 +319,3 @@ def assemble_form(kind: FormKind, mesh: Mesh, dofmap: DofMap,
         return sp.bmat([[gx, gy]], format="csr")
     raise AssemblyError(f"unknown form kind {kind!r}")
 
-
-def l2_project(mesh: Mesh, dofmap: DofMap, target: str,
-               coeffs: np.ndarray) -> np.ndarray:
-    """L2-project grad(p) onto the vector space or div(u) onto the scalar one.
-
-    target "grad" takes scalar coefficients (n,) and returns (2n,); target
-    "div" takes vector coefficients (2n,) and returns (n,).  The projection
-    spaces carry no essential boundary conditions.
-    """
-    kernels = scalar_kernels(mesh, dofmap)
-    mass = kernels["mass"].tocsc()
-    try:
-        solve = spla.factorized(mass)
-    except RuntimeError as exc:
-        raise AssemblyError("singular mass matrix in projection") from exc
-    n = dofmap.n_scalar
-    coeffs = np.asarray(coeffs, dtype=float)
-    if target == "grad":
-        if coeffs.shape != (n,):
-            raise AssemblyError("grad projection expects scalar coefficients")
-        rhs = sp.bmat([[kernels["gx"]], [kernels["gy"]]], format="csr") @ coeffs
-        return np.concatenate([solve(rhs[:n]), solve(rhs[n:])])
-    if target == "div":
-        if coeffs.shape != (2 * n,):
-            raise AssemblyError("div projection expects vector coefficients")
-        rhs = kernels["gx"] @ coeffs[:n] + kernels["gy"] @ coeffs[n:]
-        return solve(rhs)
-    raise AssemblyError(f"unknown projection target {target!r}")

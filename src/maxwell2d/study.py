@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import meshgen
-from .eig import EigenField, SolverConfig, Spectrum, attach_eigenfunction, \
-    filter_zeros, solve_generalized
+from .eig import METHODS, EigenField, SolverConfig, Spectrum, \
+    attach_eigenfunction, filter_zeros, solve_generalized
 from .fem import DofMap
 from .meshgen import DomainKind, DomainSpec, GradingSpec, Mesh
 from .system import ConstraintSet, CornerStrategy, TipStrategy, build_ag, \
@@ -76,7 +76,7 @@ class StudyConfig:
     nev: int | None = None
     shift: float = 0.5
     zero_tol: float = 1e-6
-    solver: str = "auto"
+    solver: str = "shift-invert"  # or "dense", the oracle
     solver_tol: float = 1e-10
     seed: int = 1234
     grading_exponent: float = 2.0
@@ -87,6 +87,8 @@ class StudyConfig:
             raise ValueError(f"unknown mesh family {self.mesh!r}")
         if self.formulation not in FORMULATIONS:
             raise ValueError(f"unknown formulation {self.formulation!r}")
+        if self.solver not in METHODS:
+            raise ValueError(f"unknown solver {self.solver!r}")
         if self.stab_length not in ("auto", "diameter", "spacing"):
             raise ValueError(f"unknown stab_length {self.stab_length!r}")
         if list(self.N_list) != sorted(set(self.N_list)):
@@ -157,8 +159,8 @@ def run_case(config: StudyConfig, N: int) -> Case:
     reduced = reduce_system(system, constraints)
     del system
     solver = SolverConfig(nev=config.nev_effective, shift=config.shift,
-                          zero_tol=config.zero_tol, method=config.solver,
-                          tol=config.solver_tol, seed=config.seed)
+                          method=config.solver, tol=config.solver_tol,
+                          seed=config.seed)
     spectrum = solve_generalized(reduced, solver)
     if config.formulation == "sg":
         spectrum = filter_zeros(spectrum, config.zero_tol)

@@ -74,7 +74,15 @@ def test_config_file_unknown_key(tmp_path, capsys):
     assert "unknown config key" in capsys.readouterr().err
 
 
-def test_inconsistent_combinations(capsys):
+def test_inconsistent_combinations(tmp_path, capsys):
+    # "auto" is no solver method: shift-invert runs at every size
+    assert cli_main(["--solver", "auto"]) == 2
+    assert "invalid choice: 'auto'" in capsys.readouterr().err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("solver = auto\n")
+    assert cli_main(["--config", str(cfg)]) == 2
+    assert ("invalid value 'auto' for 'solver'; choose from shift-invert, "
+            "dense") in capsys.readouterr().err
     assert cli_main(["--domain", "square", "--corner", "bisector"]) == 2
     assert cli_main(["--domain", "square", "--mesh", "cc-graded"]) == 2
     assert cli_main(["--domain", "lshape", "--tip", "both-zero"]) == 2

@@ -58,29 +58,69 @@ def reduced_stabilized(build, mesh, **kwargs):
 
 
 def test_shift_invert_matches_dense_oracle():
-    # <= 600 reduced dofs: first 10 nonzero eigenvalues to relative 1e-8;
-    # P2 edge nodes and split crack-face nodes go through the node ordering
+    # the default method runs Lanczos on every case whose finite spectrum
+    # (rank M) exceeds the window, whatever its size: first nev nonzero
+    # eigenvalues to relative 1e-10.  P2 edge nodes and split crack-face
+    # nodes go through the node ordering; square SG/PS N=5 is the bench
+    # set-up solve, and crack N=2 has rank M = 45 against a window of 40
     square = build_criss_cross(SQUARE_PI, 5)
     lshape = build_criss_cross(L_SHAPE, 3)
     p2_square = build_criss_cross(SQUARE_PI, 3)
     crack = powell_sabin_refine(build_uniform(CRACKED_SQUARE, 4))
+    coarse_crack = powell_sabin_refine(build_uniform(CRACKED_SQUARE, 2))
     p2_system = build_osgs(p2_square, 2,
                            make_params(1.0, 0.1, 0.01, 0.6, p2_square.h))
-    cases = [reduced_sg(SQUARE_PI, square),
-             reduced_stabilized(build_ag, square),
-             reduced_stabilized(build_osgs, square),
-             reduced_stabilized(build_osgs, lshape,
-                                corner=CornerStrategy.BISECTOR_NORMAL),
-             reduce_system(p2_system, build_constraints(p2_system.dofmap)),
-             reduced_stabilized(build_ag, crack, tip=TipStrategy.FREE)]
-    for reduced in cases:
-        assert reduced.n <= 600
+    crack_system = build_osgs(coarse_crack, 1,
+                              make_params(1.0, 0.2, 0.1, 1.0, coarse_crack.h))
+    cases = [(reduced_sg(SQUARE_PI, square), 10),
+             (reduced_stabilized(build_ag, square), 10),
+             (reduced_stabilized(build_osgs, square), 10),
+             (reduced_stabilized(build_osgs, lshape,
+                                 corner=CornerStrategy.BISECTOR_NORMAL), 10),
+             (reduce_system(p2_system, build_constraints(p2_system.dofmap)),
+              10),
+             (reduced_stabilized(build_ag, crack, tip=TipStrategy.FREE), 10),
+             (reduced_sg(SQUARE_PI, powell_sabin_refine(
+                 build_uniform(SQUARE_PI, 5))), 17),
+             (reduce_system(crack_system, build_constraints(
+                 crack_system.dofmap, tip=TipStrategy.FREE)), 10)]
+    assert [r.n for r, _ in cases[-2:]] == [298, 162]
+    assert eig.mass_rank(cases[-1][0]) == 45 > eig.lanczos_window(10) == 40
+    for reduced, nev in cases:
         dense = filter_zeros(solve_generalized(
-            reduced, SolverConfig(nev=10, method="dense")))
-        lanczos = filter_zeros(solve_generalized(
-            reduced, SolverConfig(nev=10, method="shift-invert")))
-        assert_allclose(lanczos.values[:10], dense.values[:10], rtol=1e-8)
+            reduced, SolverConfig(nev=nev, method="dense")))
+        lanczos = filter_zeros(solve_generalized(reduced,
+                                                 SolverConfig(nev=nev)))
+        assert lanczos.lu_nnz > 0
+        assert_allclose(lanczos.values[:nev], dense.values[:nev], rtol=1e-10)
         assert lanczos.n_complex_rejected == 0
+
+
+def test_small_finite_spectrum_falls_back_to_dense():
+    # square OSGS/CC N=2: rank M = 14 is below the window of 23 for nev=3,
+    # where ARPACK cannot run; QZ stands in and keeps the values above
+    # the shift, as Lanczos would
+    reduced = reduced_stabilized(build_osgs, build_criss_cross(SQUARE_PI, 2))
+    assert eig.mass_rank(reduced) == 14 < eig.lanczos_window(3)
+    spec = solve_generalized(reduced, SolverConfig(nev=3))
+    assert spec.lu_nnz == spec.n_op_applications == 0
+    assert np.all(spec.residuals <= 1e-8 * (1 + np.abs(spec.values)))
+    dense = solve_generalized(reduced, SolverConfig(nev=3, method="dense"))
+    assert_allclose(spec.values, dense.values[dense.values >= 0.5])
+    assert len(spec.values) >= 3 and np.all(spec.values >= 0.5)
+    sg = solve_generalized(reduced_sg(SQUARE_PI, build_criss_cross(
+        SQUARE_PI, 2)), SolverConfig(nev=3))
+    assert sg.lu_nnz == 0 and np.all(sg.values >= 0.5)  # no zero modes
+
+
+def test_solver_methods():
+    assert SolverConfig().method == "shift-invert"
+    for method in ("auto", "arnoldi"):
+        with pytest.raises(ValueError, match="unknown solver method"):
+            SolverConfig(method=method)
+    with pytest.raises(ValueError, match="unknown solver"):
+        StudyConfig(domain=SQUARE_PI, mesh="cc", formulation="sg",
+                    N_list=(2,), solver="auto")
 
 
 @pytest.mark.parametrize("case", ["crack-ps", "lshape-p2-cc"])
@@ -317,13 +357,14 @@ def test_shift_collision_retries(monkeypatch):
         return node_ordering(system)
 
     monkeypatch.setattr(eig, "node_ordering", counting_ordering)
-    A = np.diag([0.5, 1.0, 2.0, 3.0, 4.0])
-    system = toy_system(A, np.eye(5))
-    spec = solve_generalized(system, SolverConfig(nev=2, shift=0.5,
-                                                  method="shift-invert"))
+    # (n = 40: a smaller finite spectrum takes the dense fallback)
+    A = np.diag(np.concatenate(([0.5], np.arange(1.0, 40.0))))
+    system = toy_system(A, np.eye(40))
+    spec = solve_generalized(system, SolverConfig(nev=2, shift=0.5))
     assert_allclose(spec.values[0], 0.5, atol=1e-10)
     assert spec.shift_retries >= 1
     assert spec.shift < 0.5
+    assert spec.lu_nnz > 0
     assert len(orderings) == 1  # the retries reuse the ordering
 
 

@@ -8,10 +8,11 @@ from numpy.testing import assert_allclose
 
 from maxwell2d import (CRACKED_SQUARE, SQUARE_PI, AssemblyError, FormKind,
                        assemble_form, build_criss_cross, build_dofmap,
-                       build_uniform, l2_project, make_quadrature,
+                       build_uniform, make_quadrature,
                        reference_element, shape_functions, shape_gradients)
 from maxwell2d.fem import reference_nodes, scalar_kernels
 from maxwell2d.meshgen import Mesh
+from projection import l2_project
 
 
 def monomial_integral(a, b):

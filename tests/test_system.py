@@ -8,10 +8,11 @@ from maxwell2d import (CRACKED_SQUARE, L_SHAPE, SQUARE_PI, ConstraintError,
                        ConstraintSet, CornerStrategy, FormKind, TipStrategy,
                        assemble_form, build_ag, build_constraints,
                        build_criss_cross, build_dofmap, build_osgs, build_sg,
-                       build_uniform, l2_project, make_params,
+                       build_uniform, make_params,
                        powell_sabin_refine, reduce_system)
 from maxwell2d.fem import scalar_kernels
 from maxwell2d.meshgen import NodeTag
+from projection import l2_project
 
 
 def test_make_params_values():
