@@ -9,10 +9,9 @@ from .meshgen import (CRACKED_SQUARE, L_SHAPE, SQUARE_PI, DomainKind,
                       DomainSpec, EdgeTag, GradingSpec, Mesh, MeshError,
                       NodeTag, build_criss_cross, build_uniform,
                       classify_boundary, dump_mesh, powell_sabin_refine)
-from .fem import (AssemblyError, DofMap, FormKind, QuadratureRule,
-                  ReferenceElement, assemble_form, build_dofmap,
-                  make_quadrature, reference_element, scalar_kernels,
-                  shape_functions, shape_gradients)
+from .fem import (AssemblyError, DofMap, FormKind, assemble_form,
+                  build_dofmap, make_quadrature, reference_element,
+                  scalar_kernels, shape_functions, shape_gradients)
 from .system import (ConstraintError, ConstraintSet, CornerStrategy,
                      EvpSystem, StabilizationParams, TipStrategy, build_ag,
                      build_constraints, build_osgs, build_sg, make_params,

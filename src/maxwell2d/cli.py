@@ -1,94 +1,84 @@
 """Command-line front end for convergence campaigns.
 
+Every flag is declared once, in ``_FLAGS``: the StudyConfig field it sets,
+how its text is read, and the package declaration its choices come from.
+That one table builds the parser and ``--help`` and reads config files.
 Any flag may come from a plain ``key = value`` config file (# comments
-allowed); explicit command-line values win over file values.
+allowed); explicit command-line values win over file values.  A flag left
+out takes its StudyConfig default, and the consistency rules are
+StudyConfig's own.
 """
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 from enum import Enum
+from typing import Callable, NamedTuple
 
 from .eig import METHODS
 from .meshgen import DomainKind, DomainSpec
-from .study import DEFAULT_NEV, StudyConfig, compute_eigenfunction, \
-    emit_table, export_eigenfunction, reference_values, run_study
+from .study import FORMULATIONS, MESH_FAMILIES, STAB_LENGTHS, TABLE_FORMATS, \
+    StudyConfig, compute_eigenfunction, emit_table, export_eigenfunction, \
+    reference_values, run_study
 from .system import CornerStrategy, TipStrategy
 
-_CHOICES = {
-    "domain": ("square", "lshape", "crack"),
-    "mesh": ("uniform", "cc", "ps", "cc-graded"),
-    "formulation": ("sg", "ag", "osgs"),
-    "corner": ("both-zero", "free", "bisector"),
-    "tip": ("free", "both-zero"),
-    "solver": METHODS,
-    "format": ("csv", "md"),
-    "stab-h": ("auto", "diameter", "spacing"),
+
+def _N_list(text: str) -> tuple:
+    return tuple(int(tok) for tok in text.split(",") if tok.strip())
+
+
+def _domain(name: str) -> DomainSpec:
+    return DomainSpec(DomainKind(name))
+
+
+class _Flag(NamedTuple):
+    field: str | None          # StudyConfig field set; None for the CLI's own
+    read: Callable = str       # flag text -> value
+    choices: tuple | type = ()  # allowed values, or the Enum listing them
+    default: str | None = None  # for what StudyConfig leaves to the caller
+    help: str | None = None
+
+
+_FLAGS = {
+    "config": _Flag(None, help="key = value file supplying any flag"),
+    "domain": _Flag("domain", _domain, DomainKind, "square"),
+    "mesh": _Flag("mesh", choices=MESH_FAMILIES, default="cc"),
+    "formulation": _Flag("formulation", choices=FORMULATIONS, default="osgs"),
+    "degree": _Flag("degree", int, (1, 2)),
+    "N": _Flag("N_list", _N_list, default="5,10,15,20,25",
+               help="comma-separated division counts, e.g. 5,10,15"),
+    "mu": _Flag("mu", float),
+    "ell": _Flag("ell", float),
+    "cu": _Flag("c_u", float),
+    "cp": _Flag("c_p", float),
+    "corner": _Flag("corner", CornerStrategy, CornerStrategy),
+    "tip": _Flag("tip", TipStrategy, TipStrategy),
+    "nev": _Flag("nev", int),
+    "shift": _Flag("shift", float),
+    "solver": _Flag("solver", choices=METHODS),
+    "grading-exponent": _Flag("grading_exponent", float),
+    "stab-h": _Flag("stab_length", choices=STAB_LENGTHS),
+    "seed": _Flag("seed", int),
+    "out": _Flag(None, help="write the table here instead of stdout"),
+    "format": _Flag(None, choices=TABLE_FORMATS, default="md"),
+    "export-mode": _Flag(None, int,
+                         help="also export this eigenfunction index (0 <= k "
+                              "< the table's row count) of the largest N"),
 }
 
-# Flag name -> StudyConfig field for the flags whose default is the field's.
-_STUDY_FIELDS = {
-    "degree": "degree",
-    "mu": "mu",
-    "ell": "ell",
-    "cu": "c_u",
-    "cp": "c_p",
-    "corner": "corner",
-    "tip": "tip",
-    "shift": "shift",
-    "zero-tol": "zero_tol",
-    "solver": "solver",
-    "grading-exponent": "grading_exponent",
-    "seed": "seed",
-    "stab-h": "stab_length",
-}
 
-
-def _flag_value(value):
-    return value.value if isinstance(value, Enum) else value
-
-
-_FIELD_DEFAULTS = {f.name: f.default for f in dataclasses.fields(StudyConfig)}
-_DEFAULTS = {
-    "domain": "square",
-    "mesh": "cc",
-    "formulation": "osgs",
-    "N": "5,10,15,20,25",
-    "format": "md",
-    **{key: _flag_value(_FIELD_DEFAULTS[name])
-       for key, name in _STUDY_FIELDS.items()},
-}
+def _names(flag: _Flag) -> tuple:
+    return tuple(str(c.value if isinstance(c, Enum) else c)
+                 for c in flag.choices)
 
 
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="maxwell2d",
         description="Nodal finite-element eigenvalue studies for 2D cavities.")
-    p.add_argument("--config", help="key = value file supplying any flag")
-    p.add_argument("--domain", choices=_CHOICES["domain"])
-    p.add_argument("--mesh", choices=_CHOICES["mesh"])
-    p.add_argument("--formulation", choices=_CHOICES["formulation"])
-    p.add_argument("--degree", type=int, choices=(1, 2))
-    p.add_argument("--N", help="comma-separated division counts, e.g. 5,10,15")
-    p.add_argument("--mu", type=float)
-    p.add_argument("--ell", type=float)
-    p.add_argument("--cu", type=float)
-    p.add_argument("--cp", type=float)
-    p.add_argument("--corner", choices=_CHOICES["corner"])
-    p.add_argument("--tip", choices=_CHOICES["tip"])
-    p.add_argument("--nev", type=int)
-    p.add_argument("--shift", type=float)
-    p.add_argument("--zero-tol", dest="zero_tol", type=float)
-    p.add_argument("--solver", choices=_CHOICES["solver"])
-    p.add_argument("--grading-exponent", dest="grading_exponent", type=float)
-    p.add_argument("--stab-h", dest="stab_h", choices=_CHOICES["stab-h"])
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out", help="write the table here instead of stdout")
-    p.add_argument("--format", choices=_CHOICES["format"])
-    p.add_argument("--export-mode", dest="export_mode", type=int,
-                   help="also export this eigenfunction index (0 <= k < "
-                        "the table's row count) of the largest N")
+    for key, flag in _FLAGS.items():
+        p.add_argument(f"--{key}", choices=_names(flag) or None,
+                       help=flag.help)
     return p
 
 
@@ -106,77 +96,44 @@ def _read_config_file(path: str) -> dict:
     return values
 
 
-_FLOAT_KEYS = {"mu", "ell", "cu", "cp", "shift", "zero-tol", "grading-exponent"}
-_INT_KEYS = {"degree", "nev", "seed", "export-mode"}
+def _read(key: str, text: str):
+    flag = _FLAGS[key]
+    names = _names(flag)
+    if names and text not in names:
+        raise ValueError(f"invalid value {text!r} for {key!r}; choose from "
+                         f"{', '.join(names)}")
+    try:
+        return flag.read(text)
+    except ValueError:
+        raise ValueError(f"invalid value {text!r} for {key!r}") from None
 
 
-def _coerce(key: str, val: str):
-    if key in _FLOAT_KEYS:
-        return float(val)
-    if key in _INT_KEYS:
-        return int(val)
-    if key in _CHOICES and val not in _CHOICES[key]:
-        raise ValueError(f"invalid value {val!r} for {key!r}; choose from "
-                         f"{', '.join(_CHOICES[key])}")
-    return val
-
-
-def _merge(cli_ns: argparse.Namespace, file_vals: dict) -> dict:
-    merged = dict(_DEFAULTS)
-    known = set(_DEFAULTS) | {"nev", "out", "export-mode"}
-    for key, val in file_vals.items():
-        if key not in known:
+def _options(ns: argparse.Namespace, file_vals: dict) -> dict:
+    """Flag -> value for every flag given or defaulted by the CLI; the
+    command line overrides the file, the file the CLI defaults."""
+    texts = {key: flag.default for key, flag in _FLAGS.items()
+             if flag.default is not None}
+    for key, text in file_vals.items():
+        if key not in _FLAGS or key == "config":
             raise ValueError(f"unknown config key {key!r}")
-        merged[key] = _coerce(key, val)
-    for key in known:
-        attr = key.replace("-", "_")
-        val = getattr(cli_ns, attr, None)
-        if val is not None:
-            merged[key] = val
-    return merged
+        texts[key] = text
+    for key in _FLAGS:
+        text = getattr(ns, key.replace("-", "_"))
+        if text is not None:
+            texts[key] = text
+    return {key: _read(key, text) for key, text in texts.items()}
 
 
-def _N_list(opts: dict) -> tuple:
-    return tuple(int(tok) for tok in str(opts["N"]).split(",") if tok.strip())
-
-
-def _validate(opts: dict, explicit: set) -> None:
-    domain = opts["domain"]
-    if domain == "crack" and any(N % 2 for N in _N_list(opts)):
-        raise ValueError("--domain crack needs even --N values")
-    if opts["corner"] == "bisector" and domain != "lshape":
-        raise ValueError("--corner bisector needs --domain lshape")
-    if "tip" in explicit and opts["tip"] != "free" and domain != "crack":
-        raise ValueError("--tip settings apply to --domain crack only")
-    if opts["mesh"] == "cc-graded" and domain != "crack":
-        raise ValueError("--mesh cc-graded needs --domain crack")
-    if "grading-exponent" in explicit and opts["mesh"] != "cc-graded":
-        raise ValueError("--grading-exponent needs --mesh cc-graded")
-    nev = opts.get("nev")
-    if nev is not None and nev < 1:
+def _validate(opts: dict, config: StudyConfig) -> None:
+    """The checks only the CLI needs; StudyConfig checked the rest."""
+    if config.nev is not None and config.nev < 1:
         raise ValueError("--nev must be at least 1")
     mode = opts.get("export-mode")
     if mode is not None:
-        spec = DomainSpec(DomainKind(domain))
-        rows = len(reference_values(
-            spec, DEFAULT_NEV[spec.kind] if nev is None else nev))
+        rows = len(reference_values(config.domain, config.nev_effective))
         if not 0 <= mode < rows:
             raise ValueError(f"--export-mode {mode} is not a table mode; "
                              f"need 0 <= k < {rows}, the table's row count")
-
-
-def _to_study_config(opts: dict) -> StudyConfig:
-    fields = {name: opts[key] for key, name in _STUDY_FIELDS.items()}
-    fields["corner"] = CornerStrategy(fields["corner"])
-    fields["tip"] = TipStrategy(fields["tip"])
-    return StudyConfig(
-        domain=DomainSpec(DomainKind(opts["domain"])),
-        mesh=opts["mesh"],
-        formulation=opts["formulation"],
-        N_list=_N_list(opts),
-        nev=opts.get("nev"),
-        **fields,
-    )
 
 
 def cli_main(argv) -> int:
@@ -186,13 +143,11 @@ def cli_main(argv) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        file_vals = _read_config_file(ns.config) if ns.config else {}
-        explicit = {key for key in _DEFAULTS
-                    if getattr(ns, key.replace("-", "_"), None) is not None}
-        explicit |= set(file_vals)
-        opts = _merge(ns, file_vals)
-        _validate(opts, explicit)
-        config = _to_study_config(opts)
+        opts = _options(ns, _read_config_file(ns.config) if ns.config else {})
+        config = StudyConfig(**{_FLAGS[key].field: value
+                                for key, value in opts.items()
+                                if _FLAGS[key].field})
+        _validate(opts, config)
         table = run_study(config)
         text = emit_table(table, opts["format"])
         if opts.get("out"):

@@ -62,6 +62,7 @@ from .system import EvpSystem
 
 RESIDUAL_TOL = 1e-8
 MAX_RESTARTS = 300     # ARPACK restarts before a solve fails
+ARPACK_TOL = 1e-10     # ARPACK's convergence tolerance
 DENSE_LIMIT = 3000     # largest pencil handed to dense QZ
 GUARD_PAIRS = 8        # Lanczos converges nev + 8 pairs, reports them all
 SIGN_FLIPPED_FIELDS = ("p", "xi1", "xi2")
@@ -84,7 +85,6 @@ class SolverConfig:
     nev: int = 10
     shift: float = 0.5
     method: str = "shift-invert"  # or "dense", the oracle
-    tol: float = 1e-10            # ARPACK's convergence tolerance
     seed: int = 1234              # ARPACK's start vector
 
     def __post_init__(self):
@@ -218,8 +218,8 @@ def mass_rank(system: EvpSystem) -> int:
     return int(np.count_nonzero(abs(system.M).sum(axis=1)))
 
 
-def _lanczos(system: EvpSystem, config: SolverConfig, perm: np.ndarray,
-             sigma: float, k: int, ncv: int, v0: np.ndarray):
+def _lanczos(system: EvpSystem, perm: np.ndarray, sigma: float, k: int,
+             ncv: int, v0: np.ndarray):
     """Factor P (D A - sigma M) P' and run ARPACK on it.  The permuted
     matrix dies inside splu's call and the factor when this returns."""
     n = system.n
@@ -238,8 +238,7 @@ def _lanczos(system: EvpSystem, config: SolverConfig, perm: np.ndarray,
     # in shift-invert mode eigsh never multiplies by A (its matvec is None),
     # so the unsigned A stands in for D A
     w, v = spla.eigsh(system.A, k=k, M=system.M, sigma=sigma, which="LA",
-                      v0=v0, ncv=ncv, maxiter=MAX_RESTARTS,
-                      tol=config.tol,
+                      v0=v0, ncv=ncv, maxiter=MAX_RESTARTS, tol=ARPACK_TOL,
                       OPinv=spla.LinearOperator((n, n), matvec=solve,
                                                 dtype=float))
     return w, v, int(lu.nnz), n_ops
@@ -256,8 +255,7 @@ def _solve_shift_invert(system: EvpSystem, config: SolverConfig) -> Spectrum:
     last = None
     for retries in range(3):
         try:
-            w, v, lu_nnz, n_ops = _lanczos(system, config, perm, sigma, k,
-                                           ncv, v0)
+            w, v, lu_nnz, n_ops = _lanczos(system, perm, sigma, k, ncv, v0)
             if np.min(np.abs(w - sigma)) < 1e-12:
                 raise RuntimeError("shift collides with a converged eigenvalue")
             break

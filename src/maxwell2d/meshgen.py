@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum, IntEnum
-from typing import NamedTuple
 
 import numpy as np
 
@@ -37,20 +36,11 @@ class DomainKind(Enum):
     CRACKED_SQUARE = "crack"
 
 
-class Point2(NamedTuple):
-    x: float
-    y: float
-
-
 @dataclass(frozen=True)
 class DomainSpec:
     """One of the three benchmark domains; geometry is fixed per kind."""
 
     kind: DomainKind
-
-    @classmethod
-    def from_name(cls, name: str) -> "DomainSpec":
-        return cls(DomainKind(name))
 
     @property
     def area(self) -> float:
@@ -405,7 +395,8 @@ def classify_boundary(mesh: Mesh, domain: DomainSpec) -> Mesh:
     mismatch = np.where(geom != (tags != NodeTag.INTERIOR))[0]
     if mismatch.size:
         i = int(mismatch[0])
-        raise MeshError(f"node {i} at {Point2(*points[i])} fails boundary tagging")
+        raise MeshError(f"node {i} at ({points[i, 0]}, {points[i, 1]}) "
+                        "fails boundary tagging")
 
     out = replace(mesh, boundary_edges=boundary_edges, node_tags=tags,
                   h=float(mesh.diameters().max()) if len(triangles) else 0.0)

@@ -33,6 +33,8 @@ CRACK_REFERENCE = (1.0341, _PI2 / 4, 4.0469, _PI2, _PI2,
 
 MESH_FAMILIES = ("uniform", "cc", "ps", "cc-graded")
 FORMULATIONS = ("sg", "ag", "osgs")
+STAB_LENGTHS = ("auto", "diameter", "spacing")
+TABLE_FORMATS = ("csv", "md")
 
 DEFAULT_NEV = {
     DomainKind.SQUARE_PI: 17,
@@ -60,7 +62,12 @@ def reference_values(domain: DomainSpec, count: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class StudyConfig:
-    """Full description of one convergence campaign."""
+    """Full description of one convergence campaign.
+
+    Every setting is declared and checked here: an inconsistent
+    combination raises ValueError on construction, before any solve.  The
+    solver settings default to SolverConfig's, the grading exponent to
+    GradingSpec's."""
 
     domain: DomainSpec
     mesh: str
@@ -74,27 +81,41 @@ class StudyConfig:
     corner: CornerStrategy = CornerStrategy.BOTH_ZERO
     tip: TipStrategy = TipStrategy.FREE
     nev: int | None = None
-    shift: float = 0.5
-    zero_tol: float = 1e-6
-    solver: str = "shift-invert"  # or "dense", the oracle
-    solver_tol: float = 1e-10
-    seed: int = 1234
-    grading_exponent: float = 2.0
-    stab_length: str = "auto"   # auto | diameter | spacing
+    shift: float = SolverConfig.shift
+    solver: str = SolverConfig.method
+    seed: int = SolverConfig.seed
+    grading_exponent: float = GradingSpec.exponent
+    stab_length: str = "auto"
 
     def __post_init__(self):
-        if self.mesh not in MESH_FAMILIES:
-            raise ValueError(f"unknown mesh family {self.mesh!r}")
-        if self.formulation not in FORMULATIONS:
-            raise ValueError(f"unknown formulation {self.formulation!r}")
-        if self.solver not in METHODS:
-            raise ValueError(f"unknown solver {self.solver!r}")
-        if self.stab_length not in ("auto", "diameter", "spacing"):
-            raise ValueError(f"unknown stab_length {self.stab_length!r}")
+        choices = {"mesh": MESH_FAMILIES, "formulation": FORMULATIONS,
+                   "solver": METHODS, "stab_length": STAB_LENGTHS}
+        for name, allowed in choices.items():
+            value = getattr(self, name)
+            if value not in allowed:
+                raise ValueError(f"unknown {name} {value!r}; choose from "
+                                 f"{', '.join(allowed)}")
         if list(self.N_list) != sorted(set(self.N_list)):
             raise ValueError("N list must be strictly increasing")
         if self.mesh == "cc-graded" and not self.domain.has_crack:
             raise ValueError("graded meshes are specific to the cracked square")
+        if self.mesh != "cc-graded" and \
+                self.grading_exponent != GradingSpec.exponent:
+            raise ValueError("a grading exponent needs the cc-graded mesh")
+        if self.corner is CornerStrategy.BISECTOR_NORMAL and \
+                not self.domain.has_reentrant_corner:
+            raise ValueError("the bisector corner needs the L-shape")
+        if self.tip is not TipStrategy.FREE and not self.domain.has_crack:
+            raise ValueError("tip settings apply to the cracked square only")
+        if self.domain.has_crack and any(N % 2 for N in self.N_list):
+            raise ValueError("the cracked square needs even N values: its "
+                             "crack line must be a grid line")
+        if self.mu <= 0.0:
+            raise ValueError("mu must be positive")
+        if self.formulation == "sg" and self.solver == "shift-invert" and \
+                self.shift <= 0.0:
+            raise ValueError("SG shift-invert needs a positive shift: the "
+                             "curl-curl kernel sits at 0")
 
     @property
     def nev_effective(self) -> int:
@@ -159,11 +180,10 @@ def run_case(config: StudyConfig, N: int) -> Case:
     reduced = reduce_system(system, constraints)
     del system
     solver = SolverConfig(nev=config.nev_effective, shift=config.shift,
-                          method=config.solver, tol=config.solver_tol,
-                          seed=config.seed)
+                          method=config.solver, seed=config.seed)
     spectrum = solve_generalized(reduced, solver)
     if config.formulation == "sg":
-        spectrum = filter_zeros(spectrum, config.zero_tol)
+        spectrum = filter_zeros(spectrum)
     return Case(spectrum.values[:config.nev_effective], spectrum,
                 reduced.dofmap, constraints, mesh)
 

@@ -123,8 +123,6 @@ class EvpSystem:
     A: sp.csr_matrix
     M: sp.csr_matrix
     dofmap: DofMap
-    formulation: str
-    params: StabilizationParams | None = None
     constraints: ConstraintSet | None = None
 
     @property
@@ -147,11 +145,13 @@ def _mass_full(mass_vec: sp.spmatrix, dofmap: DofMap) -> sp.csr_matrix:
 
 def build_sg(mesh: Mesh, degree: int, mu: float = 1.0) -> EvpSystem:
     """Standard Galerkin curl-curl system over (u1, u2)."""
+    if mu <= 0.0:
+        raise ValueError("mu must be positive")
     dofmap = build_dofmap(mesh, degree, "sg")
     kernels = scalar_kernels(mesh, dofmap)
     A = (mu * assemble_form(FormKind.CURL_CURL, mesh, dofmap, kernels)).tocsr()
     M = assemble_form(FormKind.MASS_VEC, mesh, dofmap, kernels)
-    return EvpSystem(A=A, M=M, dofmap=dofmap, formulation="sg")
+    return EvpSystem(A=A, M=M, dofmap=dofmap)
 
 
 def build_ag(mesh: Mesh, degree: int, params: StabilizationParams) -> EvpSystem:
@@ -166,8 +166,7 @@ def build_ag(mesh: Mesh, degree: int, params: StabilizationParams) -> EvpSystem:
     mv = assemble_form(FormKind.MASS_VEC, mesh, dofmap, kernels)
     A = sp.bmat([[params.mu * kcc + params.tau_u * kdd, g],
                  [(-g).T, params.tau_p * kgg]], format="csr")
-    return EvpSystem(A=A, M=_mass_full(mv, dofmap), dofmap=dofmap,
-                     formulation="ag", params=params)
+    return EvpSystem(A=A, M=_mass_full(mv, dofmap), dofmap=dofmap)
 
 
 def build_osgs(mesh: Mesh, degree: int, params: StabilizationParams) -> EvpSystem:
@@ -194,8 +193,7 @@ def build_osgs(mesh: Mesh, degree: int, params: StabilizationParams) -> EvpSyste
         [None,                       -tp * g,  tp * mv,   None],
         [-tu * d,                    None,     None,      tu * kernels["mass"]],
     ], format="csr")
-    return EvpSystem(A=A, M=_mass_full(mv, dofmap), dofmap=dofmap,
-                     formulation="osgs", params=params)
+    return EvpSystem(A=A, M=_mass_full(mv, dofmap), dofmap=dofmap)
 
 
 def build_constraints(dofmap: DofMap,

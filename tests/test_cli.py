@@ -1,5 +1,5 @@
-import argparse
 import importlib.util
+import re
 import sys
 from pathlib import Path
 
@@ -7,10 +7,10 @@ import numpy as np
 
 import maxwell2d
 from maxwell2d import SQUARE_PI, StudyConfig, attach_eigenfunction, \
-    cli_main, export_eigenfunction, run_case, study
-from maxwell2d.cli import _merge, _to_study_config
+    cli, cli_main, export_eigenfunction, run_case, study
 
-SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+ROOT = Path(__file__).resolve().parents[1]
+SPANS_PATH = ROOT / "perfbench" / "spans.py"
 
 
 def count_solves(monkeypatch) -> list:
@@ -74,7 +74,8 @@ def test_config_file_unknown_key(tmp_path, capsys):
     assert "unknown config key" in capsys.readouterr().err
 
 
-def test_inconsistent_combinations(tmp_path, capsys):
+def test_inconsistent_combinations(tmp_path, monkeypatch, capsys):
+    calls = count_solves(monkeypatch)
     # "auto" is no solver method: shift-invert runs at every size
     assert cli_main(["--solver", "auto"]) == 2
     assert "invalid choice: 'auto'" in capsys.readouterr().err
@@ -90,6 +91,13 @@ def test_inconsistent_combinations(tmp_path, capsys):
                      "--grading-exponent", "3"]) == 2
     assert cli_main(["--domain", "crack", "--N", "2,3"]) == 2
     assert "even" in capsys.readouterr().err
+    # SG needs a positive mu and, below its kernel at 0, a positive shift
+    sg = ["--domain", "square", "--mesh", "cc", "--formulation", "sg",
+          "--N", "2,4", "--nev", "3"]
+    assert cli_main(sg + ["--mu", "0"]) == 2
+    assert cli_main(sg + ["--mu", "-1"]) == 2
+    assert cli_main(sg + ["--shift", "0"]) == 2
+    assert calls == []
 
 
 def test_export_mode_out_of_range_rejected_before_solving(monkeypatch, capsys):
@@ -109,11 +117,28 @@ def test_export_mode_out_of_range_rejected_before_solving(monkeypatch, capsys):
     assert "--export-mode" in err and "--nev must be at least 1" in err
 
 
-def test_defaults_come_from_study_config():
-    config = _to_study_config(_merge(argparse.Namespace(), {}))
+def test_defaults_come_from_study_config(monkeypatch, capsys):
+    configs = []
+
+    def stop(config):
+        configs.append(config)
+        raise ValueError("stopped before solving")
+
+    monkeypatch.setattr(cli, "run_study", stop)
+    assert cli_main([]) == 2
+    [config] = configs
     assert config == StudyConfig(domain=SQUARE_PI, mesh="cc",
                                  formulation="osgs",
                                  N_list=(5, 10, 15, 20, 25))
+
+
+def test_readme_lists_every_flag():
+    readme = (ROOT / "README.md").read_text()
+    paragraph = readme.split("Flags:", 1)[1].split("\n\n", 1)[0]
+    documented = set(re.findall(r"--[A-Za-z][\w-]*", paragraph))
+    parsed = {opt for action in cli._build_parser()._actions
+              for opt in action.option_strings if opt.startswith("--")}
+    assert documented == parsed - {"--help"}
 
 
 def test_trace_hooks_resolve(monkeypatch):

@@ -28,8 +28,7 @@ def reduced_sg(domain, mesh, **kwargs):
 def toy_system(A, M):
     mesh = build_uniform(SQUARE_PI, 1)
     dofmap = build_dofmap(mesh, 1, "sg")
-    return EvpSystem(A=sp.csr_matrix(A), M=sp.csr_matrix(M), dofmap=dofmap,
-                     formulation="sg")
+    return EvpSystem(A=sp.csr_matrix(A), M=sp.csr_matrix(M), dofmap=dofmap)
 
 
 def test_identity_pencil():

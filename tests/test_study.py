@@ -8,7 +8,7 @@ import scipy.sparse as sp
 from numpy.testing import assert_allclose
 
 from maxwell2d import (CRACKED_SQUARE, L_SHAPE, SQUARE_PI, CornerStrategy,
-                       EigenTable, StudyConfig, build_mesh,
+                       EigenTable, StudyConfig, TipStrategy, build_mesh,
                        compute_eigenfunction, convergence_rate, emit_table,
                        export_eigenfunction, parse_csv_table,
                        reference_values, run_case, run_study,
@@ -58,6 +58,25 @@ def test_config_validation():
     with pytest.raises(ValueError):
         StudyConfig(domain=SQUARE_PI, mesh="cc", formulation="spectral",
                     N_list=(5,))
+
+
+def test_study_config_rejects_inconsistent_combinations():
+    cases = [
+        dict(domain=SQUARE_PI, corner=CornerStrategy.BISECTOR_NORMAL),
+        dict(domain=L_SHAPE, tip=TipStrategy.BOTH_ZERO),
+        dict(domain=CRACKED_SQUARE, N_list=(3,)),
+        dict(domain=SQUARE_PI, formulation="sg", mu=0.0),
+        dict(domain=SQUARE_PI, formulation="sg", shift=0.0),
+        dict(domain=SQUARE_PI, mesh="cc", grading_exponent=3.0),
+    ]
+    base = dict(mesh="ps", formulation="osgs", N_list=(4,))
+    for case in cases:
+        StudyConfig(**base, domain=case["domain"])
+        with pytest.raises(ValueError):
+            StudyConfig(**(base | case))
+    # the dense oracle keeps the SG kernel, so it takes any shift
+    StudyConfig(domain=SQUARE_PI, mesh="cc", formulation="sg", N_list=(4,),
+                shift=0.0, solver="dense")
 
 
 def test_default_nev_per_domain():
