@@ -10,8 +10,8 @@ from .meshgen import (CRACKED_SQUARE, L_SHAPE, SQUARE_PI, DomainKind,
                       NodeTag, build_criss_cross, build_uniform,
                       classify_boundary, dump_mesh, powell_sabin_refine)
 from .fem import (AssemblyError, DofMap, FormKind, assemble_form,
-                  build_dofmap, make_quadrature, reference_element,
-                  scalar_kernels, shape_functions, shape_gradients)
+                  build_dofmap, make_quadrature, scalar_kernels,
+                  shape_functions, shape_gradients)
 from .system import (ConstraintError, ConstraintSet, CornerStrategy,
                      EvpSystem, StabilizationParams, TipStrategy, build_ag,
                      build_constraints, build_osgs, build_sg, make_params,

@@ -126,8 +126,6 @@ def _options(ns: argparse.Namespace, file_vals: dict) -> dict:
 
 def _validate(opts: dict, config: StudyConfig) -> None:
     """The checks only the CLI needs; StudyConfig checked the rest."""
-    if config.nev is not None and config.nev < 1:
-        raise ValueError("--nev must be at least 1")
     mode = opts.get("export-mode")
     if mode is not None:
         rows = len(reference_values(config.domain, config.nev_effective))

@@ -1,16 +1,11 @@
 """Generalized eigensolvers for the reduced systems.
 
 Shift-invert Lanczos is the workhorse, one path for SG, AG and OSGS.  The
-AG and OSGS operators are saddle-point operators that look nonsymmetric
-only through the sign of the mixed form: their (p, u) block is minus the
-transpose of the (u, p) block, and the xi rows carry the same flip.  With
-D = -1 on the p, xi1 and xi2 dofs and +1 elsewhere, D A is symmetric
-(indefinite), and because M vanishes on the flipped rows, D M = M, so the
-pencil (D A, M) has exactly the eigenpairs of (A, M).  Congruence reduction
-keeps this: the only multi-point constraint couples u1 to u2, which share
-a sign, so D commutes with the reduction matrix T.  For SG, D = I.
+assembly builds every pencil symmetric: A is symmetric (indefinite for the
+AG and OSGS saddle-point operators) and M symmetric positive semidefinite,
+and congruence reduction T' A T, T' M T keeps both so.
 
-D A - sigma M is factored once per shift by SuperLU in symmetric mode
+A - sigma M is factored once per shift by SuperLU in symmetric mode
 (diagonal pivots, one ordering for rows and columns).  The ordering is
 computed once per solve, on nodes rather than dofs: every field uses the
 same continuous Lagrangian interpolation, so all dofs of a nodal point
@@ -25,7 +20,7 @@ largest algebraic values so the search walks the spectrum upward from the
 shift.  That ordering skips the large machine-zero cluster of the
 standard Galerkin operator (theta = -1/sigma < 0), so only genuinely
 nonzero eigenvalues come back from SG solves.  Every pair is certified
-against the unsigned A.
+against A.
 
 This is the one solver path at every size.  Lanczos needs a finite
 spectrum larger than its window of max(4 nev, nev + 20) vectors; the
@@ -39,10 +34,8 @@ returns every finite real pair, zero modes included.
 The factor is the largest object of a solve, so it is built next to one
 copy of the pencil only: the reduced A and M, the node ordering and the
 factor stay alive through the Lanczos iteration, nothing else.  The
-permuted P (D A - sigma M) P' is formed for each shift and dies inside
-the factorization call; D A is never kept.  In shift-invert mode eigsh
-applies only OPinv and M and never multiplies by its A argument, so the
-unsigned A is passed there.  The factor is released before the residual
+permuted P (A - sigma M) P' is formed for each shift and dies inside the
+factorization call.  The factor is released before the residual
 certificate allocates its n x k blocks.
 
 Grimes, Lewis and Simon (1994), "A shifted block Lanczos algorithm for
@@ -65,7 +58,6 @@ MAX_RESTARTS = 300     # ARPACK restarts before a solve fails
 ARPACK_TOL = 1e-10     # ARPACK's convergence tolerance
 DENSE_LIMIT = 3000     # largest pencil handed to dense QZ
 GUARD_PAIRS = 8        # Lanczos converges nev + 8 pairs, reports them all
-SIGN_FLIPPED_FIELDS = ("p", "xi1", "xi2")
 DIAG_PIVOT_THRESH = 0.0
 METHODS = ("shift-invert", "dense")
 # dense path only: QZ values this large are infinite, and a pair is real
@@ -160,23 +152,6 @@ def _solve_dense(system: EvpSystem, config: SolverConfig) -> Spectrum:
                     n_complex_rejected=n_rejected, shift=config.shift)
 
 
-def signed_operator(system: EvpSystem, shift: float = 0.0) -> sp.csr_matrix:
-    """D (A - shift M): the p, xi1 and xi2 rows negated, restricted to the
-    reduced dofs when the system is constrained.  Symmetric for SG, AG and
-    OSGS; M vanishes on the negated rows, so this is also D A - shift M."""
-    S = system.A - shift * system.M
-    dofmap = system.dofmap
-    flipped = [f for f in SIGN_FLIPPED_FIELDS if f in dofmap.fields]
-    if flipped:
-        d = np.ones(dofmap.ndof)
-        for field in flipped:
-            d[dofmap.field_slice(field)] = -1.0
-        if system.constraints is not None:
-            d = d[system.constraints.retained_dofs()]
-        S.data *= np.repeat(d, np.diff(S.indptr))
-    return S
-
-
 def node_ordering(system: EvpSystem) -> np.ndarray:
     """Fill-reducing order of the reduced dofs, blocked by nodal point.
 
@@ -220,10 +195,10 @@ def mass_rank(system: EvpSystem) -> int:
 
 def _lanczos(system: EvpSystem, perm: np.ndarray, sigma: float, k: int,
              ncv: int, v0: np.ndarray):
-    """Factor P (D A - sigma M) P' and run ARPACK on it.  The permuted
+    """Factor P (A - sigma M) P' and run ARPACK on it.  The permuted
     matrix dies inside splu's call and the factor when this returns."""
     n = system.n
-    lu = spla.splu(signed_operator(system, sigma)[perm][:, perm].tocsc(),
+    lu = spla.splu((system.A - sigma * system.M)[perm][:, perm].tocsc(),
                    permc_spec="NATURAL", diag_pivot_thresh=DIAG_PIVOT_THRESH,
                    options=dict(SymmetricMode=True))
     n_ops = 0
@@ -235,8 +210,6 @@ def _lanczos(system: EvpSystem, perm: np.ndarray, sigma: float, k: int,
         x[perm] = lu.solve(b[perm])
         return x
 
-    # in shift-invert mode eigsh never multiplies by A (its matvec is None),
-    # so the unsigned A stands in for D A
     w, v = spla.eigsh(system.A, k=k, M=system.M, sigma=sigma, which="LA",
                       v0=v0, ncv=ncv, maxiter=MAX_RESTARTS, tol=ARPACK_TOL,
                       OPinv=spla.LinearOperator((n, n), matvec=solve,

@@ -100,23 +100,6 @@ def reference_nodes(degree: int) -> np.ndarray:
     return np.vstack([verts, mids])
 
 
-@dataclass(frozen=True)
-class ReferenceElement:
-    degree: int
-    n_nodes: int
-    nodes: np.ndarray
-    shape: np.ndarray       # (nq, nloc) at quadrature points
-    ref_grads: np.ndarray   # (nq, nloc, 2)
-
-
-def reference_element(degree: int, rule: QuadratureRule | None = None) -> ReferenceElement:
-    rule = rule or make_quadrature()
-    return ReferenceElement(degree=degree, n_nodes=3 if degree == 1 else 6,
-                            nodes=reference_nodes(degree),
-                            shape=shape_functions(degree, rule.points),
-                            ref_grads=shape_gradients(degree, rule.points))
-
-
 FORMULATION_FIELDS = {
     "sg": ("u1", "u2"),
     "ag": ("u1", "u2", "p"),
@@ -253,9 +236,9 @@ def scalar_kernels(mesh: Mesh, dofmap: DofMap) -> dict:
     Kab integrates d_a(phi_i) d_b(phi_j); Ga integrates phi_i d_a(phi_j).
     """
     rule = make_quadrature()
-    elem = reference_element(dofmap.degree, rule)
+    shp = shape_functions(dofmap.degree, rule.points)          # (nq, nloc)
+    ref_grads = shape_gradients(dofmap.degree, rule.points)    # (nq, nloc, 2)
     det, inv_t = _element_geometry(mesh)
-    shp = elem.shape
     # the mass only scales with the element: det times the reference mass
     mass_el = det[:, None, None] * np.einsum("q,qa,qb->ab", rule.weights,
                                              shp, shp)
@@ -263,7 +246,7 @@ def scalar_kernels(mesh: Mesh, dofmap: DofMap) -> dict:
     kxx_el, kxy_el, kyy_el, gx_el, gy_el = np.zeros((5, nt, nloc, nloc))
     # one quadrature point at a time: physical gradients g[t, d, a]
     for q in range(len(rule.weights)):
-        g = inv_t @ elem.ref_grads[q].T
+        g = inv_t @ ref_grads[q].T
         wdet = rule.weights[q] * det[:, None]   # weights sum to 1/2
         wgx, wgy = wdet * g[:, 0], wdet * g[:, 1]
         kxx_el += wgx[:, :, None] * g[:, None, 0]

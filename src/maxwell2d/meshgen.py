@@ -87,7 +87,6 @@ class GradingSpec:
     """Power-law clustering of the 1D grid toward the crack and its tip."""
 
     exponent: float = 2.0
-    active: bool = False
 
     def __post_init__(self):
         if self.exponent < 1.0:
@@ -205,7 +204,7 @@ def _axis_coords(domain: DomainSpec, N: int, grading: GradingSpec | None):
     # cracked square: the crack line y=0 and the tip x=0 must be grid lines
     if N % 2 != 0:
         raise MeshError("cracked square requires an even division count")
-    if grading is not None and grading.active:
+    if grading is not None:
         return _graded_axis(N, grading.exponent)
     return np.linspace(-1.0, 1.0, N + 1)
 
@@ -288,13 +287,13 @@ def build_criss_cross(domain: DomainSpec, N: int,
                       grading: GradingSpec | None = None) -> Mesh:
     """Criss-cross mesh: every cell split into 4 by both diagonals.
 
-    With active grading (cracked square only) the 1D grid is redistributed
+    With a grading (cracked square only) the 1D grid is redistributed
     through a symmetric power law clustering nodes toward the crack line
     y = 0 and toward the tip abscissa x = 0 before the cells are built.
     """
     if N < 1:
         raise ValueError("N must be a positive integer")
-    if grading is not None and grading.active and not domain.has_crack:
+    if grading is not None and not domain.has_crack:
         raise ValueError("grading is only meaningful for the cracked square")
     points, triangles, step = _grid_triangulation(domain, N, grading, True)
     return classify_boundary(_provisional(points, triangles, domain, step), domain)

@@ -95,8 +95,12 @@ class StudyConfig:
             if value not in allowed:
                 raise ValueError(f"unknown {name} {value!r}; choose from "
                                  f"{', '.join(allowed)}")
+        if not self.N_list or min(self.N_list) < 1:
+            raise ValueError("N list needs at least one positive value")
         if list(self.N_list) != sorted(set(self.N_list)):
             raise ValueError("N list must be strictly increasing")
+        if self.nev is not None and self.nev < 1:
+            raise ValueError("nev must be at least 1")
         if self.mesh == "cc-graded" and not self.domain.has_crack:
             raise ValueError("graded meshes are specific to the cracked square")
         if self.mesh != "cc-graded" and \
@@ -112,6 +116,13 @@ class StudyConfig:
                              "crack line must be a grid line")
         if self.mu <= 0.0:
             raise ValueError("mu must be positive")
+        if self.formulation != "sg" and self.ell <= 0.0:
+            raise ValueError("ell must be positive")
+        if self.formulation == "ag" and min(self.c_u, self.c_p) < 0.0:
+            raise ValueError("AG needs nonnegative c_u and c_p")
+        if self.formulation == "osgs" and min(self.c_u, self.c_p) <= 0.0:
+            raise ValueError("OSGS needs positive c_u and c_p: a zero tau "
+                             "wipes a projection row")
         if self.formulation == "sg" and self.solver == "shift-invert" and \
                 self.shift <= 0.0:
             raise ValueError("SG shift-invert needs a positive shift: the "
@@ -128,7 +139,7 @@ def build_mesh(config: StudyConfig, N: int) -> Mesh:
     if config.mesh == "cc":
         return meshgen.build_criss_cross(config.domain, N)
     if config.mesh == "cc-graded":
-        grading = GradingSpec(exponent=config.grading_exponent, active=True)
+        grading = GradingSpec(exponent=config.grading_exponent)
         return meshgen.build_criss_cross(config.domain, N, grading)
     return meshgen.powell_sabin_refine(meshgen.build_uniform(config.domain, N))
 

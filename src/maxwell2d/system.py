@@ -1,10 +1,13 @@
 """Assembled generalized eigensystems A x = lambda M x for SG, AG and OSGS.
 
-The stabilized systems keep the skew pairing of the mixed form exactly:
-the (p, u) block is minus the transpose of the (u, p) block.  The OSGS
-projections are carried as implicit unknowns (xi for grad p, eta for
-div u); their rows are scaled by the corresponding tau so the
-stabilization sub-blocks stay symmetric positive semidefinite.
+Every A is symmetric.  M vanishes on the rows of the multiplier p and of
+the OSGS projections, so their test equations may carry either sign
+without moving an eigenpair; the p and xi rows take the sign that makes
+the (p, u) block the transpose of the (u, p) block.  The OSGS projections
+are carried as implicit unknowns (xi for grad p, eta for div u) whose rows
+are scaled by the corresponding tau.  The stabilization block on (p, xi)
+is then negative semidefinite, and the blocks on u and on eta positive
+semidefinite: A is a symmetric indefinite saddle-point operator.
 
 Boundary conditions are applied by congruence reduction (x = T x_r,
 A_r = T' A T), never by penalties, so the reduced spectrum is exact.
@@ -130,19 +133,6 @@ class EvpSystem:
         return self.A.shape[0]
 
 
-def _block_at(block: sp.spmatrix, row_off: int, col_off: int, ndof: int):
-    coo = block.tocoo()
-    return sp.coo_matrix((coo.data, (coo.row + row_off, coo.col + col_off)),
-                         shape=(ndof, ndof))
-
-
-def _mass_full(mass_vec: sp.spmatrix, dofmap: DofMap) -> sp.csr_matrix:
-    """M with the vector mass on the u-u block and zeros elsewhere."""
-    if len(dofmap.fields) == 2:
-        return mass_vec.tocsr()
-    return _block_at(mass_vec, 0, 0, dofmap.ndof).tocsr()
-
-
 def build_sg(mesh: Mesh, degree: int, mu: float = 1.0) -> EvpSystem:
     """Standard Galerkin curl-curl system over (u1, u2)."""
     if mu <= 0.0:
@@ -165,8 +155,10 @@ def build_ag(mesh: Mesh, degree: int, params: StabilizationParams) -> EvpSystem:
     g = assemble_form(FormKind.GRAD_COUPLING, mesh, dofmap, kernels)
     mv = assemble_form(FormKind.MASS_VEC, mesh, dofmap, kernels)
     A = sp.bmat([[params.mu * kcc + params.tau_u * kdd, g],
-                 [(-g).T, params.tau_p * kgg]], format="csr")
-    return EvpSystem(A=A, M=_mass_full(mv, dofmap), dofmap=dofmap)
+                 [g.T, -params.tau_p * kgg]], format="csr")
+    M = sp.block_diag([mv, sp.csr_matrix((dofmap.n_scalar,) * 2)],
+                      format="csr")
+    return EvpSystem(A=A, M=M, dofmap=dofmap)
 
 
 def build_osgs(mesh: Mesh, degree: int, params: StabilizationParams) -> EvpSystem:
@@ -188,12 +180,14 @@ def build_osgs(mesh: Mesh, degree: int, params: StabilizationParams) -> EvpSyste
     mv = assemble_form(FormKind.MASS_VEC, mesh, dofmap, kernels)
     tp, tu = params.tau_p, params.tau_u
     A = sp.bmat([
-        [params.mu * kcc + tu * kdd, g,        None,      -tu * d.T],
-        [(-g).T,                     tp * kgg, -tp * g.T, None],
-        [None,                       -tp * g,  tp * mv,   None],
-        [-tu * d,                    None,     None,      tu * kernels["mass"]],
+        [params.mu * kcc + tu * kdd, g,         None,     -tu * d.T],
+        [g.T,                        -tp * kgg, tp * g.T, None],
+        [None,                       tp * g,    -tp * mv, None],
+        [-tu * d,                    None,      None,     tu * kernels["mass"]],
     ], format="csr")
-    return EvpSystem(A=A, M=_mass_full(mv, dofmap), dofmap=dofmap)
+    M = sp.block_diag([mv, sp.csr_matrix((4 * dofmap.n_scalar,) * 2)],
+                      format="csr")
+    return EvpSystem(A=A, M=M, dofmap=dofmap)
 
 
 def build_constraints(dofmap: DofMap,

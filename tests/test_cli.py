@@ -97,6 +97,11 @@ def test_inconsistent_combinations(tmp_path, monkeypatch, capsys):
     assert cli_main(sg + ["--mu", "0"]) == 2
     assert cli_main(sg + ["--mu", "-1"]) == 2
     assert cli_main(sg + ["--shift", "0"]) == 2
+    assert cli_main(["--formulation", "osgs", "--ell", "0"]) == 2
+    assert "ell must be positive" in capsys.readouterr().err
+    assert cli_main(["--N", ","]) == 2
+    assert "N list needs at least one positive value" in \
+        capsys.readouterr().err
     assert calls == []
 
 
@@ -114,7 +119,7 @@ def test_export_mode_out_of_range_rejected_before_solving(monkeypatch, capsys):
     assert cli_main(small + ["--nev", "-3", "--export-mode", "0"]) == 2
     assert calls == []
     err = capsys.readouterr().err
-    assert "--export-mode" in err and "--nev must be at least 1" in err
+    assert "--export-mode" in err and "nev must be at least 1" in err
 
 
 def test_defaults_come_from_study_config(monkeypatch, capsys):

@@ -8,8 +8,8 @@ from numpy.testing import assert_allclose
 
 from maxwell2d import (CRACKED_SQUARE, SQUARE_PI, AssemblyError, FormKind,
                        assemble_form, build_criss_cross, build_dofmap,
-                       build_uniform, make_quadrature,
-                       reference_element, shape_functions, shape_gradients)
+                       build_uniform, make_quadrature, shape_functions,
+                       shape_gradients)
 from maxwell2d.fem import reference_nodes, scalar_kernels
 from maxwell2d.meshgen import Mesh
 from projection import l2_project
@@ -68,13 +68,6 @@ def test_kronecker_property(degree):
     nodes = reference_nodes(degree)
     vals = shape_functions(degree, nodes)
     assert_allclose(vals, np.eye(len(nodes)), atol=1e-14)
-
-
-def test_reference_element_tabulation():
-    elem = reference_element(2)
-    assert elem.n_nodes == 6
-    assert elem.shape.shape == (7, 6)
-    assert elem.ref_grads.shape == (7, 6, 2)
 
 
 @pytest.mark.parametrize("formulation,expected", [("sg", 122), ("ag", 183),
@@ -269,7 +262,8 @@ def test_l2_project_matches_dense_oracle():
 def quadrature_inner_product(mesh, dofmap, grad_coeff_a, xi_a, grad_coeff_b, xi_b):
     """Elementwise quadrature of (grad pa - xi_a) . (grad pb - xi_b)."""
     rule = make_quadrature()
-    elem = reference_element(dofmap.degree, rule)
+    shape = shape_functions(dofmap.degree, rule.points)
+    ref_grads = shape_gradients(dofmap.degree, rule.points)
     n = dofmap.n_scalar
     total = 0.0
     for t, nodes in enumerate(dofmap.element_nodes):
@@ -277,14 +271,14 @@ def quadrature_inner_product(mesh, dofmap, grad_coeff_a, xi_a, grad_coeff_b, xi_
         jac = np.array([[p[1, 0] - p[0, 0], p[2, 0] - p[0, 0]],
                         [p[1, 1] - p[0, 1], p[2, 1] - p[0, 1]]])
         det = la.det(jac)
-        grads = elem.ref_grads @ la.inv(jac)  # (q, nloc, 2)
+        grads = ref_grads @ la.inv(jac)  # (q, nloc, 2)
         for q, w in enumerate(rule.weights):
             ga = grads[q].T @ grad_coeff_a[nodes]
             gb = grads[q].T @ grad_coeff_b[nodes]
-            va = np.array([elem.shape[q] @ xi_a[nodes],
-                           elem.shape[q] @ xi_a[n:][nodes]])
-            vb = np.array([elem.shape[q] @ xi_b[nodes],
-                           elem.shape[q] @ xi_b[n:][nodes]])
+            va = np.array([shape[q] @ xi_a[nodes],
+                           shape[q] @ xi_a[n:][nodes]])
+            vb = np.array([shape[q] @ xi_b[nodes],
+                           shape[q] @ xi_b[n:][nodes]])
             total += w * det * np.dot(ga - va, gb - vb)
     return total
 

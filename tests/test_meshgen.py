@@ -21,7 +21,7 @@ def sample_meshes():
         ("cc-L", build_criss_cross(L_SHAPE, 3)),
         ("cc-crack", build_criss_cross(CRACKED_SQUARE, 8)),
         ("cc-crack-graded", build_criss_cross(
-            CRACKED_SQUARE, 8, GradingSpec(exponent=2.0, active=True))),
+            CRACKED_SQUARE, 8, GradingSpec(exponent=2.0))),
         ("uniform-crack-min", build_uniform(CRACKED_SQUARE, 2)),
     ]
     cases += [("ps-" + name, powell_sabin_refine(mesh))
@@ -84,7 +84,7 @@ def test_rejects_invalid_division_counts():
 
 
 def test_grading_restricted_to_crack():
-    grading = GradingSpec(exponent=2.0, active=True)
+    grading = GradingSpec(exponent=2.0)
     with pytest.raises(ValueError):
         build_criss_cross(SQUARE_PI, 4, grading)
     with pytest.raises(ValueError):
@@ -93,14 +93,13 @@ def test_grading_restricted_to_crack():
 
 def test_grading_identity_at_unit_exponent():
     plain = build_criss_cross(CRACKED_SQUARE, 8)
-    unit = build_criss_cross(CRACKED_SQUARE, 8, GradingSpec(exponent=1.0, active=True))
+    unit = build_criss_cross(CRACKED_SQUARE, 8, GradingSpec(exponent=1.0))
     assert np.array_equal(plain.points, unit.points)
     assert np.array_equal(plain.triangles, unit.triangles)
 
 
 def test_grading_clusters_toward_crack():
-    graded = build_criss_cross(CRACKED_SQUARE, 8,
-                               GradingSpec(exponent=2.0, active=True))
+    graded = build_criss_cross(CRACKED_SQUARE, 8, GradingSpec(exponent=2.0))
     ys = np.unique(np.round(graded.points[:, 1], 12))
     gaps = np.diff(ys)
     # spacing shrinks toward y = 0

@@ -68,6 +68,15 @@ def test_study_config_rejects_inconsistent_combinations():
         dict(domain=SQUARE_PI, formulation="sg", mu=0.0),
         dict(domain=SQUARE_PI, formulation="sg", shift=0.0),
         dict(domain=SQUARE_PI, mesh="cc", grading_exponent=3.0),
+        dict(domain=SQUARE_PI, N_list=()),
+        dict(domain=SQUARE_PI, N_list=(0, 4)),
+        dict(domain=SQUARE_PI, nev=0),
+        dict(domain=SQUARE_PI, formulation="ag", ell=0.0),
+        dict(domain=SQUARE_PI, formulation="ag", c_u=-0.01),
+        dict(domain=SQUARE_PI, formulation="ag", c_p=-0.6),
+        dict(domain=SQUARE_PI, formulation="osgs", ell=0.0),
+        dict(domain=SQUARE_PI, formulation="osgs", c_u=0.0),
+        dict(domain=SQUARE_PI, formulation="osgs", c_p=0.0),
     ]
     base = dict(mesh="ps", formulation="osgs", N_list=(4,))
     for case in cases:
@@ -77,6 +86,11 @@ def test_study_config_rejects_inconsistent_combinations():
     # the dense oracle keeps the SG kernel, so it takes any shift
     StudyConfig(domain=SQUARE_PI, mesh="cc", formulation="sg", N_list=(4,),
                 shift=0.0, solver="dense")
+    # AG degenerates to mixed Galerkin at zero tau; SG has no ell
+    StudyConfig(domain=SQUARE_PI, mesh="cc", formulation="ag", N_list=(4,),
+                c_u=0.0, c_p=0.0)
+    StudyConfig(domain=SQUARE_PI, mesh="cc", formulation="sg", N_list=(4,),
+                ell=0.0)
 
 
 def test_default_nev_per_domain():

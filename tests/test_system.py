@@ -59,7 +59,7 @@ def test_ag_zero_tau_equals_mixed_galerkin():
     kernels = scalar_kernels(mesh, dofmap)
     kcc = assemble_form(FormKind.CURL_CURL, mesh, dofmap, kernels)
     g = assemble_form(FormKind.GRAD_COUPLING, mesh, dofmap, kernels)
-    plain = sp.bmat([[kcc, g], [(-g).T, sp.csr_matrix((dofmap.n_scalar,) * 2)]],
+    plain = sp.bmat([[kcc, g], [g.T, sp.csr_matrix((dofmap.n_scalar,) * 2)]],
                     format="csr")
     assert np.abs((system.A - plain)).max() == 0
 
@@ -75,17 +75,20 @@ def test_ag_pressure_block_gradient_seminorm():
     rng = np.random.default_rng(0)
     p_rand = np.zeros(system.n)
     p_rand[2 * n:] = rng.standard_normal(n)
-    assert p_rand @ (system.A @ p_rand) > 0
+    assert p_rand @ (system.A @ p_rand) < 0
 
 
-def test_skew_pairing_exact():
+def test_coupling_blocks_transpose_exact():
     mesh = build_criss_cross(SQUARE_PI, 3)
     params = make_params(1.0, 0.1, 0.01, 0.6, 0.5)
     for system in (build_ag(mesh, 1, params), build_osgs(mesh, 1, params)):
         n = system.dofmap.n_scalar
-        b_up = system.A[:2 * n, 2 * n:3 * n]
-        b_pu = system.A[2 * n:3 * n, :2 * n]
-        assert np.abs((b_pu + b_up.T)).max() == 0
+        u, p = slice(0, 2 * n), slice(2 * n, 3 * n)
+        assert np.abs(system.A[p, u] - system.A[u, p].T).max() == 0
+        if system.dofmap.fields[-1] == "eta":
+            xi, eta = slice(3 * n, 5 * n), slice(5 * n, 6 * n)
+            assert np.abs(system.A[xi, p] - system.A[p, xi].T).max() == 0
+            assert np.abs(system.A[eta, u] - system.A[u, eta].T).max() == 0
 
 
 def test_mass_kernel_is_non_u_fields():
@@ -149,8 +152,9 @@ def test_osgs_stabilization_blocks_are_psd():
         quad = vec @ (a @ vec)
         explicit = params.tau_p * (p @ (kgg @ p) - 2 * xi @ (gv @ p)
                                    + xi @ (mv @ xi))
-        assert_allclose(quad, explicit, rtol=1e-10, atol=1e-12)
-        assert quad >= -1e-10
+        # the p and xi rows carry the energy tau_p ||grad p - xi||^2 negated
+        assert_allclose(quad, -explicit, rtol=1e-10, atol=1e-12)
+        assert quad <= 1e-10
 
 
 def fixed_set(constraints, dofmap, field, node):
