@@ -16,9 +16,10 @@ from enum import Enum
 from typing import Callable, NamedTuple
 
 from .eig import METHODS
+from .fem import DEGREES
 from .meshgen import DomainKind, DomainSpec
-from .study import FORMULATIONS, MESH_FAMILIES, STAB_LENGTHS, TABLE_FORMATS, \
-    StudyConfig, compute_eigenfunction, emit_table, export_eigenfunction, \
+from .study import FORMULATIONS, MESH_FAMILIES, TABLE_FORMATS, StudyConfig, \
+    compute_eigenfunction, emit_table, export_eigenfunction, \
     reference_values, run_study
 from .system import CornerStrategy, TipStrategy
 
@@ -44,7 +45,7 @@ _FLAGS = {
     "domain": _Flag("domain", _domain, DomainKind, "square"),
     "mesh": _Flag("mesh", choices=MESH_FAMILIES, default="cc"),
     "formulation": _Flag("formulation", choices=FORMULATIONS, default="osgs"),
-    "degree": _Flag("degree", int, (1, 2)),
+    "degree": _Flag("degree", int, DEGREES),
     "N": _Flag("N_list", _N_list, default="5,10,15,20,25",
                help="comma-separated division counts, e.g. 5,10,15"),
     "mu": _Flag("mu", float),
@@ -57,7 +58,6 @@ _FLAGS = {
     "shift": _Flag("shift", float),
     "solver": _Flag("solver", choices=METHODS),
     "grading-exponent": _Flag("grading_exponent", float),
-    "stab-h": _Flag("stab_length", choices=STAB_LENGTHS),
     "seed": _Flag("seed", int),
     "out": _Flag(None, help="write the table here instead of stdout"),
     "format": _Flag(None, choices=TABLE_FORMATS, default="md"),
@@ -156,10 +156,10 @@ def cli_main(argv) -> int:
             sys.stdout.write(text)
         mode = opts.get("export-mode")
         if mode is not None:
-            fld, mesh = compute_eigenfunction(table, mode)
+            fld = compute_eigenfunction(table, mode)
             path = (f"{opts['out']}.mode{mode}.txt" if opts.get("out")
                     else f"eigenfunction_mode{mode}.txt")
-            export_eigenfunction(fld, mesh, path)
+            export_eigenfunction(fld, path)
             print(f"eigenfunction {mode} written to {path}")
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

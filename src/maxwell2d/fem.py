@@ -14,7 +14,7 @@ from enum import Enum
 import numpy as np
 import scipy.sparse as sp
 
-from .meshgen import GEOM_TOL, EdgeTag, Mesh, NodeTag, edge_table
+from .meshgen import Mesh, NodeTag
 
 
 class AssemblyError(Exception):
@@ -100,6 +100,8 @@ def reference_nodes(degree: int) -> np.ndarray:
     return np.vstack([verts, mids])
 
 
+DEGREES = (1, 2)
+
 FORMULATION_FIELDS = {
     "sg": ("u1", "u2"),
     "ag": ("u1", "u2", "p"),
@@ -113,12 +115,13 @@ class DofMap:
 
     Every field spans the same n_scalar nodal points (mesh vertices, plus
     one node per mesh edge for P2, crack edges per face copy); dof indices
-    are contiguous per field in declaration order.
+    are contiguous per field in declaration order.  on_h and on_v mark the
+    nodal points on horizontal (crack faces included) and vertical
+    boundary edges, as the mesh tagged them.
     """
 
     mesh: Mesh
     degree: int
-    formulation: str
     fields: tuple
     n_scalar: int
     element_nodes: np.ndarray
@@ -144,32 +147,27 @@ class DofMap:
 
 
 def build_dofmap(mesh: Mesh, degree: int, formulation: str) -> DofMap:
+    """Nodal points, element connectivity and boundary masks of the
+    formulation's fields; P2 edge nodes come from the mesh's edges."""
     if formulation not in FORMULATION_FIELDS:
         raise AssemblyError(f"unknown formulation tag {formulation!r}")
-    if degree not in (1, 2):
+    if degree not in DEGREES:
         raise AssemblyError(f"unsupported polynomial degree {degree}")
     fields = FORMULATION_FIELDS[formulation]
     nv = mesh.n_points
-
-    on_h = np.zeros(nv, dtype=bool)
-    on_v = np.zeros(nv, dtype=bool)
-    for (i, j), tag in mesh.boundary_edges:
-        if tag is EdgeTag.VERTICAL:
-            on_v[[i, j]] = True
-        else:
-            on_h[[i, j]] = True
     special = np.where(
         (mesh.node_tags == NodeTag.REENTRANT_CORNER)
         | (mesh.node_tags == NodeTag.CRACK_TIP),
         mesh.node_tags, NodeTag.INTERIOR).astype(np.int8)
 
     if degree == 1:
-        return DofMap(mesh=mesh, degree=1, formulation=formulation, fields=fields,
-                      n_scalar=nv, element_nodes=mesh.triangles.copy(),
-                      coords=mesh.points.copy(), on_h=on_h, on_v=on_v,
-                      on_boundary=on_h | on_v, special=special)
+        return DofMap(mesh=mesh, degree=1, fields=fields, n_scalar=nv,
+                      element_nodes=mesh.triangles.copy(),
+                      coords=mesh.points.copy(), on_h=mesh.on_h,
+                      on_v=mesh.on_v, on_boundary=mesh.on_h | mesh.on_v,
+                      special=special)
 
-    keys, edge_ids, counts = edge_table(mesh.points, mesh.triangles, mesh.domain)
+    keys = mesh.edges
     # edge nodes follow the sorted (lo, hi, side) keys
     order = np.lexsort(keys.T[::-1])
     node_of = np.empty_like(order)
@@ -177,25 +175,19 @@ def build_dofmap(mesh: Mesh, degree: int, formulation: str) -> DofMap:
     ne = len(keys)
     n_scalar = nv + ne
 
-    lo, hi, side = keys.T
-    coords = np.vstack([mesh.points,
-                        0.5 * (mesh.points[lo[order]] + mesh.points[hi[order]])])
-    # a boundary edge node is vertical exactly when classify_boundary tagged
-    # its edge VERTICAL: off the crack and with equal end abscissae
-    vertical = (side == 0) & \
-        (np.abs(mesh.points[lo, 0] - mesh.points[hi, 0]) < GEOM_TOL)
-    boundary = counts == 1
-    eon_h = np.concatenate([on_h, np.zeros(ne, dtype=bool)])
-    eon_v = np.concatenate([on_v, np.zeros(ne, dtype=bool)])
-    eon_v[node_of[boundary & vertical]] = True
-    eon_h[node_of[boundary & ~vertical]] = True
+    lo, hi = keys[order, 0], keys[order, 1]
+    coords = np.vstack([mesh.points, 0.5 * (mesh.points[lo] + mesh.points[hi])])
+    edge_h, edge_v = mesh.edge_axes()
+    on_h = np.concatenate([mesh.on_h, np.zeros(ne, dtype=bool)])
+    on_v = np.concatenate([mesh.on_v, np.zeros(ne, dtype=bool)])
+    on_h[node_of[edge_h]] = True
+    on_v[node_of[edge_v]] = True
 
-    element_nodes = np.hstack([mesh.triangles, node_of[edge_ids]])
+    element_nodes = np.hstack([mesh.triangles, node_of[mesh.edge_ids]])
     specials = np.concatenate([special, np.full(ne, NodeTag.INTERIOR, dtype=np.int8)])
-    return DofMap(mesh=mesh, degree=2, formulation=formulation, fields=fields,
-                  n_scalar=n_scalar, element_nodes=element_nodes, coords=coords,
-                  on_h=eon_h, on_v=eon_v, on_boundary=eon_h | eon_v,
-                  special=specials)
+    return DofMap(mesh=mesh, degree=2, fields=fields, n_scalar=n_scalar,
+                  element_nodes=element_nodes, coords=coords, on_h=on_h,
+                  on_v=on_v, on_boundary=on_h | on_v, special=specials)
 
 
 class FormKind(Enum):

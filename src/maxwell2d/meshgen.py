@@ -11,14 +11,17 @@ between the crack tip (0, 0) and the mouth (1, 0); the tip stays a single
 node shared by both faces.  Edge bookkeeping is side-aware so that the two
 geometrically coincident crack faces are kept distinct everywhere.
 
-All edge topology comes from one array table, ``edge_table``: the
-Powell-Sabin split numbers its midpoints from it, ``classify_boundary``
-finds the boundary edges in it, and the P2 dofmap places its edge nodes
-with it.  None of them loops over triangles, edges or nodes in Python.
+``classify_boundary`` builds every ``Mesh``.  It takes one edge census per
+mesh from ``edge_table``, tags each boundary edge by the axis it lies on
+(crack edges by face) and stores the census, the tags and the boundary
+node masks on the mesh.  The Powell-Sabin split numbers its midpoints from
+the base mesh's census, and the P2 dofmap places its edge nodes and reads
+their orientation from it; neither recounts the edges.  Nothing here loops
+over triangles, edges or nodes in Python.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum, IntEnum
 
 import numpy as np
@@ -95,30 +98,43 @@ class GradingSpec:
 
 @dataclass(frozen=True)
 class Mesh:
-    """Immutable triangulation with boundary classification.
+    """Immutable triangulation with its edge census and boundary
+    classification; ``classify_boundary`` builds it.
 
     Attributes
     ----------
     points : (n, 2) float array
     triangles : (t, 3) int array, counter-clockwise vertex order
     domain : DomainSpec
-    boundary_edges : list of ((i, j), EdgeTag)
-        One entry per boundary edge instance; the two faces of a crack
-        edge are separate entries even when the node pair coincides.
     node_tags : (n,) int array of NodeTag values
     h : float, largest element diameter
     grid_step : float
         Spacing of the generating grid (halved by a Powell-Sabin split);
-        used as an alternative stabilization length scale.
+        the stabilization length of Powell-Sabin meshes off the crack.
+    edges : (E, 3) int array
+        ``edge_table`` keys (lo, hi, side) in first-seen order; the two
+        faces of a crack edge are separate edges even when the node pair
+        coincides.
+    edge_ids : (t, 3) int array
+        Row of ``edges`` of each triangle's local edges (0,1), (1,2), (2,0).
+    edge_tags : (E,) int array
+        EdgeTag of each boundary edge, -1 for an interior edge.
+    on_h, on_v : (n,) bool arrays
+        Nodes on a horizontal boundary edge (crack faces included) and on
+        a vertical one.
     """
 
     points: np.ndarray
     triangles: np.ndarray
     domain: DomainSpec
-    boundary_edges: list
     node_tags: np.ndarray
     h: float
     grid_step: float
+    edges: np.ndarray
+    edge_ids: np.ndarray
+    edge_tags: np.ndarray
+    on_h: np.ndarray
+    on_v: np.ndarray
 
     @property
     def n_points(self) -> int:
@@ -129,19 +145,23 @@ class Mesh:
         return self.triangles.shape[0]
 
     def signed_areas(self) -> np.ndarray:
-        p = self.points
-        t = self.triangles
-        d1 = p[t[:, 1]] - p[t[:, 0]]
-        d2 = p[t[:, 2]] - p[t[:, 0]]
-        return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+        return _signed_areas(self.points, self.triangles)
 
-    def diameters(self) -> np.ndarray:
-        p = self.points
-        t = self.triangles
-        e0 = np.linalg.norm(p[t[:, 1]] - p[t[:, 0]], axis=1)
-        e1 = np.linalg.norm(p[t[:, 2]] - p[t[:, 1]], axis=1)
-        e2 = np.linalg.norm(p[t[:, 0]] - p[t[:, 2]], axis=1)
-        return np.maximum(e0, np.maximum(e1, e2))
+    def edge_axes(self) -> tuple:
+        """(E,) masks of the boundary edges on horizontal lines (crack
+        faces included) and on vertical lines."""
+        return _edge_axes(self.edge_tags)
+
+
+def _signed_areas(p, t) -> np.ndarray:
+    d1 = p[t[:, 1]] - p[t[:, 0]]
+    d2 = p[t[:, 2]] - p[t[:, 0]]
+    return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+
+
+def _edge_axes(edge_tags):
+    vertical = edge_tags == EdgeTag.VERTICAL
+    return (edge_tags >= 0) & ~vertical, vertical
 
 
 def crack_closure_mask(points: np.ndarray, domain: DomainSpec) -> np.ndarray:
@@ -174,20 +194,30 @@ def edge_table(points, triangles, domain):
                     np.where(points[opposite, 1] > 0.0, 1, -1), 0).ravel()
     lo, hi = np.minimum(start, end).ravel(), np.maximum(start, end).ravel()
     # one integer per key, ordered like the (lo, hi, side) tuples
-    code = (lo * points.shape[0] + hi) * 3 + side + 1
-    _, first, inverse, counts = np.unique(code, return_index=True,
+    first, edge_ids, counts = _first_seen(
+        (lo * points.shape[0] + hi) * 3 + side + 1)
+    keys = np.stack([lo, hi, side], axis=1)[first]
+    if np.any(counts > 2):
+        k = int(np.argmax(counts > 2))
+        raise MeshError(f"edge {tuple(keys[k].tolist())} shared by "
+                        f"{counts[k]} triangles")
+    return keys, edge_ids.reshape(start.shape), counts
+
+
+def _first_seen(codes):
+    """Number the distinct values of ``codes`` by first appearance.
+
+    Returns ``(first, number, counts)``: per value, in that order, the
+    position of its first appearance and its count; per entry of
+    ``codes``, the number of its value.
+    """
+    _, first, inverse, counts = np.unique(codes, return_index=True,
                                           return_inverse=True,
                                           return_counts=True)
     order = np.argsort(first)
     rank = np.empty_like(order)
     rank[order] = np.arange(order.size)
-    keys = np.stack([lo, hi, side], axis=1)[first[order]]
-    counts = counts[order]
-    if np.any(counts > 2):
-        k = int(np.argmax(counts > 2))
-        raise MeshError(f"edge {tuple(keys[k].tolist())} shared by "
-                        f"{counts[k]} triangles")
-    return keys, rank[inverse].reshape(start.shape), counts
+    return first[order], rank[inverse], counts[order]
 
 
 def _graded_axis(N: int, exponent: float) -> np.ndarray:
@@ -209,12 +239,6 @@ def _axis_coords(domain: DomainSpec, N: int, grading: GradingSpec | None):
     return np.linspace(-1.0, 1.0, N + 1)
 
 
-def _cell_kept(domain: DomainSpec, xc: float, yc: float) -> bool:
-    if domain.kind is DomainKind.L_SHAPE:
-        return not (xc > 0.0 and yc < 0.0)
-    return True
-
-
 def _split_crack(points, triangles, domain):
     """Duplicate crack-interior nodes and remap the triangles below the slit."""
     if not domain.has_crack:
@@ -234,41 +258,29 @@ def _split_crack(points, triangles, domain):
 
 
 def _grid_triangulation(domain, N, grading, criss_cross):
+    """Cells row by row; nodes are numbered as the cells first reach them:
+    lower-left, lower-right, upper-right, upper-left corner, then the
+    center of a criss-cross cell."""
     xs = _axis_coords(domain, N, grading)
-    ys = _axis_coords(domain, N, grading)
-    nx = len(xs) - 1
-    index: dict = {}
-    pts: list = []
-
-    def node(i, j):
-        key = (i, j)
-        if key not in index:
-            index[key] = len(pts)
-            pts.append((xs[i], ys[j]))
-        return index[key]
-
-    tris = []
-    for j in range(nx):
-        for i in range(nx):
-            xc = 0.5 * (xs[i] + xs[i + 1])
-            yc = 0.5 * (ys[j] + ys[j + 1])
-            if not _cell_kept(domain, xc, yc):
-                continue
-            ll, lr = node(i, j), node(i + 1, j)
-            ur, ul = node(i + 1, j + 1), node(i, j + 1)
-            if criss_cross:
-                c = len(pts)
-                pts.append((xc, yc))
-                tris += [(ll, lr, c), (lr, ur, c), (ur, ul, c), (ul, ll, c)]
-            else:
-                tris += [(ll, lr, ur), (ll, ur, ul)]
-    points = np.asarray(pts, dtype=float)
-    triangles = np.asarray(tris, dtype=np.int64)
+    n = len(xs)
+    j, i = np.divmod(np.arange((n - 1) ** 2), n - 1)
+    xc, yc = 0.5 * (xs[i] + xs[i + 1]), 0.5 * (xs[j] + xs[j + 1])
+    keep = ~(domain.has_reentrant_corner & (xc > 0.0) & (yc < 0.0))
+    ll = (j * n + i)[keep]
+    # grid node j*n + i sits at (xs[i], xs[j]); cell center k at n*n + k
+    slots = [ll, ll + 1, ll + n + 1, ll + n]
+    if criss_cross:
+        slots.append(n * n + np.flatnonzero(keep))
+    codes = np.stack(slots, axis=1)
+    first, node, _ = _first_seen(codes.ravel())
+    coords = np.vstack([np.stack(np.meshgrid(xs, xs), axis=-1).reshape(-1, 2),
+                        np.stack([xc, yc], axis=1)])
+    points = coords[codes.ravel()[first]]
+    local = [[0, 1, 4], [1, 2, 4], [2, 3, 4], [3, 0, 4]] if criss_cross \
+        else [[0, 1, 2], [0, 2, 3]]
+    triangles = node.reshape(codes.shape)[:, local].reshape(-1, 3)
     points, triangles = _split_crack(points, triangles, domain)
-    dx = np.diff(xs)
-    dy = np.diff(ys)
-    step = max(dx.max(), dy.max())
-    return points, triangles, step
+    return points, triangles, np.diff(xs).max()
 
 
 def build_uniform(domain: DomainSpec, N: int) -> Mesh:
@@ -280,7 +292,7 @@ def build_uniform(domain: DomainSpec, N: int) -> Mesh:
     if N < 1:
         raise ValueError("N must be a positive integer")
     points, triangles, step = _grid_triangulation(domain, N, None, False)
-    return classify_boundary(_provisional(points, triangles, domain, step), domain)
+    return classify_boundary(points, triangles, domain, step)
 
 
 def build_criss_cross(domain: DomainSpec, N: int,
@@ -296,7 +308,7 @@ def build_criss_cross(domain: DomainSpec, N: int,
     if grading is not None and not domain.has_crack:
         raise ValueError("grading is only meaningful for the cracked square")
     points, triangles, step = _grid_triangulation(domain, N, grading, True)
-    return classify_boundary(_provisional(points, triangles, domain, step), domain)
+    return classify_boundary(points, triangles, domain, step)
 
 
 def powell_sabin_refine(base: Mesh) -> Mesh:
@@ -305,27 +317,22 @@ def powell_sabin_refine(base: Mesh) -> Mesh:
     Node count grows to V + E + T and the triangle count to 6 T, with
     crack-face edge midpoints duplicated per face copy.  New nodes are
     numbered after the V base nodes: the E midpoints in the first-seen
-    edge order of ``edge_table``, then one barycenter per base triangle.
+    order of the base mesh's ``edges``, then one barycenter per base
+    triangle.
     """
     p, t = base.points, base.triangles
-    keys, edge_ids, _ = edge_table(p, t, base.domain)
+    keys = base.edges
     mids = 0.5 * (p[keys[:, 0]] + p[keys[:, 1]])
     centers = (p[t[:, 0]] + p[t[:, 1]] + p[t[:, 2]]) / 3.0
     points = np.vstack([p, mids, centers])
     a, b, c = t.T
-    mab, mbc, mca = (base.n_points + edge_ids).T
+    mab, mbc, mca = (base.n_points + base.edge_ids).T
     g = base.n_points + len(keys) + np.arange(len(t))
     triangles = np.stack([a, mab, g, mab, b, g, b, mbc, g,
                           mbc, c, g, c, mca, g, mca, a, g],
                          axis=1).reshape(-1, 3)
-    prov = _provisional(points, triangles, base.domain, base.grid_step / 2.0)
-    return classify_boundary(prov, base.domain)
-
-
-def _provisional(points, triangles, domain, step) -> Mesh:
-    return Mesh(points=points, triangles=triangles, domain=domain,
-                boundary_edges=[], node_tags=np.zeros(len(points), dtype=np.int8),
-                h=0.0, grid_step=step)
+    return classify_boundary(points, triangles, base.domain,
+                             base.grid_step / 2.0)
 
 
 def _on_domain_boundary(points, domain):
@@ -342,21 +349,23 @@ def _on_domain_boundary(points, domain):
     return outer | crack_closure_mask(points, domain)
 
 
-def classify_boundary(mesh: Mesh, domain: DomainSpec) -> Mesh:
-    """Populate boundary edges, node tags and the mesh size h.
+def classify_boundary(points, triangles, domain: DomainSpec,
+                      grid_step: float) -> Mesh:
+    """Build the Mesh: edge census, boundary edge and node tags, mesh size h.
 
-    Boundary edges are the edge instances owned by exactly one triangle;
-    their orientation tag follows the axis they lie on, with crack edges
-    tagged by face.  Raises MeshError when a node sits on the geometric
-    boundary without acquiring a boundary tag (tolerance 1e-10).
+    Boundary edges are the edges owned by exactly one triangle; their tag
+    follows the axis they lie on, with crack edges tagged by face.  Raises
+    MeshError on a non-CCW or degenerate triangle, an edge with more than
+    two owners, a boundary edge off both axes, or a node that sits on the
+    geometric boundary without acquiring a boundary tag (tolerance 1e-10).
     """
-    points, triangles = mesh.points, mesh.triangles
     n = points.shape[0]
-    if np.any(mesh.signed_areas() <= 0.0):
+    if np.any(_signed_areas(points, triangles) <= 0.0):
         raise MeshError("mesh contains a non-CCW or degenerate triangle")
 
-    keys, _, counts = edge_table(points, triangles, domain)
-    lo, hi, side = keys[counts == 1].T
+    edges, edge_ids, counts = edge_table(points, triangles, domain)
+    boundary = counts == 1
+    lo, hi, side = edges[boundary].T
     tag = np.select(
         [side > 0, side < 0,
          np.abs(points[lo, 0] - points[hi, 0]) < GEOM_TOL,
@@ -366,18 +375,18 @@ def classify_boundary(mesh: Mesh, domain: DomainSpec) -> Mesh:
     if np.any(tag < 0):
         k = int(np.argmax(tag < 0))
         raise MeshError(f"boundary edge ({lo[k]}, {hi[k]}) is not axis-aligned")
-    boundary_edges = list(zip(zip(lo.tolist(), hi.tolist()),
-                              map(EdgeTag, tag.tolist())))
+    edge_tags = np.full(len(edges), -1, dtype=np.int8)
+    edge_tags[boundary] = tag
 
     def touched(mask):
         hit = np.zeros(n, dtype=bool)
-        hit[lo[mask]] = hit[hi[mask]] = True
+        hit[edges[mask, 0]] = hit[edges[mask, 1]] = True
         return hit
 
-    on_v = touched(tag == EdgeTag.VERTICAL)
-    on_h = touched(tag != EdgeTag.VERTICAL)
-    seen_top = touched(tag == EdgeTag.CRACK_TOP)
-    seen_bot = touched(tag == EdgeTag.CRACK_BOTTOM)
+    edge_h, edge_v = _edge_axes(edge_tags)
+    on_h, on_v = touched(edge_h), touched(edge_v)
+    seen_top = touched(edge_tags == EdgeTag.CRACK_TOP)
+    seen_bot = touched(edge_tags == EdgeTag.CRACK_BOTTOM)
 
     x, y = points[:, 0], points[:, 1]
     at_origin = (np.abs(x) < GEOM_TOL) & (np.abs(y) < GEOM_TOL)
@@ -397,9 +406,13 @@ def classify_boundary(mesh: Mesh, domain: DomainSpec) -> Mesh:
         raise MeshError(f"node {i} at ({points[i, 0]}, {points[i, 1]}) "
                         "fails boundary tagging")
 
-    out = replace(mesh, boundary_edges=boundary_edges, node_tags=tags,
-                  h=float(mesh.diameters().max()) if len(triangles) else 0.0)
-    return out
+    # the largest element diameter is the longest edge
+    lengths = np.linalg.norm(points[np.roll(triangles, -1, axis=1)]
+                             - points[triangles], axis=2)
+    h = float(lengths.max()) if len(triangles) else 0.0
+    return Mesh(points=points, triangles=triangles, domain=domain,
+                node_tags=tags, h=h, grid_step=grid_step, edges=edges,
+                edge_ids=edge_ids, edge_tags=edge_tags, on_h=on_h, on_v=on_v)
 
 
 def dump_mesh(mesh: Mesh, path) -> None:

@@ -18,7 +18,7 @@ import numpy as np
 from . import meshgen
 from .eig import METHODS, EigenField, SolverConfig, Spectrum, \
     attach_eigenfunction, filter_zeros, solve_generalized
-from .fem import DofMap
+from .fem import DEGREES, DofMap
 from .meshgen import DomainKind, DomainSpec, GradingSpec, Mesh
 from .system import ConstraintSet, CornerStrategy, TipStrategy, build_ag, \
     build_constraints, build_osgs, build_sg, make_params, reduce_system
@@ -33,7 +33,6 @@ CRACK_REFERENCE = (1.0341, _PI2 / 4, 4.0469, _PI2, _PI2,
 
 MESH_FAMILIES = ("uniform", "cc", "ps", "cc-graded")
 FORMULATIONS = ("sg", "ag", "osgs")
-STAB_LENGTHS = ("auto", "diameter", "spacing")
 TABLE_FORMATS = ("csv", "md")
 
 DEFAULT_NEV = {
@@ -85,16 +84,15 @@ class StudyConfig:
     solver: str = SolverConfig.method
     seed: int = SolverConfig.seed
     grading_exponent: float = GradingSpec.exponent
-    stab_length: str = "auto"
 
     def __post_init__(self):
         choices = {"mesh": MESH_FAMILIES, "formulation": FORMULATIONS,
-                   "solver": METHODS, "stab_length": STAB_LENGTHS}
+                   "degree": DEGREES, "solver": METHODS}
         for name, allowed in choices.items():
             value = getattr(self, name)
             if value not in allowed:
                 raise ValueError(f"unknown {name} {value!r}; choose from "
-                                 f"{', '.join(allowed)}")
+                                 f"{', '.join(map(str, allowed))}")
         if not self.N_list or min(self.N_list) < 1:
             raise ValueError("N list needs at least one positive value")
         if list(self.N_list) != sorted(set(self.N_list)):
@@ -152,10 +150,6 @@ def stabilization_length(config: StudyConfig, mesh: Mesh) -> float:
     eigenvalues correspond to the refined grid spacing (half the base
     cell), while the cracked-square runs keep the element diameter.
     """
-    if config.stab_length == "diameter":
-        return mesh.h
-    if config.stab_length == "spacing":
-        return mesh.grid_step
     if config.mesh == "ps" and not config.domain.has_crack:
         return mesh.grid_step
     return mesh.h
@@ -165,14 +159,13 @@ def stabilization_length(config: StudyConfig, mesh: Mesh) -> float:
 class Case:
     """One solved case: the first nev values ascending, the spectrum they
     come from, and what its reduced eigenvectors need to expand to nodal
-    fields: the dofmap, the constraint set and the mesh.  The matrices are
-    not kept."""
+    fields: the dofmap (which holds the mesh) and the constraint set.  The
+    matrices are not kept."""
 
     values: np.ndarray
     spectrum: Spectrum
     dofmap: DofMap
     constraints: ConstraintSet
-    mesh: Mesh
 
 
 def run_case(config: StudyConfig, N: int) -> Case:
@@ -196,7 +189,7 @@ def run_case(config: StudyConfig, N: int) -> Case:
     if config.formulation == "sg":
         spectrum = filter_zeros(spectrum)
     return Case(spectrum.values[:config.nev_effective], spectrum,
-                reduced.dofmap, constraints, mesh)
+                reduced.dofmap, constraints)
 
 
 def convergence_rate(e_prev: float, e_curr: float,
@@ -328,7 +321,7 @@ def parse_csv_table(text: str):
     return values, rates
 
 
-def export_eigenfunction(fld: EigenField, mesh: Mesh, path) -> None:
+def export_eigenfunction(fld: EigenField, path) -> None:
     """One record per nodal point: x, y, u1, u2 and p when present."""
     with open(path, "w") as f:
         for i in range(len(fld.coords)):
@@ -339,8 +332,8 @@ def export_eigenfunction(fld: EigenField, mesh: Mesh, path) -> None:
             f.write(", ".join(parts) + "\n")
 
 
-def compute_eigenfunction(table: EigenTable, index: int):
+def compute_eigenfunction(table: EigenTable, index: int) -> EigenField:
     """Expand eigenfunction `index` of the table's finest case, reusing the
-    solve `run_study` already did; returns the field and its mesh."""
+    solve `run_study` already did."""
     case = table.finest
-    return attach_eigenfunction(case.spectrum, case, index), case.mesh
+    return attach_eigenfunction(case.spectrum, case, index)

@@ -249,11 +249,8 @@ def test_criterion_10_property_suite(osgs_cc_square, ag_cc_square,
 
     # element oracles
     from maxwell2d import FormKind, assemble_form, build_dofmap, scalar_kernels
-    from maxwell2d.meshgen import Mesh
-    tri = Mesh(points=np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
-               triangles=np.array([[0, 1, 2]]), domain=SQUARE_PI,
-               boundary_edges=[], node_tags=np.zeros(3, dtype=np.int8),
-               h=0.0, grid_step=1.0)
+    from bare_mesh import bare_mesh
+    tri = bare_mesh([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], [[0, 1, 2]])
     dm = build_dofmap(tri, 1, "ag")
     assert_allclose(scalar_kernels(tri, dm)["mass"].toarray(),
                     np.array([[2, 1, 1], [1, 2, 1], [1, 1, 2]]) / 24.0,

@@ -192,6 +192,6 @@ def test_export_reuses_finest_solve(tmp_path, monkeypatch, capsys):
     case = run_case(config, 6)
     expected = tmp_path / "expected.txt"
     export_eigenfunction(attach_eigenfunction(case.spectrum, case, 1),
-                         case.mesh, expected)
+                         expected)
     exported = tmp_path / "t.csv.mode1.txt"
     assert exported.read_bytes() == expected.read_bytes()

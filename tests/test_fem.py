@@ -11,7 +11,7 @@ from maxwell2d import (CRACKED_SQUARE, SQUARE_PI, AssemblyError, FormKind,
                        build_uniform, make_quadrature, shape_functions,
                        shape_gradients)
 from maxwell2d.fem import reference_nodes, scalar_kernels
-from maxwell2d.meshgen import Mesh
+from bare_mesh import bare_mesh
 from projection import l2_project
 
 
@@ -21,14 +21,8 @@ def monomial_integral(a, b):
 
 
 def single_triangle_mesh():
-    points = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    triangles = np.array([[0, 1, 2]])
-    provisional = Mesh(points=points, triangles=triangles, domain=SQUARE_PI,
-                       boundary_edges=[], node_tags=np.zeros(3, dtype=np.int8),
-                       h=0.0, grid_step=1.0)
-    # classification is irrelevant for pure element tests; bypass the
-    # domain geometry check by building the pieces directly
-    return provisional
+    # classification is irrelevant for pure element tests
+    return bare_mesh([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], [[0, 1, 2]])
 
 
 def test_quadrature_weights_sum_to_reference_area():

@@ -4,8 +4,10 @@ from numpy.testing import assert_allclose
 
 from maxwell2d import (CRACKED_SQUARE, L_SHAPE, SQUARE_PI, GradingSpec,
                        MeshError, NodeTag, EdgeTag, build_criss_cross,
-                       build_uniform, dump_mesh, powell_sabin_refine)
-from maxwell2d.meshgen import (Mesh, classify_boundary, crack_closure_mask,
+                       build_dofmap, build_uniform, dump_mesh,
+                       powell_sabin_refine)
+from maxwell2d import fem, meshgen
+from maxwell2d.meshgen import (GEOM_TOL, classify_boundary, crack_closure_mask,
                                edge_table)
 
 
@@ -147,9 +149,9 @@ def test_orientation_and_area(name, mesh):
 
 @pytest.mark.parametrize("name,mesh", MESHES, ids=[n for n, _ in MESHES])
 def test_edge_manifoldness(name, mesh):
-    _, _, counts = edge_table(mesh.points, mesh.triangles, mesh.domain)
-    assert set(counts.tolist()) <= {1, 2}
-    assert (counts == 1).sum() == len(mesh.boundary_edges)
+    owners = np.bincount(mesh.edge_ids.ravel(), minlength=len(mesh.edges))
+    assert set(owners.tolist()) <= {1, 2}
+    assert np.array_equal(owners == 1, mesh.edge_tags >= 0)
 
 
 def loop_edge_census(points, triangles, domain):
@@ -174,14 +176,16 @@ def test_edge_table_matches_loop_census(name, mesh):
     assert counts.tolist() == [len(v) for v in owners.values()]
     for e, owned in enumerate(owners.values()):
         assert all(edge_ids[t, loc] == e for t, loc in owned)
+    # the census the mesh stores is the same one
+    assert np.array_equal(mesh.edges, keys)
+    assert np.array_equal(mesh.edge_ids, edge_ids)
 
 
 @pytest.mark.parametrize("name,mesh", [c for c in MESHES if not c[0].startswith("ps")],
                          ids=[n for n, _ in MESHES if not n.startswith("ps")])
 def test_powell_sabin_counting(name, mesh):
-    keys, _, _ = edge_table(mesh.points, mesh.triangles, mesh.domain)
     ps = powell_sabin_refine(mesh)
-    assert ps.n_points == mesh.n_points + len(keys) + mesh.n_triangles
+    assert ps.n_points == mesh.n_points + len(mesh.edges) + mesh.n_triangles
     assert ps.n_triangles == 6 * mesh.n_triangles
 
 
@@ -233,7 +237,7 @@ def test_crack_tags_n4():
 def test_minimal_crack_mesh_is_pinched_but_valid():
     # N=2: no interior crack nodes; the two crack faces share both endpoints
     mesh = build_uniform(CRACKED_SQUARE, 2)
-    crack_tags = [tag for _, tag in mesh.boundary_edges
+    crack_tags = [EdgeTag(tag) for tag in mesh.edge_tags
                   if tag in (EdgeTag.CRACK_TOP, EdgeTag.CRACK_BOTTOM)]
     assert sorted(t.name for t in crack_tags) == ["CRACK_BOTTOM", "CRACK_TOP"]
     ps = powell_sabin_refine(mesh)
@@ -248,46 +252,87 @@ def test_minimal_crack_mesh_is_pinched_but_valid():
 
 @pytest.mark.parametrize("name,mesh", MESHES, ids=[n for n, _ in MESHES])
 def test_boundary_edges_axis_aligned(name, mesh):
-    for (i, j), tag in mesh.boundary_edges:
-        dx = abs(mesh.points[i, 0] - mesh.points[j, 0])
-        dy = abs(mesh.points[i, 1] - mesh.points[j, 1])
-        if tag == EdgeTag.VERTICAL:
-            assert dx < 1e-12
-        else:
-            assert dy < 1e-12
-
-
-def unclassified(points, triangles):
-    return Mesh(points=np.asarray(points, dtype=float),
-                triangles=np.asarray(triangles), domain=SQUARE_PI,
-                boundary_edges=[], node_tags=np.zeros(len(points), dtype=np.int8),
-                h=0.0, grid_step=1.0)
+    boundary = mesh.edge_tags >= 0
+    i, j, _ = mesh.edges[boundary].T
+    dx = np.abs(mesh.points[i, 0] - mesh.points[j, 0])
+    dy = np.abs(mesh.points[i, 1] - mesh.points[j, 1])
+    vertical = mesh.edge_tags[boundary] == EdgeTag.VERTICAL
+    assert np.all(dx[vertical] < 1e-12)
+    assert np.all(dy[~vertical] < 1e-12)
 
 
 def test_classify_rejects_clockwise_triangle():
-    square = [[0.0, 0.0], [np.pi, 0.0], [np.pi, np.pi], [0.0, np.pi]]
-    mesh = unclassified(square, [[0, 1, 2], [0, 3, 2]])
+    square = np.array([[0.0, 0.0], [np.pi, 0.0], [np.pi, np.pi], [0.0, np.pi]])
     with pytest.raises(MeshError, match="non-CCW"):
-        classify_boundary(mesh, SQUARE_PI)
+        classify_boundary(square, np.array([[0, 1, 2], [0, 3, 2]]),
+                          SQUARE_PI, 1.0)
 
 
 def test_classify_rejects_slanted_boundary_edge():
     # the hypotenuse of a lone half-square is a boundary edge off both axes
-    mesh = unclassified([[0.0, 0.0], [np.pi, 0.0], [0.0, np.pi]], [[0, 1, 2]])
+    half = np.array([[0.0, 0.0], [np.pi, 0.0], [0.0, np.pi]])
     with pytest.raises(MeshError, match="not axis-aligned"):
-        classify_boundary(mesh, SQUARE_PI)
+        classify_boundary(half, np.array([[0, 1, 2]]), SQUARE_PI, 1.0)
 
 
 def test_powell_sabin_rejects_nonconforming_base():
-    # three triangles sharing one edge cannot be a planar mesh
+    # three counter-clockwise triangles sharing the edge (1, 2) cannot be a
+    # planar mesh, so no such base mesh, and hence no split of one, exists
     points = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0],
-                       [-1.0, 1.0]])
-    triangles = np.array([[0, 1, 2], [1, 3, 2], [0, 2, 4]])
-    bad = Mesh(points=points, triangles=np.vstack([triangles, [[1, 0, 2]]]),
-               domain=SQUARE_PI, boundary_edges=[],
-               node_tags=np.zeros(5, dtype=np.int8), h=0.0, grid_step=1.0)
-    with pytest.raises(MeshError):
-        powell_sabin_refine(bad)
+                       [0.2, 0.2]])
+    triangles = np.array([[0, 1, 2], [1, 3, 2], [1, 2, 4]])
+    with pytest.raises(MeshError, match="shared by 3 triangles"):
+        classify_boundary(points, triangles, SQUARE_PI, 1.0)
+
+
+def reference_boundary_masks(mesh, degree):
+    """on_h and on_v of the nodal points, from a loop over the boundary
+    edges that tags each one by its geometry: vertical when it lies off
+    the crack with equal end abscissae, horizontal otherwise.  P2 edge
+    nodes follow the sorted edge keys."""
+    owners = loop_edge_census(mesh.points, mesh.triangles, mesh.domain)
+    keys = sorted(owners) if degree == 2 else []
+    n = mesh.n_points + len(keys)
+    on_h, on_v = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
+    node = {key: mesh.n_points + k for k, key in enumerate(keys)}
+    for (i, j, side), owned in owners.items():
+        if len(owned) != 1:
+            continue
+        vertical = side == 0 and \
+            abs(mesh.points[i, 0] - mesh.points[j, 0]) < GEOM_TOL
+        hit = [i, j] + ([node[(i, j, side)]] if degree == 2 else [])
+        (on_v if vertical else on_h)[hit] = True
+    return on_h, on_v
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+@pytest.mark.parametrize("name,mesh", MESHES, ids=[n for n, _ in MESHES])
+def test_dofmap_boundary_masks_match_geometry(name, mesh, degree):
+    dofmap = build_dofmap(mesh, degree, "sg")
+    on_h, on_v = reference_boundary_masks(mesh, degree)
+    assert np.array_equal(dofmap.on_h, on_h)
+    assert np.array_equal(dofmap.on_v, on_v)
+    if degree == 1:
+        assert np.array_equal(mesh.on_h, on_h)
+        assert np.array_equal(mesh.on_v, on_v)
+
+
+def test_edge_census_taken_once_per_mesh(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return edge_table(*args)
+
+    monkeypatch.setattr(meshgen, "edge_table", counted)
+    # a copy bound into fem would escape the count; catch that too
+    monkeypatch.setattr(fem, "edge_table", counted, raising=False)
+    # base mesh and split mesh: one census each
+    build_dofmap(powell_sabin_refine(build_uniform(L_SHAPE, 3)), 2, "osgs")
+    assert len(calls) == 2
+    calls.clear()
+    build_dofmap(build_criss_cross(L_SHAPE, 3), 2, "osgs")
+    assert len(calls) == 1
 
 
 def test_mesh_dump(tmp_path):

@@ -71,6 +71,7 @@ def test_study_config_rejects_inconsistent_combinations():
         dict(domain=SQUARE_PI, N_list=()),
         dict(domain=SQUARE_PI, N_list=(0, 4)),
         dict(domain=SQUARE_PI, nev=0),
+        dict(domain=SQUARE_PI, degree=3),
         dict(domain=SQUARE_PI, formulation="ag", ell=0.0),
         dict(domain=SQUARE_PI, formulation="ag", c_u=-0.01),
         dict(domain=SQUARE_PI, formulation="ag", c_p=-0.6),
@@ -119,9 +120,6 @@ def test_stabilization_length_conventions():
                       N_list=(8,))
     mesh = build_mesh(cfg, 8)
     assert_allclose(stabilization_length(cfg, mesh), mesh.h)
-    cfg = StudyConfig(domain=CRACKED_SQUARE, mesh="ps", formulation="osgs",
-                      N_list=(8,), stab_length="spacing")
-    assert_allclose(stabilization_length(cfg, mesh), mesh.grid_step)
 
 
 def test_run_case_square_sg_n25():
@@ -222,9 +220,7 @@ def test_export_eigenfunction(tmp_path):
     coords = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     fld = EigenField(coords=coords, u1=np.ones(3), u2=np.zeros(3), p=None)
     path = tmp_path / "mode.txt"
-    mesh = build_mesh(StudyConfig(domain=SQUARE_PI, mesh="uniform",
-                                  formulation="sg", N_list=(1,)), 1)
-    export_eigenfunction(fld, mesh, path)
+    export_eigenfunction(fld, path)
     lines = path.read_text().splitlines()
     assert len(lines) == 3
     assert all(line.endswith("1.0, 0.0") for line in lines)
@@ -234,9 +230,9 @@ def test_compute_eigenfunction_lshape_peak(tmp_path):
     cfg = StudyConfig(domain=L_SHAPE, mesh="ps", formulation="sg",
                       N_list=(6,), nev=2,
                       corner=CornerStrategy.BISECTOR_NORMAL)
-    fld, mesh = compute_eigenfunction(run_study(cfg), 0)
+    fld = compute_eigenfunction(run_study(cfg), 0)
     path = tmp_path / "mode0.txt"
-    export_eigenfunction(fld, mesh, path)
+    export_eigenfunction(fld, path)
     rows = np.array([[float(tok) for tok in line.split(",")]
                      for line in path.read_text().splitlines()])
     assert rows.shape[0] == fld.coords.shape[0]
@@ -265,4 +261,4 @@ def test_finest_case_keeps_no_matrix():
                       corner=CornerStrategy.BISECTOR_NORMAL)
     finest = run_study(cfg).finest
     assert not [obj for obj in reachable(finest) if sp.issparse(obj)]
-    assert finest.constraints.mpcs and finest.dofmap.formulation == "osgs"
+    assert finest.constraints.mpcs and "xi1" in finest.dofmap.fields
