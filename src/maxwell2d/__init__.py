@@ -7,8 +7,8 @@ domains (square, flipped L-shape, cracked square).
 
 from .meshgen import (CRACKED_SQUARE, L_SHAPE, SQUARE_PI, DomainKind,
                       DomainSpec, EdgeTag, GradingSpec, Mesh, MeshError,
-                      NodeTag, build_criss_cross, build_uniform,
-                      classify_boundary, dump_mesh, powell_sabin_refine)
+                      build_criss_cross, build_uniform, classify_boundary,
+                      dump_mesh, powell_sabin_refine)
 from .fem import (AssemblyError, DofMap, FormKind, assemble_form,
                   build_dofmap, make_quadrature, scalar_kernels,
                   shape_functions, shape_gradients)

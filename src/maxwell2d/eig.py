@@ -24,9 +24,11 @@ against A.
 
 This is the one solver path at every size.  Lanczos needs a finite
 spectrum larger than its window of max(4 nev, nev + 20) vectors; the
-finite spectrum has rank M members, the reduced dofs with a nonzero M row
-(M vanishes on the p, xi and eta rows).  Where rank M is no larger than
-the window, the pencil is small and a dense QZ solve stands in, keeping
+finite spectrum has at most rank M members, the reduced dofs with a
+nonzero M row (M vanishes on the p, xi and eta rows).  It has fewer where
+A is singular on the M-null rows, as on OSGS P2 (square uniform N=2: 29
+finite values, rank M 30).  Where rank M is no larger than the window,
+the pencil is small and a dense QZ solve stands in, keeping
 only the values at or above the shift, so neither path reports a value
 below it.  Dense QZ is otherwise the explicit oracle (method "dense"), which
 returns every finite real pair, zero modes included.
@@ -58,6 +60,7 @@ MAX_RESTARTS = 300     # ARPACK restarts before a solve fails
 ARPACK_TOL = 1e-10     # ARPACK's convergence tolerance
 DENSE_LIMIT = 3000     # largest pencil handed to dense QZ
 GUARD_PAIRS = 8        # Lanczos converges nev + 8 pairs, reports them all
+ZERO_TOL = 1e-6        # filter_zeros drops |lambda| below this
 DIAG_PIVOT_THRESH = 0.0
 METHODS = ("shift-invert", "dense")
 # dense path only: QZ values this large are infinite, and a pair is real
@@ -189,7 +192,8 @@ def lanczos_window(nev: int) -> int:
 
 
 def mass_rank(system: EvpSystem) -> int:
-    """Reduced dofs with a nonzero M row: the size of the finite spectrum."""
+    """Reduced dofs with a nonzero M row: an upper bound on the size of the
+    finite spectrum, reached unless A is singular on the M-null rows."""
     return int(np.count_nonzero(abs(system.M).sum(axis=1)))
 
 
@@ -275,9 +279,9 @@ def solve_generalized(system: EvpSystem, config: SolverConfig) -> Spectrum:
     return _solve_shift_invert(system, config)
 
 
-def filter_zeros(spectrum: Spectrum, zero_tol: float = 1e-6) -> Spectrum:
-    """Drop the near-zero modes (|lambda| < zero_tol), counting them."""
-    keep = np.abs(spectrum.values) >= zero_tol
+def filter_zeros(spectrum: Spectrum) -> Spectrum:
+    """Drop the near-zero modes (|lambda| < ZERO_TOL), counting them."""
+    keep = np.abs(spectrum.values) >= ZERO_TOL
     dropped = int(np.count_nonzero(~keep))
     return replace(spectrum, values=spectrum.values[keep],
                    vectors=spectrum.vectors[:, keep],

@@ -14,7 +14,7 @@ from enum import Enum
 import numpy as np
 import scipy.sparse as sp
 
-from .meshgen import Mesh, NodeTag
+from .meshgen import EdgeTag, Mesh
 
 
 class AssemblyError(Exception):
@@ -117,7 +117,8 @@ class DofMap:
     one node per mesh edge for P2, crack edges per face copy); dof indices
     are contiguous per field in declaration order.  on_h and on_v mark the
     nodal points on horizontal (crack faces included) and vertical
-    boundary edges, as the mesh tagged them.
+    boundary edges, as the mesh tagged them; P2 edge nodes follow their
+    edge.  The singular node is the mesh's: P2 keeps the vertex numbering.
     """
 
     mesh: Mesh
@@ -128,8 +129,6 @@ class DofMap:
     coords: np.ndarray
     on_h: np.ndarray
     on_v: np.ndarray
-    on_boundary: np.ndarray
-    special: np.ndarray  # NodeTag.REENTRANT_CORNER / CRACK_TIP / INTERIOR
 
     @property
     def ndof(self) -> int:
@@ -155,17 +154,12 @@ def build_dofmap(mesh: Mesh, degree: int, formulation: str) -> DofMap:
         raise AssemblyError(f"unsupported polynomial degree {degree}")
     fields = FORMULATION_FIELDS[formulation]
     nv = mesh.n_points
-    special = np.where(
-        (mesh.node_tags == NodeTag.REENTRANT_CORNER)
-        | (mesh.node_tags == NodeTag.CRACK_TIP),
-        mesh.node_tags, NodeTag.INTERIOR).astype(np.int8)
 
     if degree == 1:
         return DofMap(mesh=mesh, degree=1, fields=fields, n_scalar=nv,
                       element_nodes=mesh.triangles.copy(),
                       coords=mesh.points.copy(), on_h=mesh.on_h,
-                      on_v=mesh.on_v, on_boundary=mesh.on_h | mesh.on_v,
-                      special=special)
+                      on_v=mesh.on_v)
 
     keys = mesh.edges
     # edge nodes follow the sorted (lo, hi, side) keys
@@ -177,17 +171,15 @@ def build_dofmap(mesh: Mesh, degree: int, formulation: str) -> DofMap:
 
     lo, hi = keys[order, 0], keys[order, 1]
     coords = np.vstack([mesh.points, 0.5 * (mesh.points[lo] + mesh.points[hi])])
-    edge_h, edge_v = mesh.edge_axes()
     on_h = np.concatenate([mesh.on_h, np.zeros(ne, dtype=bool)])
     on_v = np.concatenate([mesh.on_v, np.zeros(ne, dtype=bool)])
-    on_h[node_of[edge_h]] = True
-    on_v[node_of[edge_v]] = True
+    on_h[node_of[mesh.edge_tags == EdgeTag.HORIZONTAL]] = True
+    on_v[node_of[mesh.edge_tags == EdgeTag.VERTICAL]] = True
 
     element_nodes = np.hstack([mesh.triangles, node_of[mesh.edge_ids]])
-    specials = np.concatenate([special, np.full(ne, NodeTag.INTERIOR, dtype=np.int8)])
     return DofMap(mesh=mesh, degree=2, fields=fields, n_scalar=n_scalar,
                   element_nodes=element_nodes, coords=coords, on_h=on_h,
-                  on_v=on_v, on_boundary=on_h | on_v, special=specials)
+                  on_v=on_v)
 
 
 class FormKind(Enum):

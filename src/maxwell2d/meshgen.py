@@ -13,11 +13,13 @@ geometrically coincident crack faces are kept distinct everywhere.
 
 ``classify_boundary`` builds every ``Mesh``.  It takes one edge census per
 mesh from ``edge_table``, tags each boundary edge by the axis it lies on
-(crack edges by face) and stores the census, the tags and the boundary
-node masks on the mesh.  The Powell-Sabin split numbers its midpoints from
-the base mesh's census, and the P2 dofmap places its edge nodes and reads
-their orientation from it; neither recounts the edges.  Nothing here loops
-over triangles, edges or nodes in Python.
+(crack faces are horizontal; the ``side`` column of an edge's key tells
+the faces apart) and stores the census, the tags, the boundary node masks
+and the singular node (re-entrant corner or crack tip) on the mesh.  The
+Powell-Sabin split numbers its midpoints from the base mesh's census, and
+the P2 dofmap places its edge nodes and reads their orientation from it;
+neither recounts the edges.  Nothing here loops over triangles, edges or
+nodes in Python.
 """
 from __future__ import annotations
 
@@ -70,19 +72,6 @@ CRACKED_SQUARE = DomainSpec(DomainKind.CRACKED_SQUARE)
 class EdgeTag(IntEnum):
     HORIZONTAL = 0
     VERTICAL = 1
-    CRACK_TOP = 2
-    CRACK_BOTTOM = 3
-
-
-class NodeTag(IntEnum):
-    INTERIOR = 0
-    EDGE_HORIZONTAL = 1
-    EDGE_VERTICAL = 2
-    CONVEX_CORNER = 3
-    REENTRANT_CORNER = 4
-    CRACK_TIP = 5
-    CRACK_FACE_TOP = 6
-    CRACK_FACE_BOTTOM = 7
 
 
 @dataclass(frozen=True)
@@ -106,7 +95,6 @@ class Mesh:
     points : (n, 2) float array
     triangles : (t, 3) int array, counter-clockwise vertex order
     domain : DomainSpec
-    node_tags : (n,) int array of NodeTag values
     h : float, largest element diameter
     grid_step : float
         Spacing of the generating grid (halved by a Powell-Sabin split);
@@ -118,16 +106,20 @@ class Mesh:
     edge_ids : (t, 3) int array
         Row of ``edges`` of each triangle's local edges (0,1), (1,2), (2,0).
     edge_tags : (E,) int array
-        EdgeTag of each boundary edge, -1 for an interior edge.
+        EdgeTag of each boundary edge (crack faces are HORIZONTAL), -1 for
+        an interior edge.
     on_h, on_v : (n,) bool arrays
         Nodes on a horizontal boundary edge (crack faces included) and on
-        a vertical one.
+        a vertical one; their union is the boundary.
+    singular_node : int
+        The node at the origin, where the field is singular: the
+        re-entrant corner of the L-shape or the crack tip.  -1 on the
+        square.
     """
 
     points: np.ndarray
     triangles: np.ndarray
     domain: DomainSpec
-    node_tags: np.ndarray
     h: float
     grid_step: float
     edges: np.ndarray
@@ -135,6 +127,7 @@ class Mesh:
     edge_tags: np.ndarray
     on_h: np.ndarray
     on_v: np.ndarray
+    singular_node: int
 
     @property
     def n_points(self) -> int:
@@ -147,21 +140,11 @@ class Mesh:
     def signed_areas(self) -> np.ndarray:
         return _signed_areas(self.points, self.triangles)
 
-    def edge_axes(self) -> tuple:
-        """(E,) masks of the boundary edges on horizontal lines (crack
-        faces included) and on vertical lines."""
-        return _edge_axes(self.edge_tags)
-
 
 def _signed_areas(p, t) -> np.ndarray:
     d1 = p[t[:, 1]] - p[t[:, 0]]
     d2 = p[t[:, 2]] - p[t[:, 0]]
     return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
-
-
-def _edge_axes(edge_tags):
-    vertical = edge_tags == EdgeTag.VERTICAL
-    return (edge_tags >= 0) & ~vertical, vertical
 
 
 def crack_closure_mask(points: np.ndarray, domain: DomainSpec) -> np.ndarray:
@@ -351,13 +334,14 @@ def _on_domain_boundary(points, domain):
 
 def classify_boundary(points, triangles, domain: DomainSpec,
                       grid_step: float) -> Mesh:
-    """Build the Mesh: edge census, boundary edge and node tags, mesh size h.
+    """Build the Mesh: edge census, boundary edge tags and node masks, the
+    singular node and the mesh size h.
 
     Boundary edges are the edges owned by exactly one triangle; their tag
-    follows the axis they lie on, with crack edges tagged by face.  Raises
+    follows the axis they lie on, so crack faces are horizontal.  Raises
     MeshError on a non-CCW or degenerate triangle, an edge with more than
-    two owners, a boundary edge off both axes, or a node that sits on the
-    geometric boundary without acquiring a boundary tag (tolerance 1e-10).
+    two owners, a boundary edge off both axes, or a node on the geometric
+    boundary but on no boundary edge, or the reverse (tolerance 1e-10).
     """
     n = points.shape[0]
     if np.any(_signed_areas(points, triangles) <= 0.0):
@@ -365,62 +349,50 @@ def classify_boundary(points, triangles, domain: DomainSpec,
 
     edges, edge_ids, counts = edge_table(points, triangles, domain)
     boundary = counts == 1
-    lo, hi, side = edges[boundary].T
-    tag = np.select(
-        [side > 0, side < 0,
-         np.abs(points[lo, 0] - points[hi, 0]) < GEOM_TOL,
-         np.abs(points[lo, 1] - points[hi, 1]) < GEOM_TOL],
-        [EdgeTag.CRACK_TOP, EdgeTag.CRACK_BOTTOM, EdgeTag.VERTICAL,
-         EdgeTag.HORIZONTAL], -1)
+    lo, hi = edges[boundary, 0], edges[boundary, 1]
+    dx, dy = np.abs(points[hi] - points[lo]).T
+    tag = np.select([dx < GEOM_TOL, dy < GEOM_TOL],
+                    [EdgeTag.VERTICAL, EdgeTag.HORIZONTAL], -1)
     if np.any(tag < 0):
         k = int(np.argmax(tag < 0))
         raise MeshError(f"boundary edge ({lo[k]}, {hi[k]}) is not axis-aligned")
     edge_tags = np.full(len(edges), -1, dtype=np.int8)
     edge_tags[boundary] = tag
 
-    def touched(mask):
+    def touched(axis):
         hit = np.zeros(n, dtype=bool)
-        hit[edges[mask, 0]] = hit[edges[mask, 1]] = True
+        hit[edges[edge_tags == axis, :2]] = True
         return hit
 
-    edge_h, edge_v = _edge_axes(edge_tags)
-    on_h, on_v = touched(edge_h), touched(edge_v)
-    seen_top = touched(edge_tags == EdgeTag.CRACK_TOP)
-    seen_bot = touched(edge_tags == EdgeTag.CRACK_BOTTOM)
-
-    x, y = points[:, 0], points[:, 1]
-    at_origin = (np.abs(x) < GEOM_TOL) & (np.abs(y) < GEOM_TOL)
-    on_face = crack_closure_mask(points, domain) & (seen_top != seen_bot) & ~on_v
-    tags = np.select(
-        [at_origin & domain.has_reentrant_corner, at_origin & domain.has_crack,
-         on_face & seen_top, on_face, on_h & on_v, on_h, on_v],
-        [NodeTag.REENTRANT_CORNER, NodeTag.CRACK_TIP, NodeTag.CRACK_FACE_TOP,
-         NodeTag.CRACK_FACE_BOTTOM, NodeTag.CONVEX_CORNER,
-         NodeTag.EDGE_HORIZONTAL, NodeTag.EDGE_VERTICAL],
-        NodeTag.INTERIOR).astype(np.int8)
-
+    on_h, on_v = touched(EdgeTag.HORIZONTAL), touched(EdgeTag.VERTICAL)
     geom = _on_domain_boundary(points, domain)
-    mismatch = np.where(geom != (tags != NodeTag.INTERIOR))[0]
+    mismatch = np.flatnonzero(geom != (on_h | on_v))
     if mismatch.size:
         i = int(mismatch[0])
-        raise MeshError(f"node {i} at ({points[i, 0]}, {points[i, 1]}) "
-                        "fails boundary tagging")
+        where = "on the geometric boundary but on no boundary edge" \
+            if geom[i] else "on a boundary edge but inside the domain"
+        raise MeshError(f"node {i} at ({points[i, 0]}, {points[i, 1]}) is "
+                        + where)
 
+    at_origin = np.flatnonzero(np.all(np.abs(points) < GEOM_TOL, axis=1))
+    singular = domain.has_reentrant_corner or domain.has_crack
+    singular_node = int(at_origin[0]) if singular and at_origin.size else -1
     # the largest element diameter is the longest edge
-    lengths = np.linalg.norm(points[np.roll(triangles, -1, axis=1)]
-                             - points[triangles], axis=2)
-    h = float(lengths.max()) if len(triangles) else 0.0
-    return Mesh(points=points, triangles=triangles, domain=domain,
-                node_tags=tags, h=h, grid_step=grid_step, edges=edges,
-                edge_ids=edge_ids, edge_tags=edge_tags, on_h=on_h, on_v=on_v)
+    lengths = np.linalg.norm(points[edges[:, 1]] - points[edges[:, 0]], axis=1)
+    h = float(lengths.max()) if len(edges) else 0.0
+    return Mesh(points=points, triangles=triangles, domain=domain, h=h,
+                grid_step=grid_step, edges=edges, edge_ids=edge_ids,
+                edge_tags=edge_tags, on_h=on_h, on_v=on_v,
+                singular_node=singular_node)
 
 
 def dump_mesh(mesh: Mesh, path) -> None:
     """Write a plain-text node/triangle listing (see README for the format)."""
     with open(path, "w") as f:
         f.write(f"# nodes {mesh.n_points}\n")
-        for i, (xx, yy) in enumerate(mesh.points):
-            f.write(f"{i} {xx!r} {yy!r} {NodeTag(mesh.node_tags[i]).name}\n")
+        rows = zip(mesh.points.tolist(), mesh.on_h.tolist(), mesh.on_v.tolist())
+        for i, ((xx, yy), h, v) in enumerate(rows):
+            f.write(f"{i} {xx!r} {yy!r} {h:d} {v:d}\n")
         f.write(f"# triangles {mesh.n_triangles}\n")
         for k, (a, b, c) in enumerate(mesh.triangles):
             f.write(f"{k} {a} {b} {c}\n")

@@ -21,7 +21,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .fem import DofMap, FormKind, assemble_form, build_dofmap, scalar_kernels
-from .meshgen import Mesh, NodeTag
+from .meshgen import Mesh
 
 
 @dataclass(frozen=True)
@@ -198,30 +198,30 @@ def build_constraints(dofmap: DofMap,
     Horizontal edges (crack faces included) fix u1, vertical edges fix u2,
     so nodes on both kinds fix both components.  p vanishes at every
     boundary node including crack-face copies; the projection fields are
-    never constrained.  The re-entrant corner follows the corner strategy
-    (the bisector-normal choice couples u2 = -u1) and the crack tip the
-    tip strategy.
+    never constrained.  The mesh's singular node follows the corner
+    strategy on the L-shape (the bisector-normal choice couples u2 = -u1)
+    and the tip strategy on the cracked square.
     """
     if corner is CornerStrategy.BISECTOR_NORMAL and \
             not dofmap.mesh.domain.has_reentrant_corner:
         raise ConstraintError(
             "bisector-normal corner handling needs a re-entrant corner")
     u1, u2 = dofmap.offset("u1"), dofmap.offset("u2")
-    corner_node = dofmap.special == NodeTag.REENTRANT_CORNER
-    tip_node = dofmap.special == NodeTag.CRACK_TIP
-    plain = ~corner_node & ~tip_node
-    pinned = (corner_node & (corner is CornerStrategy.BOTH_ZERO)) | \
-        (tip_node & (tip is TipStrategy.BOTH_ZERO))
-    fixed = [u1 + np.flatnonzero(pinned | (plain & dofmap.on_h)),
-             u2 + np.flatnonzero(pinned | (plain & dofmap.on_v))]
+    fix_u1, fix_u2 = dofmap.on_h.copy(), dofmap.on_v.copy()
+    mpcs = ()
+    node = dofmap.mesh.singular_node
+    if node >= 0:
+        rule = corner if dofmap.mesh.domain.has_reentrant_corner else tip
+        fix_u1[node] = fix_u2[node] = \
+            rule in (CornerStrategy.BOTH_ZERO, TipStrategy.BOTH_ZERO)
+        if rule is CornerStrategy.BISECTOR_NORMAL:
+            mpcs = ((u2 + node, u1 + node, -1.0),)
+    fixed = [u1 + np.flatnonzero(fix_u1), u2 + np.flatnonzero(fix_u2)]
     if "p" in dofmap.fields:
-        fixed.append(dofmap.offset("p") + np.flatnonzero(dofmap.on_boundary))
-    coupled = np.flatnonzero(
-        corner_node & (corner is CornerStrategy.BISECTOR_NORMAL))
-    mpcs = zip((u2 + coupled).tolist(), (u1 + coupled).tolist(),
-               [-1.0] * coupled.size)
+        fixed.append(dofmap.offset("p")
+                     + np.flatnonzero(dofmap.on_h | dofmap.on_v))
     return ConstraintSet(ndof=dofmap.ndof, fixed=np.sort(np.concatenate(fixed)),
-                         mpcs=tuple(mpcs))
+                         mpcs=mpcs)
 
 
 def reduce_system(system: EvpSystem, constraints: ConstraintSet) -> EvpSystem:

@@ -146,17 +146,51 @@ def test_readme_lists_every_flag():
     assert documented == parsed - {"--help"}
 
 
-def test_trace_hooks_resolve(monkeypatch):
+def load_spans(monkeypatch):
     spec = importlib.util.spec_from_file_location("perfbench_spans",
                                                   SPANS_PATH)
     spans = importlib.util.module_from_spec(spec)
     # dataclasses resolve annotations through sys.modules
     monkeypatch.setitem(sys.modules, spec.name, spans)
     spec.loader.exec_module(spans)
+    return spans
+
+
+def test_trace_hooks_resolve(monkeypatch):
+    spans = load_spans(monkeypatch)
     assert spans.HOOKS
     for module, attr, *_ in spans.HOOKS:
         assert callable(getattr(getattr(maxwell2d, module), attr)), \
             f"{module}.{attr}"
+
+
+def test_traced_runs_feed_every_hook(monkeypatch, tmp_path, capsys):
+    # the hooks read fields of Mesh, DofMap, EvpSystem, Spectrum and
+    # SolverConfig; a traced library run and a traced CLI run must reach
+    # every hook and leave the package as it was
+    spans = load_spans(monkeypatch)
+    originals = [getattr(getattr(maxwell2d, module), attr)
+                 for module, attr, *_ in spans.HOOKS]
+    tracer = spans.Tracer("smoke")
+    tracer.install(maxwell2d)
+    try:
+        # the dense oracle keeps SG's zero modes, so they get filtered
+        study.run_study(StudyConfig(domain=SQUARE_PI, mesh="ps",
+                                    formulation="sg", N_list=(2,), nev=3,
+                                    solver="dense"))
+        assert cli.cli_main(["--domain", "square", "--mesh", "cc",
+                             "--formulation", "osgs", "--N", "2",
+                             "--nev", "3", "--out", str(tmp_path / "t.md"),
+                             "--export-mode", "0"]) == 0
+    finally:
+        tracer.uninstall()
+    assert [getattr(getattr(maxwell2d, module), attr)
+            for module, attr, *_ in spans.HOOKS] == originals
+    assert {s.name for s in tracer.spans} == \
+        {name for _m, _a, name, *_ in spans.HOOKS}
+    # no pencil this small has a complex pair for QZ to reject
+    produced = set(spans.COUNTERS) - {"eig.complex_rejected"}
+    assert {c for c in produced if tracer.counters[c] > 0} == produced
 
 
 def test_export_mode(tmp_path, capsys):

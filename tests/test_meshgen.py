@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from maxwell2d import (CRACKED_SQUARE, L_SHAPE, SQUARE_PI, GradingSpec,
-                       MeshError, NodeTag, EdgeTag, build_criss_cross,
+                       MeshError, EdgeTag, build_criss_cross,
                        build_dofmap, build_uniform, dump_mesh,
                        powell_sabin_refine)
 from maxwell2d import fem, meshgen
@@ -207,47 +207,62 @@ def test_crack_duplication_invariant(name, mesh):
 
 def test_square_corner_tags():
     mesh = build_criss_cross(SQUARE_PI, 3)
-    assert (mesh.node_tags == NodeTag.CONVEX_CORNER).sum() == 4
-    assert (mesh.node_tags == NodeTag.REENTRANT_CORNER).sum() == 0
+    corners = np.flatnonzero(mesh.on_h & mesh.on_v)
+    assert_allclose(np.sort(np.abs(mesh.points[corners]).sum(axis=1)),
+                    [0.0, np.pi, np.pi, 2 * np.pi], atol=1e-14)
 
 
 def test_lshape_corner_tags():
     mesh = build_uniform(L_SHAPE, 2)
-    assert (mesh.node_tags == NodeTag.CONVEX_CORNER).sum() == 5
-    assert (mesh.node_tags == NodeTag.REENTRANT_CORNER).sum() == 1
-    idx = np.where(mesh.node_tags == NodeTag.REENTRANT_CORNER)[0][0]
-    assert_allclose(mesh.points[idx], [0.0, 0.0], atol=1e-14)
+    # five convex corners and the re-entrant one at the origin
+    assert (mesh.on_h & mesh.on_v).sum() == 6
+    assert mesh.on_h[mesh.singular_node] and mesh.on_v[mesh.singular_node]
+
+
+@pytest.mark.parametrize("name,mesh", MESHES, ids=[n for n, _ in MESHES])
+def test_singular_node_is_origin(name, mesh):
+    if mesh.domain is SQUARE_PI:
+        assert mesh.singular_node == -1
+        return
+    at_origin = np.flatnonzero(np.all(np.abs(mesh.points) < 1e-12, axis=1))
+    assert at_origin.tolist() == [mesh.singular_node]
 
 
 def test_crack_tags_n4():
     mesh = build_criss_cross(CRACKED_SQUARE, 4)
-    tags = mesh.node_tags
-    assert (tags == NodeTag.CRACK_TIP).sum() == 1
-    assert (tags == NodeTag.CRACK_FACE_TOP).sum() == 1
-    assert (tags == NodeTag.CRACK_FACE_BOTTOM).sum() == 1
-    top = mesh.points[tags == NodeTag.CRACK_FACE_TOP][0]
-    assert_allclose(top, [0.5, 0.0], atol=1e-14)
+    x, y = mesh.points.T
+    # one grid node strictly inside the crack, duplicated per face
+    face = np.flatnonzero((np.abs(y) < 1e-12) & (x > 1e-12) & (x < 1 - 1e-12))
+    assert_allclose(mesh.points[face], [[0.5, 0.0], [0.5, 0.0]], atol=1e-14)
+    assert np.all(mesh.on_h[face]) and not np.any(mesh.on_v[face])
+    # each copy belongs to the triangles of one side only
+    above = [y[mesh.triangles[np.any(mesh.triangles == i, axis=1)]].sum(axis=1)
+             > 0 for i in face]
+    assert sorted((a.all(), a.any()) for a in above) == \
+        [(False, False), (True, True)]
     # the crack mouth joins the outer boundary and pins both components
-    mouth = np.where((np.abs(mesh.points[:, 0] - 1) < 1e-12)
-                     & (np.abs(mesh.points[:, 1]) < 1e-12))[0]
+    mouth = np.where((np.abs(x - 1) < 1e-12) & (np.abs(y) < 1e-12))[0]
     assert len(mouth) == 1
-    assert tags[mouth[0]] == NodeTag.CONVEX_CORNER
+    assert mesh.on_h[mouth[0]] and mesh.on_v[mouth[0]]
 
 
 def test_minimal_crack_mesh_is_pinched_but_valid():
     # N=2: no interior crack nodes; the two crack faces share both endpoints
     mesh = build_uniform(CRACKED_SQUARE, 2)
-    crack_tags = [EdgeTag(tag) for tag in mesh.edge_tags
-                  if tag in (EdgeTag.CRACK_TOP, EdgeTag.CRACK_BOTTOM)]
-    assert sorted(t.name for t in crack_tags) == ["CRACK_BOTTOM", "CRACK_TOP"]
+    crack = mesh.edges[:, 2] != 0
+    assert sorted(mesh.edges[crack, 2].tolist()) == [-1, 1]
+    assert np.all(mesh.edge_tags[crack] == EdgeTag.HORIZONTAL)
     ps = powell_sabin_refine(mesh)
     # the PS split must give each face its own midpoint at (1/2, 0)
     pts = np.round(ps.points, 12)
-    at_mid = (np.abs(pts[:, 0] - 0.5) < 1e-12) & (np.abs(pts[:, 1]) < 1e-12)
-    assert at_mid.sum() == 2
-    tags = ps.node_tags[at_mid]
-    assert sorted(NodeTag(t).name for t in tags) == \
-        ["CRACK_FACE_BOTTOM", "CRACK_FACE_TOP"]
+    at_mid = np.flatnonzero((np.abs(pts[:, 0] - 0.5) < 1e-12)
+                            & (np.abs(pts[:, 1]) < 1e-12))
+    assert at_mid.size == 2
+    assert np.all(ps.on_h[at_mid]) and not np.any(ps.on_v[at_mid])
+    # each midpoint closes the boundary edges of its own face
+    sides = {int(side) for lo, hi, side in ps.edges[ps.edge_tags >= 0]
+             if lo in at_mid or hi in at_mid}
+    assert sides == {-1, 1}
 
 
 @pytest.mark.parametrize("name,mesh", MESHES, ids=[n for n, _ in MESHES])
@@ -273,6 +288,21 @@ def test_classify_rejects_slanted_boundary_edge():
     half = np.array([[0.0, 0.0], [np.pi, 0.0], [0.0, np.pi]])
     with pytest.raises(MeshError, match="not axis-aligned"):
         classify_boundary(half, np.array([[0, 1, 2]]), SQUARE_PI, 1.0)
+
+
+def test_classify_rejects_boundary_mismatch():
+    square = build_uniform(SQUARE_PI, 2)
+    # the full square read as the L-shape: the origin sits on the notch
+    # but inside the mesh
+    points = square.points * (2 / np.pi) - 1.0
+    with pytest.raises(MeshError, match="at \\(0.0, 0.0\\) is on the "
+                       "geometric boundary but on no boundary edge"):
+        classify_boundary(points, square.triangles, L_SHAPE, 1.0)
+    # one cell of the square: its upper-right corner closes two boundary
+    # edges inside the domain
+    with pytest.raises(MeshError, match="on a boundary edge but inside"):
+        classify_boundary(square.points[:4], square.triangles[:2],
+                          SQUARE_PI, 1.0)
 
 
 def test_powell_sabin_rejects_nonconforming_base():
@@ -342,3 +372,8 @@ def test_mesh_dump(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == f"# nodes {mesh.n_points}"
     assert len(lines) == 2 + mesh.n_points + mesh.n_triangles
+    # nodes 0-3 are the corners of the first cell: (0, 0) is a domain
+    # corner, (pi/2, 0) on the bottom edge and (pi/2, pi/2) inside
+    assert lines[1] == "0 0.0 0.0 1 1"
+    assert lines[2].split()[3:] == ["1", "0"]
+    assert lines[3].split()[3:] == ["0", "0"]

@@ -11,7 +11,6 @@ from maxwell2d import (CRACKED_SQUARE, L_SHAPE, SQUARE_PI, ConstraintError,
                        build_uniform, make_params,
                        powell_sabin_refine, reduce_system)
 from maxwell2d.fem import scalar_kernels
-from maxwell2d.meshgen import NodeTag
 from projection import l2_project
 
 
@@ -165,18 +164,12 @@ def test_square_constraints():
     mesh = build_criss_cross(SQUARE_PI, 4)
     dofmap = build_dofmap(mesh, 1, "sg")
     cons = build_constraints(dofmap)
-    tags = mesh.node_tags
-    for i in range(dofmap.n_scalar):
-        u1 = fixed_set(cons, dofmap, "u1", i)
-        u2 = fixed_set(cons, dofmap, "u2", i)
-        if tags[i] == NodeTag.CONVEX_CORNER:
-            assert u1 and u2
-        elif tags[i] == NodeTag.EDGE_HORIZONTAL:
-            assert u1 and not u2
-        elif tags[i] == NodeTag.EDGE_VERTICAL:
-            assert u2 and not u1
-        else:
-            assert not u1 and not u2
+    for i, (x, y) in enumerate(dofmap.coords):
+        # n x u = 0: x in {0, pi} fixes u2, y in {0, pi} fixes u1
+        assert fixed_set(cons, dofmap, "u1", i) == \
+            any(abs(y - e) < 1e-12 for e in (0.0, np.pi))
+        assert fixed_set(cons, dofmap, "u2", i) == \
+            any(abs(x - e) < 1e-12 for e in (0.0, np.pi))
     assert len(cons.mpcs) == 0
 
 
@@ -186,7 +179,8 @@ def test_lshape_bisector_single_mpc():
     cons = build_constraints(dofmap, corner=CornerStrategy.BISECTOR_NORMAL)
     assert len(cons.mpcs) == 1
     slave, master, factor = cons.mpcs[0]
-    origin = int(np.where(mesh.node_tags == NodeTag.REENTRANT_CORNER)[0][0])
+    origin = mesh.singular_node
+    assert_allclose(dofmap.coords[origin], [0.0, 0.0], atol=1e-14)
     assert slave == dofmap.dof("u2", origin)
     assert master == dofmap.dof("u1", origin)
     assert factor == -1.0
@@ -196,7 +190,7 @@ def test_lshape_bisector_single_mpc():
 def test_lshape_corner_strategies():
     mesh = build_uniform(L_SHAPE, 2)
     dofmap = build_dofmap(mesh, 1, "ag")
-    origin = int(np.where(mesh.node_tags == NodeTag.REENTRANT_CORNER)[0][0])
+    origin = mesh.singular_node
     both = build_constraints(dofmap, corner=CornerStrategy.BOTH_ZERO)
     assert fixed_set(both, dofmap, "u1", origin)
     assert fixed_set(both, dofmap, "u2", origin)
@@ -217,7 +211,8 @@ def test_bisector_requires_reentrant_corner():
 def test_crack_tip_strategies():
     mesh = build_criss_cross(CRACKED_SQUARE, 4)
     dofmap = build_dofmap(mesh, 1, "ag")
-    tip = int(np.where(mesh.node_tags == NodeTag.CRACK_TIP)[0][0])
+    tip = mesh.singular_node
+    assert_allclose(dofmap.coords[tip], [0.0, 0.0], atol=1e-14)
     free = build_constraints(dofmap, tip=TipStrategy.FREE)
     assert not fixed_set(free, dofmap, "u1", tip)
     assert not fixed_set(free, dofmap, "u2", tip)
@@ -226,24 +221,28 @@ def test_crack_tip_strategies():
     assert fixed_set(zero, dofmap, "u1", tip)
     assert fixed_set(zero, dofmap, "u2", tip)
     # crack faces pin the tangential (x) component on both copies
-    for tag in (NodeTag.CRACK_FACE_TOP, NodeTag.CRACK_FACE_BOTTOM):
-        for i in np.where(mesh.node_tags == tag)[0]:
-            assert fixed_set(free, dofmap, "u1", int(i))
-            assert not fixed_set(free, dofmap, "u2", int(i))
-            assert fixed_set(free, dofmap, "p", int(i))
+    x, y = dofmap.coords.T
+    faces = np.flatnonzero((np.abs(y) < 1e-12) & (x > 1e-12) & (x < 1 - 1e-12))
+    assert faces.size == 2
+    for i in faces.tolist():
+        assert fixed_set(free, dofmap, "u1", i)
+        assert not fixed_set(free, dofmap, "u2", i)
+        assert fixed_set(free, dofmap, "p", i)
 
 
 def loop_constraints(dofmap, corner, tip):
     """Reference for build_constraints: one node at a time."""
     fixed, mpcs = [], []
     u1, u2 = dofmap.offset("u1"), dofmap.offset("u2")
+    domain = dofmap.mesh.domain
     for i in range(dofmap.n_scalar):
-        if dofmap.special[i] == NodeTag.REENTRANT_CORNER:
+        singular = i == dofmap.mesh.singular_node
+        if singular and domain.has_reentrant_corner:
             if corner is CornerStrategy.BOTH_ZERO:
                 fixed += [u1 + i, u2 + i]
             elif corner is CornerStrategy.BISECTOR_NORMAL:
                 mpcs.append((u2 + i, u1 + i, -1.0))
-        elif dofmap.special[i] == NodeTag.CRACK_TIP:
+        elif singular and domain.has_crack:
             if tip is TipStrategy.BOTH_ZERO:
                 fixed += [u1 + i, u2 + i]
         else:
@@ -251,7 +250,7 @@ def loop_constraints(dofmap, corner, tip):
                 fixed.append(u1 + i)
             if dofmap.on_v[i]:
                 fixed.append(u2 + i)
-        if "p" in dofmap.fields and dofmap.on_boundary[i]:
+        if "p" in dofmap.fields and (dofmap.on_h[i] or dofmap.on_v[i]):
             fixed.append(dofmap.offset("p") + i)
     return sorted(fixed), mpcs
 
