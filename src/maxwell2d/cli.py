@@ -17,7 +17,7 @@ from typing import Callable, NamedTuple
 
 from .eig import METHODS
 from .fem import DEGREES
-from .meshgen import DomainKind, DomainSpec
+from .meshgen import DomainKind
 from .study import FORMULATIONS, MESH_FAMILIES, TABLE_FORMATS, StudyConfig, \
     compute_eigenfunction, emit_table, export_eigenfunction, \
     reference_values, run_study
@@ -26,10 +26,6 @@ from .system import CornerStrategy, TipStrategy
 
 def _N_list(text: str) -> tuple:
     return tuple(int(tok) for tok in text.split(",") if tok.strip())
-
-
-def _domain(name: str) -> DomainSpec:
-    return DomainSpec(DomainKind(name))
 
 
 class _Flag(NamedTuple):
@@ -42,7 +38,7 @@ class _Flag(NamedTuple):
 
 _FLAGS = {
     "config": _Flag(None, help="key = value file supplying any flag"),
-    "domain": _Flag("domain", _domain, DomainKind, "square"),
+    "domain": _Flag("domain", DomainKind, DomainKind, "square"),
     "mesh": _Flag("mesh", choices=MESH_FAMILIES, default="cc"),
     "formulation": _Flag("formulation", choices=FORMULATIONS, default="osgs"),
     "degree": _Flag("degree", int, DEGREES),
@@ -57,7 +53,6 @@ _FLAGS = {
     "nev": _Flag("nev", int),
     "shift": _Flag("shift", float),
     "solver": _Flag("solver", choices=METHODS),
-    "grading-exponent": _Flag("grading_exponent", float),
     "seed": _Flag("seed", int),
     "out": _Flag(None, help="write the table here instead of stdout"),
     "format": _Flag(None, choices=TABLE_FORMATS, default="md"),

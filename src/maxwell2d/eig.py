@@ -236,11 +236,11 @@ def _solve_shift_invert(system: EvpSystem, config: SolverConfig) -> Spectrum:
             if np.min(np.abs(w - sigma)) < 1e-12:
                 raise RuntimeError("shift collides with a converged eigenvalue")
             break
-        except spla.ArpackNoConvergence as exc:
-            raise EigenSolveError(
-                f"ARPACK did not converge within {MAX_RESTARTS} "
-                f"restarts: {exc}") from exc
-        except RuntimeError as exc:
+        except spla.ArpackError as exc:
+            # a RuntimeError too, but no shift collision: non-convergence
+            # within MAX_RESTARTS or any other ARPACK failure is final
+            raise EigenSolveError(f"ARPACK failed: {exc}") from exc
+        except RuntimeError as exc:  # splu's, or the collision above
             last = str(exc)  # not the exception: its traceback holds frames
             # perturb downward: the LA ordering only reports values above
             # sigma, so the colliding eigenvalue must stay in range
@@ -272,21 +272,23 @@ def solve_generalized(system: EvpSystem, config: SolverConfig) -> Spectrum:
     if mass_rank(system) <= lanczos_window(config.nev):
         # too few finite eigenvalues to fill the Lanczos window
         spectrum = _solve_dense(system, config)
-        keep = spectrum.values >= config.shift
-        return replace(spectrum, values=spectrum.values[keep],
-                       vectors=spectrum.vectors[:, keep],
-                       residuals=spectrum.residuals[keep])
+        return _keep(spectrum, spectrum.values >= config.shift)
     return _solve_shift_invert(system, config)
+
+
+def _keep(spectrum: Spectrum, mask: np.ndarray, **changes) -> Spectrum:
+    """The spectrum restricted to the pairs where ``mask`` holds."""
+    return replace(spectrum, values=spectrum.values[mask],
+                   vectors=spectrum.vectors[:, mask],
+                   residuals=spectrum.residuals[mask], **changes)
 
 
 def filter_zeros(spectrum: Spectrum) -> Spectrum:
     """Drop the near-zero modes (|lambda| < ZERO_TOL), counting them."""
     keep = np.abs(spectrum.values) >= ZERO_TOL
     dropped = int(np.count_nonzero(~keep))
-    return replace(spectrum, values=spectrum.values[keep],
-                   vectors=spectrum.vectors[:, keep],
-                   residuals=spectrum.residuals[keep],
-                   n_zero_filtered=spectrum.n_zero_filtered + dropped)
+    return _keep(spectrum, keep,
+                 n_zero_filtered=spectrum.n_zero_filtered + dropped)
 
 
 @dataclass(frozen=True)

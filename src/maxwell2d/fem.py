@@ -191,13 +191,6 @@ class FormKind(Enum):
     DIV_SCALAR = "div_scalar"
 
 
-_FORM_NEEDS = {
-    FormKind.GRAD_COUPLING: "p",
-    FormKind.GRAD_GRAD: "p",
-    FormKind.DIV_SCALAR: "p",
-}
-
-
 def _element_geometry(mesh: Mesh):
     p = mesh.points
     t = mesh.triangles
@@ -214,15 +207,17 @@ def _element_geometry(mesh: Mesh):
     return det, inv_t  # det = 2*area, inv_t = J^{-T}
 
 
-def scalar_kernels(mesh: Mesh, dofmap: DofMap) -> dict:
-    """The six nodal kernels: mass, Kxx, Kxy, Kyy, Gx, Gy (all n x n CSR).
+def scalar_kernels(dofmap: DofMap) -> dict:
+    """The six nodal kernels on the dofmap's mesh and degree: mass, Kxx,
+    Kxy, Kyy, Gx, Gy (all n_scalar x n_scalar CSR).
 
     Kab integrates d_a(phi_i) d_b(phi_j); Ga integrates phi_i d_a(phi_j).
+    They depend on the nodal points only, not on the dofmap's fields.
     """
     rule = make_quadrature()
     shp = shape_functions(dofmap.degree, rule.points)          # (nq, nloc)
     ref_grads = shape_gradients(dofmap.degree, rule.points)    # (nq, nloc, 2)
-    det, inv_t = _element_geometry(mesh)
+    det, inv_t = _element_geometry(dofmap.mesh)
     # the mass only scales with the element: det times the reference mass
     mass_el = det[:, None, None] * np.einsum("q,qa,qb->ab", rule.weights,
                                              shp, shp)
@@ -256,22 +251,17 @@ def scalar_kernels(mesh: Mesh, dofmap: DofMap) -> dict:
     return out
 
 
-def assemble_form(kind: FormKind, mesh: Mesh, dofmap: DofMap,
-                  kernels: dict | None = None) -> sp.csr_matrix:
-    """Assemble one bilinear form without any mu or tau scaling.
+def assemble_form(kind: FormKind, kernels: dict) -> sp.csr_matrix:
+    """Assemble one bilinear form from the ``scalar_kernels``, without any
+    mu or tau scaling.
 
     Vector-valued rows/columns use the component-major layout
     [component-1 nodes | component-2 nodes]; shapes are (2n, 2n) for
     vector-vector forms, (n, n) scalar-scalar, (2n, n) for (grad p, v)
     type couplings and (n, 2n) for (div u, psi).
     """
-    need = _FORM_NEEDS.get(kind)
-    if need is not None and need not in dofmap.fields:
-        raise AssemblyError(
-            f"form {kind.value} needs field {need!r} absent from {dofmap.fields}")
-    k = kernels or scalar_kernels(mesh, dofmap)
-    mass, kxx, kxy, kyy = k["mass"], k["kxx"], k["kxy"], k["kyy"]
-    gx, gy = k["gx"], k["gy"]
+    mass, gx, gy = kernels["mass"], kernels["gx"], kernels["gy"]
+    kxx, kxy, kyy = kernels["kxx"], kernels["kxy"], kernels["kyy"]
     if kind is FormKind.CURL_CURL:
         return sp.bmat([[kyy, -kxy.T], [-kxy, kxx]], format="csr")
     if kind is FormKind.MASS_VEC:

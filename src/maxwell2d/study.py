@@ -19,9 +19,10 @@ from . import meshgen
 from .eig import METHODS, EigenField, SolverConfig, Spectrum, \
     attach_eigenfunction, filter_zeros, solve_generalized
 from .fem import DEGREES, DofMap
-from .meshgen import DomainKind, DomainSpec, GradingSpec, Mesh
-from .system import ConstraintSet, CornerStrategy, TipStrategy, build_ag, \
-    build_constraints, build_osgs, build_sg, make_params, reduce_system
+from .meshgen import DomainKind, Mesh
+from .system import ConstraintSet, CornerStrategy, StabilizationParams, \
+    TipStrategy, build_ag, build_constraints, build_osgs, build_sg, \
+    reduce_system
 
 # Benchmark reference spectra.  Modes inherited from the enclosing square
 # are analytically multiples of pi^2/4 and carried at full precision;
@@ -51,10 +52,10 @@ def square_reference(count: int) -> np.ndarray:
     return np.array(vals[:count], dtype=float)
 
 
-def reference_values(domain: DomainSpec, count: int) -> np.ndarray:
-    if domain.kind is DomainKind.SQUARE_PI:
+def reference_values(domain: DomainKind, count: int) -> np.ndarray:
+    if domain is DomainKind.SQUARE_PI:
         return square_reference(count)
-    table = L_SHAPE_REFERENCE if domain.kind is DomainKind.L_SHAPE \
+    table = L_SHAPE_REFERENCE if domain is DomainKind.L_SHAPE \
         else CRACK_REFERENCE
     return np.array(table[:count], dtype=float)
 
@@ -65,10 +66,10 @@ class StudyConfig:
 
     Every setting is declared and checked here: an inconsistent
     combination raises ValueError on construction, before any solve.  The
-    solver settings default to SolverConfig's, the grading exponent to
-    GradingSpec's."""
+    solver settings default to SolverConfig's.  The cc-graded family's
+    exponent is the fixed meshgen.GRADING_EXPONENT, not a setting."""
 
-    domain: DomainSpec
+    domain: DomainKind
     mesh: str
     formulation: str
     N_list: tuple
@@ -83,7 +84,6 @@ class StudyConfig:
     shift: float = SolverConfig.shift
     solver: str = SolverConfig.method
     seed: int = SolverConfig.seed
-    grading_exponent: float = GradingSpec.exponent
 
     def __post_init__(self):
         choices = {"mesh": MESH_FAMILIES, "formulation": FORMULATIONS,
@@ -101,9 +101,6 @@ class StudyConfig:
             raise ValueError("nev must be at least 1")
         if self.mesh == "cc-graded" and not self.domain.has_crack:
             raise ValueError("graded meshes are specific to the cracked square")
-        if self.mesh != "cc-graded" and \
-                self.grading_exponent != GradingSpec.exponent:
-            raise ValueError("a grading exponent needs the cc-graded mesh")
         if self.corner is CornerStrategy.BISECTOR_NORMAL and \
                 not self.domain.has_reentrant_corner:
             raise ValueError("the bisector corner needs the L-shape")
@@ -128,17 +125,15 @@ class StudyConfig:
 
     @property
     def nev_effective(self) -> int:
-        return self.nev if self.nev is not None else DEFAULT_NEV[self.domain.kind]
+        return self.nev if self.nev is not None else DEFAULT_NEV[self.domain]
 
 
 def build_mesh(config: StudyConfig, N: int) -> Mesh:
     if config.mesh == "uniform":
         return meshgen.build_uniform(config.domain, N)
-    if config.mesh == "cc":
-        return meshgen.build_criss_cross(config.domain, N)
-    if config.mesh == "cc-graded":
-        grading = GradingSpec(exponent=config.grading_exponent)
-        return meshgen.build_criss_cross(config.domain, N, grading)
+    if config.mesh in ("cc", "cc-graded"):
+        return meshgen.build_criss_cross(config.domain, N,
+                                         graded=config.mesh == "cc-graded")
     return meshgen.powell_sabin_refine(meshgen.build_uniform(config.domain, N))
 
 
@@ -175,8 +170,9 @@ def run_case(config: StudyConfig, N: int) -> Case:
     if config.formulation == "sg":
         system = build_sg(mesh, config.degree, mu=config.mu)
     else:
-        params = make_params(config.mu, config.ell, config.c_u, config.c_p,
-                             stabilization_length(config, mesh))
+        params = StabilizationParams(config.mu, config.ell, config.c_u,
+                                     config.c_p,
+                                     stabilization_length(config, mesh))
         build = build_ag if config.formulation == "ag" else build_osgs
         system = build(mesh, config.degree, params)
     constraints = build_constraints(system.dofmap, corner=config.corner,
@@ -214,7 +210,7 @@ class EigenTable:
     solved case of the last N, kept for eigenfunction export.
     """
 
-    domain: DomainSpec
+    domain: DomainKind
     formulation: str
     N_list: tuple
     references: np.ndarray

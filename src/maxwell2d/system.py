@@ -26,13 +26,22 @@ from .meshgen import Mesh
 
 @dataclass(frozen=True)
 class StabilizationParams:
-    """mu, length scale ell, constants c_u / c_p, and the mesh size h."""
+    """mu, length scale ell, constants c_u / c_p, and the mesh size h.
+
+    mu and ell must be positive, the others nonnegative: ValueError on
+    construction otherwise."""
 
     mu: float
     ell: float
     c_u: float
     c_p: float
     h: float
+
+    def __post_init__(self):
+        if self.mu <= 0.0 or self.ell <= 0.0:
+            raise ValueError("mu and ell must be positive")
+        if self.c_u < 0.0 or self.c_p < 0.0 or self.h < 0.0:
+            raise ValueError("c_u, c_p and h must be nonnegative")
 
     @property
     def tau_p(self) -> float:
@@ -41,15 +50,6 @@ class StabilizationParams:
     @property
     def tau_u(self) -> float:
         return self.c_u * self.mu * self.h ** 2 / self.ell ** 2
-
-
-def make_params(mu: float, ell: float, c_u: float, c_p: float,
-                h: float) -> StabilizationParams:
-    if mu <= 0.0 or ell <= 0.0:
-        raise ValueError("mu and ell must be positive")
-    if c_u < 0.0 or c_p < 0.0 or h < 0.0:
-        raise ValueError("c_u, c_p and h must be nonnegative")
-    return StabilizationParams(mu=mu, ell=ell, c_u=c_u, c_p=c_p, h=h)
 
 
 class CornerStrategy(Enum):
@@ -138,9 +138,9 @@ def build_sg(mesh: Mesh, degree: int, mu: float = 1.0) -> EvpSystem:
     if mu <= 0.0:
         raise ValueError("mu must be positive")
     dofmap = build_dofmap(mesh, degree, "sg")
-    kernels = scalar_kernels(mesh, dofmap)
-    A = (mu * assemble_form(FormKind.CURL_CURL, mesh, dofmap, kernels)).tocsr()
-    M = assemble_form(FormKind.MASS_VEC, mesh, dofmap, kernels)
+    kernels = scalar_kernels(dofmap)
+    A = (mu * assemble_form(FormKind.CURL_CURL, kernels)).tocsr()
+    M = assemble_form(FormKind.MASS_VEC, kernels)
     return EvpSystem(A=A, M=M, dofmap=dofmap)
 
 
@@ -148,12 +148,12 @@ def build_ag(mesh: Mesh, degree: int, params: StabilizationParams) -> EvpSystem:
     """Augmented system over (u1, u2, p); tau_p = tau_u = 0 degenerates to
     the plain mixed Galerkin matrix."""
     dofmap = build_dofmap(mesh, degree, "ag")
-    kernels = scalar_kernels(mesh, dofmap)
-    kcc = assemble_form(FormKind.CURL_CURL, mesh, dofmap, kernels)
-    kdd = assemble_form(FormKind.DIV_DIV, mesh, dofmap, kernels)
-    kgg = assemble_form(FormKind.GRAD_GRAD, mesh, dofmap, kernels)
-    g = assemble_form(FormKind.GRAD_COUPLING, mesh, dofmap, kernels)
-    mv = assemble_form(FormKind.MASS_VEC, mesh, dofmap, kernels)
+    kernels = scalar_kernels(dofmap)
+    kcc = assemble_form(FormKind.CURL_CURL, kernels)
+    kdd = assemble_form(FormKind.DIV_DIV, kernels)
+    kgg = assemble_form(FormKind.GRAD_GRAD, kernels)
+    g = assemble_form(FormKind.GRAD_COUPLING, kernels)
+    mv = assemble_form(FormKind.MASS_VEC, kernels)
     A = sp.bmat([[params.mu * kcc + params.tau_u * kdd, g],
                  [g.T, -params.tau_p * kgg]], format="csr")
     M = sp.block_diag([mv, sp.csr_matrix((dofmap.n_scalar,) * 2)],
@@ -171,13 +171,13 @@ def build_osgs(mesh: Mesh, degree: int, params: StabilizationParams) -> EvpSyste
     if params.tau_p <= 0.0 or params.tau_u <= 0.0:
         raise ValueError("OSGS requires strictly positive tau_p and tau_u")
     dofmap = build_dofmap(mesh, degree, "osgs")
-    kernels = scalar_kernels(mesh, dofmap)
-    kcc = assemble_form(FormKind.CURL_CURL, mesh, dofmap, kernels)
-    kdd = assemble_form(FormKind.DIV_DIV, mesh, dofmap, kernels)
-    kgg = assemble_form(FormKind.GRAD_GRAD, mesh, dofmap, kernels)
-    g = assemble_form(FormKind.GRAD_COUPLING, mesh, dofmap, kernels)
-    d = assemble_form(FormKind.DIV_SCALAR, mesh, dofmap, kernels)
-    mv = assemble_form(FormKind.MASS_VEC, mesh, dofmap, kernels)
+    kernels = scalar_kernels(dofmap)
+    kcc = assemble_form(FormKind.CURL_CURL, kernels)
+    kdd = assemble_form(FormKind.DIV_DIV, kernels)
+    kgg = assemble_form(FormKind.GRAD_GRAD, kernels)
+    g = assemble_form(FormKind.GRAD_COUPLING, kernels)
+    d = assemble_form(FormKind.DIV_SCALAR, kernels)
+    mv = assemble_form(FormKind.MASS_VEC, kernels)
     tp, tu = params.tau_p, params.tau_u
     A = sp.bmat([
         [params.mu * kcc + tu * kdd, g,         None,     -tu * d.T],

@@ -9,10 +9,10 @@ import scipy.sparse.linalg as spla
 from maxwell2d.fem import scalar_kernels
 
 
-def l2_project(mesh, dofmap, target, coeffs):
+def l2_project(dofmap, target, coeffs):
     """target "grad": scalar coefficients (n,) to xi (2n,); target "div":
     vector coefficients (2n,) to eta (n,)."""
-    kernels = scalar_kernels(mesh, dofmap)
+    kernels = scalar_kernels(dofmap)
     solve = spla.factorized(kernels["mass"].tocsc())
     gx, gy = kernels["gx"], kernels["gy"]
     if target == "grad":

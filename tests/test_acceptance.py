@@ -10,10 +10,10 @@ from numpy.testing import assert_allclose
 
 import benchmark_tables as bench
 from maxwell2d import (CRACKED_SQUARE, L_SHAPE, SQUARE_PI, CornerStrategy,
-                       SolverConfig, StudyConfig, TipStrategy,
-                       build_constraints, build_criss_cross, build_osgs,
-                       build_sg, build_uniform, emit_table, filter_zeros,
-                       make_params, reduce_system, run_case, run_study,
+                       SolverConfig, StabilizationParams, StudyConfig,
+                       TipStrategy, build_constraints, build_criss_cross,
+                       build_osgs, build_sg, build_uniform, emit_table,
+                       filter_zeros, reduce_system, run_case, run_study,
                        solve_generalized, square_reference)
 
 SQ = dict(ell=0.1, c_u=0.01, c_p=0.6)
@@ -252,19 +252,21 @@ def test_criterion_10_property_suite(osgs_cc_square, ag_cc_square,
     from bare_mesh import bare_mesh
     tri = bare_mesh([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], [[0, 1, 2]])
     dm = build_dofmap(tri, 1, "ag")
-    assert_allclose(scalar_kernels(tri, dm)["mass"].toarray(),
+    kernels = scalar_kernels(dm)
+    assert_allclose(kernels["mass"].toarray(),
                     np.array([[2, 1, 1], [1, 2, 1], [1, 1, 2]]) / 24.0,
                     atol=1e-15)
-    assert_allclose(assemble_form(FormKind.GRAD_GRAD, tri, dm).toarray(),
+    assert_allclose(assemble_form(FormKind.GRAD_GRAD, kernels).toarray(),
                     [[1, -0.5, -0.5], [-0.5, 0.5, 0], [-0.5, 0, 0.5]],
                     atol=1e-14)
-    kcc = assemble_form(FormKind.CURL_CURL, tri, dm).toarray()
+    kcc = assemble_form(FormKind.CURL_CURL, kernels).toarray()
     assert_allclose(kcc[dm.dof("u2", 1), dm.dof("u2", 1)], 0.5, atol=1e-14)
 
     # monolithic OSGS vs dense Schur elimination of the projections
     import scipy.linalg as la
     mesh = build_uniform(SQUARE_PI, 2)
-    params = make_params(1.0, SQ["ell"], SQ["c_u"], SQ["c_p"], mesh.h)
+    params = StabilizationParams(1.0, SQ["ell"], SQ["c_u"], SQ["c_p"],
+                                 mesh.h)
     system = build_osgs(mesh, 1, params)
     cons = build_constraints(system.dofmap)
     reduced = reduce_system(system, cons)

@@ -87,8 +87,12 @@ def test_inconsistent_combinations(tmp_path, monkeypatch, capsys):
     assert cli_main(["--domain", "square", "--corner", "bisector"]) == 2
     assert cli_main(["--domain", "square", "--mesh", "cc-graded"]) == 2
     assert cli_main(["--domain", "lshape", "--tip", "both-zero"]) == 2
-    assert cli_main(["--domain", "square", "--mesh", "cc",
+    capsys.readouterr()
+    # the cc-graded exponent is fixed, not a flag
+    assert cli_main(["--domain", "crack", "--mesh", "cc-graded",
                      "--grading-exponent", "3"]) == 2
+    assert "unrecognized arguments: --grading-exponent 3" in \
+        capsys.readouterr().err
     assert cli_main(["--domain", "crack", "--N", "2,3"]) == 2
     assert "even" in capsys.readouterr().err
     # SG needs a positive mu and, below its kernel at 0, a positive shift

@@ -11,9 +11,9 @@ from maxwell2d import (CRACKED_SQUARE, L_SHAPE, SQUARE_PI, CornerStrategy,
                        EigenSolveError, EvpSystem, SolverConfig, Spectrum,
                        TipStrategy, attach_eigenfunction, build_constraints,
                        build_ag, build_criss_cross, build_dofmap, build_osgs,
-                       StudyConfig, build_sg, build_uniform, filter_zeros,
-                       make_params, powell_sabin_refine, reduce_system,
-                       run_case, solve_generalized)
+                       StabilizationParams, StudyConfig, build_sg,
+                       build_uniform, filter_zeros, powell_sabin_refine,
+                       reduce_system, run_case, solve_generalized)
 from maxwell2d import eig
 from maxwell2d.eig import node_ordering
 from maxwell2d.study import build_mesh, stabilization_length
@@ -52,7 +52,8 @@ def test_sg_square_first_nonzero_both_methods():
 
 
 def reduced_stabilized(build, mesh, **kwargs):
-    system = build(mesh, 1, make_params(1.0, 0.1, 0.01, 0.6, mesh.h))
+    system = build(mesh, 1, StabilizationParams(1.0, 0.1, 0.01, 0.6,
+                                                mesh.h))
     return reduce_system(system, build_constraints(system.dofmap, **kwargs))
 
 
@@ -67,10 +68,10 @@ def test_shift_invert_matches_dense_oracle():
     p2_square = build_criss_cross(SQUARE_PI, 3)
     crack = powell_sabin_refine(build_uniform(CRACKED_SQUARE, 4))
     coarse_crack = powell_sabin_refine(build_uniform(CRACKED_SQUARE, 2))
-    p2_system = build_osgs(p2_square, 2,
-                           make_params(1.0, 0.1, 0.01, 0.6, p2_square.h))
-    crack_system = build_osgs(coarse_crack, 1,
-                              make_params(1.0, 0.2, 0.1, 1.0, coarse_crack.h))
+    p2_system = build_osgs(p2_square, 2, StabilizationParams(
+        1.0, 0.1, 0.01, 0.6, p2_square.h))
+    crack_system = build_osgs(coarse_crack, 1, StabilizationParams(
+        1.0, 0.2, 0.1, 1.0, coarse_crack.h))
     cases = [(reduced_sg(SQUARE_PI, square), 10),
              (reduced_stabilized(build_ag, square), 10),
              (reduced_stabilized(build_osgs, square), 10),
@@ -116,7 +117,8 @@ def test_finite_spectrum_can_fall_short_of_mass_rank():
     # square OSGS/P2 uniform N=2: A is singular on the M-null rows, so QZ
     # finds fewer finite values than rank M, all of them real
     mesh = build_uniform(SQUARE_PI, 2)
-    system = build_osgs(mesh, 2, make_params(1.0, 0.1, 0.01, 0.6, mesh.h))
+    params = StabilizationParams(1.0, 0.1, 0.01, 0.6, mesh.h)
+    system = build_osgs(mesh, 2, params)
     reduced = reduce_system(system, build_constraints(system.dofmap))
     assert reduced.n == 114
     dense = solve_generalized(reduced, SolverConfig(nev=3, method="dense"))
@@ -138,11 +140,13 @@ def test_solver_methods():
 def test_node_ordering_fill(case):
     if case == "crack-ps":
         mesh = powell_sabin_refine(build_uniform(CRACKED_SQUARE, 8))
-        system = build_osgs(mesh, 1, make_params(1.0, 0.2, 0.1, 1.0, mesh.h))
+        params = StabilizationParams(1.0, 0.2, 0.1, 1.0, mesh.h)
+        system = build_osgs(mesh, 1, params)
         cons = build_constraints(system.dofmap, tip=TipStrategy.FREE)
     else:
         mesh = build_criss_cross(L_SHAPE, 5)
-        system = build_osgs(mesh, 2, make_params(1.0, 0.1, 0.01, 0.6, mesh.h))
+        params = StabilizationParams(1.0, 0.1, 0.01, 0.6, mesh.h)
+        system = build_osgs(mesh, 2, params)
         cons = build_constraints(system.dofmap,
                                  corner=CornerStrategy.BISECTOR_NORMAL)
     reduced = reduce_system(system, cons)
@@ -193,9 +197,9 @@ def test_node_ordering_matches_float_fold(config, N):
     else:
         build = build_ag if config.formulation == "ag" else build_osgs
         system = build(mesh, config.degree,
-                       make_params(config.mu, config.ell, config.c_u,
-                                   config.c_p,
-                                   stabilization_length(config, mesh)))
+                       StabilizationParams(
+                           config.mu, config.ell, config.c_u, config.c_p,
+                           stabilization_length(config, mesh)))
     reduced = reduce_system(system, build_constraints(
         system.dofmap, corner=config.corner, tip=config.tip))
     assert np.array_equal(node_ordering(reduced),
@@ -294,7 +298,7 @@ def test_filter_zeros_examples():
 
 def test_ag_osgs_spectra_pass_filter_untouched():
     mesh = build_criss_cross(SQUARE_PI, 3)
-    params = make_params(1.0, 0.1, 0.01, 0.6, mesh.h)
+    params = StabilizationParams(1.0, 0.1, 0.01, 0.6, mesh.h)
     system = build_osgs(mesh, 1, params)
     reduced = reduce_system(system, build_constraints(system.dofmap))
     spec = solve_generalized(reduced, SolverConfig(nev=8, shift=0.7,
@@ -332,7 +336,7 @@ def test_certify_block_residuals():
 
 def test_determinism():
     mesh = build_criss_cross(SQUARE_PI, 4)
-    params = make_params(1.0, 0.1, 0.01, 0.6, mesh.h)
+    params = StabilizationParams(1.0, 0.1, 0.01, 0.6, mesh.h)
     system = build_osgs(mesh, 1, params)
     reduced = reduce_system(system, build_constraints(system.dofmap))
     cfg = SolverConfig(nev=6, method="shift-invert", seed=77)
@@ -378,6 +382,23 @@ def test_shift_collision_retries(monkeypatch):
     assert len(orderings) == 1  # the retries reuse the ordering
 
 
+def test_arpack_failure_is_not_a_shift_collision(monkeypatch):
+    # ArpackError is a RuntimeError: it must not take the shift retries
+    calls = []
+
+    def failing(*args, **kwargs):
+        calls.append(kwargs["sigma"])
+        raise spla.ArpackError(-9999)
+
+    monkeypatch.setattr(spla, "eigsh", failing)
+    A = np.diag(np.arange(1.0, 41.0))
+    system = toy_system(A, np.eye(40))
+    with pytest.raises(EigenSolveError, match="ARPACK failed: ARPACK error "
+                                              "-9999"):
+        solve_generalized(system, SolverConfig(nev=2, shift=0.5))
+    assert calls == [0.5]
+
+
 def test_attach_eigenfunction_normalization():
     mesh = build_criss_cross(SQUARE_PI, 4)
     reduced = reduced_sg(SQUARE_PI, mesh)
@@ -408,7 +429,7 @@ def test_lshape_fundamental_mode_peaks_at_corner():
 
 def test_crack_fundamental_mode_peaks_at_tip():
     mesh = powell_sabin_refine(build_uniform(CRACKED_SQUARE, 8))
-    params = make_params(1.0, 0.2, 0.1, 1.0, mesh.h)
+    params = StabilizationParams(1.0, 0.2, 0.1, 1.0, mesh.h)
     system = build_osgs(mesh, 1, params)
     cons = build_constraints(system.dofmap, tip=TipStrategy.FREE)
     reduced = reduce_system(system, cons)

@@ -118,7 +118,7 @@ def test_dofmap_p2_crack_edges_per_face():
 def test_mass_scalar_single_triangle():
     mesh = single_triangle_mesh()
     dofmap = build_dofmap(mesh, 1, "ag")
-    mass = scalar_kernels(mesh, dofmap)["mass"].toarray()
+    mass = scalar_kernels(dofmap)["mass"].toarray()
     expected = np.array([[2, 1, 1], [1, 2, 1], [1, 1, 2]]) / 24.0
     assert_allclose(mass, expected, atol=1e-15)
 
@@ -126,7 +126,8 @@ def test_mass_scalar_single_triangle():
 def test_grad_grad_single_triangle():
     mesh = single_triangle_mesh()
     dofmap = build_dofmap(mesh, 1, "ag")
-    kgg = assemble_form(FormKind.GRAD_GRAD, mesh, dofmap).toarray()
+    kgg = assemble_form(FormKind.GRAD_GRAD, scalar_kernels(dofmap))
+    kgg = kgg.toarray()
     expected = np.array([[1.0, -0.5, -0.5], [-0.5, 0.5, 0.0], [-0.5, 0.0, 0.5]])
     assert_allclose(kgg, expected, atol=1e-14)
 
@@ -134,7 +135,8 @@ def test_grad_grad_single_triangle():
 def test_curl_curl_single_triangle_diagonal():
     mesh = single_triangle_mesh()
     dofmap = build_dofmap(mesh, 1, "sg")
-    kcc = assemble_form(FormKind.CURL_CURL, mesh, dofmap).toarray()
+    kcc = assemble_form(FormKind.CURL_CURL, scalar_kernels(dofmap))
+    kcc = kcc.toarray()
     # u2 dof of the node at (1, 0): integral of (d lambda_1 / dx)^2 = 1/2
     d = dofmap.dof("u2", 1)
     assert_allclose(kcc[d, d], 0.5, atol=1e-14)
@@ -151,22 +153,23 @@ def assert_symmetric(a):
 def test_symmetry(kind):
     mesh = build_criss_cross(SQUARE_PI, 3)
     dofmap = build_dofmap(mesh, 1, "ag")
-    assert_symmetric(assemble_form(kind, mesh, dofmap))
+    assert_symmetric(assemble_form(kind, scalar_kernels(dofmap)))
 
 
 def test_scalar_mass_kernel_symmetry():
     mesh = build_criss_cross(SQUARE_PI, 3)
     dofmap = build_dofmap(mesh, 1, "ag")
-    assert_symmetric(scalar_kernels(mesh, dofmap)["mass"])
+    assert_symmetric(scalar_kernels(dofmap)["mass"])
 
 
 @pytest.mark.parametrize("degree", [1, 2])
 def test_semidefinite_rayleigh(degree):
     mesh = build_uniform(SQUARE_PI, 3)
     dofmap = build_dofmap(mesh, degree, "ag")
+    kernels = scalar_kernels(dofmap)
     rng = np.random.default_rng(7)
     for kind in (FormKind.CURL_CURL, FormKind.GRAD_GRAD, FormKind.DIV_DIV):
-        a = assemble_form(kind, mesh, dofmap)
+        a = assemble_form(kind, kernels)
         for _ in range(5):
             x = rng.standard_normal(a.shape[0])
             assert x @ (a @ x) >= -1e-10 * (x @ x)
@@ -175,8 +178,9 @@ def test_semidefinite_rayleigh(degree):
 def test_mass_positive_definite_after_reduction():
     mesh = build_uniform(SQUARE_PI, 3)
     dofmap = build_dofmap(mesh, 1, "ag")
-    mv = assemble_form(FormKind.MASS_VEC, mesh, dofmap).toarray()
-    ms = scalar_kernels(mesh, dofmap)["mass"].toarray()
+    kernels = scalar_kernels(dofmap)
+    mv = assemble_form(FormKind.MASS_VEC, kernels).toarray()
+    ms = kernels["mass"].toarray()
     interior = ~(dofmap.on_h | dofmap.on_v)
     keep = np.where(np.concatenate([interior, interior]))[0]
     assert np.all(la.eigvalsh(mv[np.ix_(keep, keep)]) > 0)
@@ -186,9 +190,9 @@ def test_mass_positive_definite_after_reduction():
 def test_adjoint_pairing():
     mesh = build_criss_cross(SQUARE_PI, 3)
     dofmap = build_dofmap(mesh, 1, "osgs")
-    g = assemble_form(FormKind.GRAD_COUPLING, mesh, dofmap)
-    d = assemble_form(FormKind.DIV_SCALAR, mesh, dofmap)
-    kernels = scalar_kernels(mesh, dofmap)
+    kernels = scalar_kernels(dofmap)
+    g = assemble_form(FormKind.GRAD_COUPLING, kernels)
+    d = assemble_form(FormKind.DIV_SCALAR, kernels)
     stacked = sp.bmat([[kernels["gx"]], [kernels["gy"]]], format="csr")
     assert np.abs((g - stacked)).max() == 0
     expected = sp.bmat([[kernels["gx"], kernels["gy"]]], format="csr")
@@ -203,7 +207,7 @@ def interpolate_vector(dofmap, fx, fy):
 def test_gradient_field_has_zero_curl_energy():
     mesh = build_criss_cross(SQUARE_PI, 4)
     dofmap = build_dofmap(mesh, 1, "sg")
-    kcc = assemble_form(FormKind.CURL_CURL, mesh, dofmap)
+    kcc = assemble_form(FormKind.CURL_CURL, scalar_kernels(dofmap))
     u = interpolate_vector(dofmap, lambda x, y: y, lambda x, y: x)  # grad(xy)
     assert abs(u @ (kcc @ u)) <= 1e-12
 
@@ -211,18 +215,21 @@ def test_gradient_field_has_zero_curl_energy():
 def test_divergence_free_field_has_zero_div_energy():
     mesh = build_criss_cross(SQUARE_PI, 4)
     dofmap = build_dofmap(mesh, 1, "sg")
-    kdd = assemble_form(FormKind.DIV_DIV, mesh, dofmap)
+    kdd = assemble_form(FormKind.DIV_DIV, scalar_kernels(dofmap))
     u = interpolate_vector(dofmap, lambda x, y: -y, lambda x, y: x)
     assert abs(u @ (kdd @ u)) <= 1e-12
 
 
-def test_form_requires_matching_fields():
+def test_forms_do_not_depend_on_fields():
+    # the kernels span the nodal points only: an SG dofmap, which has no
+    # p field, yields the same p forms as an OSGS one
     mesh = build_uniform(SQUARE_PI, 2)
-    dofmap = build_dofmap(mesh, 1, "sg")
-    for kind in (FormKind.GRAD_COUPLING, FormKind.GRAD_GRAD,
-                 FormKind.DIV_SCALAR):
-        with pytest.raises(AssemblyError):
-            assemble_form(kind, mesh, dofmap)
+    sg = scalar_kernels(build_dofmap(mesh, 1, "sg"))
+    osgs = scalar_kernels(build_dofmap(mesh, 1, "osgs"))
+    for kind in FormKind:
+        a, b = assemble_form(kind, sg), assemble_form(kind, osgs)
+        assert a.shape == b.shape
+        assert (a != b).nnz == 0
 
 
 def test_l2_project_linear_fields_exact():
@@ -230,12 +237,12 @@ def test_l2_project_linear_fields_exact():
     dofmap = build_dofmap(mesh, 1, "osgs")
     x, y = dofmap.coords[:, 0], dofmap.coords[:, 1]
     p = 2.0 * x - 3.0 * y + 1.0
-    xi = l2_project(mesh, dofmap, "grad", p)
+    xi = l2_project(dofmap, "grad", p)
     n = dofmap.n_scalar
     assert_allclose(xi[:n], 2.0, atol=1e-11)
     assert_allclose(xi[n:], -3.0, atol=1e-11)
     u = np.concatenate([x + 2 * y, 3 * x + 4 * y])  # div = 1 + 4
-    eta = l2_project(mesh, dofmap, "div", u)
+    eta = l2_project(dofmap, "div", u)
     assert_allclose(eta, 5.0, atol=1e-11)
 
 
@@ -244,8 +251,8 @@ def test_l2_project_matches_dense_oracle():
     dofmap = build_dofmap(mesh, 1, "osgs")
     rng = np.random.default_rng(3)
     p = rng.standard_normal(dofmap.n_scalar)
-    xi = l2_project(mesh, dofmap, "grad", p)
-    kernels = scalar_kernels(mesh, dofmap)
+    xi = l2_project(dofmap, "grad", p)
+    kernels = scalar_kernels(dofmap)
     mass = kernels["mass"].toarray()
     rhs_x = kernels["gx"].toarray() @ p
     rhs_y = kernels["gy"].toarray() @ p
@@ -281,16 +288,16 @@ def test_orthogonal_projection_identity():
     # (P_perp a, P_perp b) = (a, b) - (P a, P b) for elementwise gradients
     mesh = build_uniform(SQUARE_PI, 2)
     dofmap = build_dofmap(mesh, 1, "osgs")
-    kernels = scalar_kernels(mesh, dofmap)
-    kgg = assemble_form(FormKind.GRAD_GRAD, mesh, dofmap, kernels).toarray()
-    mv = assemble_form(FormKind.MASS_VEC, mesh, dofmap, kernels).toarray()
+    kernels = scalar_kernels(dofmap)
+    kgg = assemble_form(FormKind.GRAD_GRAD, kernels).toarray()
+    mv = assemble_form(FormKind.MASS_VEC, kernels).toarray()
     rng = np.random.default_rng(11)
     n = dofmap.n_scalar
     for _ in range(4):
         pa = rng.standard_normal(n)
         pb = rng.standard_normal(n)
-        xa = l2_project(mesh, dofmap, "grad", pa)
-        xb = l2_project(mesh, dofmap, "grad", pb)
+        xa = l2_project(dofmap, "grad", pa)
+        xb = l2_project(dofmap, "grad", pb)
         full = pa @ kgg @ pb                    # (grad pa, grad pb)
         projected = xa @ mv @ xb                # (P grad pa, P grad pb)
         direct = quadrature_inner_product(mesh, dofmap, pa, xa, pb, xb)

@@ -67,7 +67,6 @@ def test_study_config_rejects_inconsistent_combinations():
         dict(domain=CRACKED_SQUARE, N_list=(3,)),
         dict(domain=SQUARE_PI, formulation="sg", mu=0.0),
         dict(domain=SQUARE_PI, formulation="sg", shift=0.0),
-        dict(domain=SQUARE_PI, mesh="cc", grading_exponent=3.0),
         dict(domain=SQUARE_PI, N_list=()),
         dict(domain=SQUARE_PI, N_list=(0, 4)),
         dict(domain=SQUARE_PI, nev=0),

@@ -5,33 +5,35 @@ import scipy.sparse as sp
 from numpy.testing import assert_allclose
 
 from maxwell2d import (CRACKED_SQUARE, L_SHAPE, SQUARE_PI, ConstraintError,
-                       ConstraintSet, CornerStrategy, FormKind, TipStrategy,
-                       assemble_form, build_ag, build_constraints,
-                       build_criss_cross, build_dofmap, build_osgs, build_sg,
-                       build_uniform, make_params,
+                       ConstraintSet, CornerStrategy, FormKind,
+                       StabilizationParams, TipStrategy, assemble_form,
+                       build_ag, build_constraints, build_criss_cross,
+                       build_dofmap, build_osgs, build_sg, build_uniform,
                        powell_sabin_refine, reduce_system)
 from maxwell2d.fem import scalar_kernels
 from projection import l2_project
 
 
 def test_make_params_values():
-    p = make_params(1.0, 0.1, 0.01, 0.6, 0.3)
+    p = StabilizationParams(1.0, 0.1, 0.01, 0.6, 0.3)
     assert_allclose(p.tau_p, 0.006, rtol=1e-15)
     h = np.sqrt(2) * np.pi / 25
-    p = make_params(1.0, 0.1, 0.01, 0.6, h)
+    p = StabilizationParams(1.0, 0.1, 0.01, 0.6, h)
     assert_allclose(p.tau_u, h ** 2, rtol=1e-15)
     assert_allclose(p.tau_u, 0.03158, rtol=1e-3)
-    p = make_params(1.0, 0.3, 0.85, 0.5, 0.1)
+    p = StabilizationParams(1.0, 0.3, 0.85, 0.5, 0.1)
     assert_allclose(p.tau_p, 0.045, rtol=1e-15)
 
 
 def test_make_params_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        make_params(0.0, 0.1, 0.01, 0.6, 0.1)
-    with pytest.raises(ValueError):
-        make_params(1.0, -0.1, 0.01, 0.6, 0.1)
-    with pytest.raises(ValueError):
-        make_params(1.0, 0.1, -0.01, 0.6, 0.1)
+    # the type cannot be built invalid: no tau divides by zero or flips sign
+    ok = dict(mu=1.0, ell=0.1, c_u=0.01, c_p=0.6, h=0.1)
+    bad = [dict(mu=0.0), dict(mu=-1.0), dict(ell=0.0), dict(ell=-0.1),
+           dict(c_u=-0.01), dict(c_p=-0.6), dict(h=-0.1)]
+    for change in bad:
+        with pytest.raises(ValueError):
+            StabilizationParams(**(ok | change))
+    StabilizationParams(**(ok | dict(c_u=0.0, c_p=0.0, h=0.0)))
 
 
 def test_sg_gradient_field_curl_free():
@@ -52,12 +54,12 @@ def test_sg_mass_of_constant_field_is_domain_area():
 
 def test_ag_zero_tau_equals_mixed_galerkin():
     mesh = build_criss_cross(SQUARE_PI, 3)
-    params = make_params(1.0, 0.1, 0.0, 0.0, 0.5)
+    params = StabilizationParams(1.0, 0.1, 0.0, 0.0, 0.5)
     system = build_ag(mesh, 1, params)
     dofmap = system.dofmap
-    kernels = scalar_kernels(mesh, dofmap)
-    kcc = assemble_form(FormKind.CURL_CURL, mesh, dofmap, kernels)
-    g = assemble_form(FormKind.GRAD_COUPLING, mesh, dofmap, kernels)
+    kernels = scalar_kernels(dofmap)
+    kcc = assemble_form(FormKind.CURL_CURL, kernels)
+    g = assemble_form(FormKind.GRAD_COUPLING, kernels)
     plain = sp.bmat([[kcc, g], [g.T, sp.csr_matrix((dofmap.n_scalar,) * 2)]],
                     format="csr")
     assert np.abs((system.A - plain)).max() == 0
@@ -65,7 +67,7 @@ def test_ag_zero_tau_equals_mixed_galerkin():
 
 def test_ag_pressure_block_gradient_seminorm():
     mesh = build_criss_cross(SQUARE_PI, 3)
-    params = make_params(1.0, 0.1, 0.01, 0.6, 0.5)
+    params = StabilizationParams(1.0, 0.1, 0.01, 0.6, 0.5)
     system = build_ag(mesh, 1, params)
     n = system.dofmap.n_scalar
     p_const = np.zeros(system.n)
@@ -79,7 +81,7 @@ def test_ag_pressure_block_gradient_seminorm():
 
 def test_coupling_blocks_transpose_exact():
     mesh = build_criss_cross(SQUARE_PI, 3)
-    params = make_params(1.0, 0.1, 0.01, 0.6, 0.5)
+    params = StabilizationParams(1.0, 0.1, 0.01, 0.6, 0.5)
     for system in (build_ag(mesh, 1, params), build_osgs(mesh, 1, params)):
         n = system.dofmap.n_scalar
         u, p = slice(0, 2 * n), slice(2 * n, 3 * n)
@@ -92,7 +94,7 @@ def test_coupling_blocks_transpose_exact():
 
 def test_mass_kernel_is_non_u_fields():
     mesh = build_criss_cross(SQUARE_PI, 3)
-    params = make_params(1.0, 0.1, 0.01, 0.6, 0.5)
+    params = StabilizationParams(1.0, 0.1, 0.01, 0.6, 0.5)
     system = build_osgs(mesh, 1, params)
     n = system.dofmap.n_scalar
     m = system.M.toarray()
@@ -104,20 +106,20 @@ def test_mass_kernel_is_non_u_fields():
 def test_osgs_rejects_zero_tau():
     mesh = build_criss_cross(SQUARE_PI, 2)
     with pytest.raises(ValueError):
-        build_osgs(mesh, 1, make_params(1.0, 0.1, 0.0, 0.6, 0.5))
+        build_osgs(mesh, 1, StabilizationParams(1.0, 0.1, 0.0, 0.6, 0.5))
     with pytest.raises(ValueError):
-        build_osgs(mesh, 1, make_params(1.0, 0.1, 0.01, 0.0, 0.5))
+        build_osgs(mesh, 1, StabilizationParams(1.0, 0.1, 0.01, 0.0, 0.5))
 
 
 def test_osgs_linear_pressure_forces_exact_projection():
     mesh = build_criss_cross(SQUARE_PI, 3)
-    params = make_params(1.0, 0.1, 0.01, 0.6, 0.5)
+    params = StabilizationParams(1.0, 0.1, 0.01, 0.6, 0.5)
     system = build_osgs(mesh, 1, params)
     dofmap = system.dofmap
     n = dofmap.n_scalar
     x, y = dofmap.coords[:, 0], dofmap.coords[:, 1]
     p = 2.0 * x - 3.0 * y
-    xi = l2_project(mesh, dofmap, "grad", p)
+    xi = l2_project(dofmap, "grad", p)
     assert_allclose(xi[:n], 2.0, atol=1e-11)
     assert_allclose(xi[n:], -3.0, atol=1e-11)
     vec = np.zeros(system.n)
@@ -133,15 +135,15 @@ def test_osgs_linear_pressure_forces_exact_projection():
 
 def test_osgs_stabilization_blocks_are_psd():
     mesh = build_criss_cross(SQUARE_PI, 3)
-    params = make_params(1.0, 0.1, 0.01, 0.6, 0.5)
+    params = StabilizationParams(1.0, 0.1, 0.01, 0.6, 0.5)
     system = build_osgs(mesh, 1, params)
     n = system.dofmap.n_scalar
     a = system.A
     rng = np.random.default_rng(5)
-    kernels = scalar_kernels(mesh, system.dofmap)
-    mv = assemble_form(FormKind.MASS_VEC, mesh, system.dofmap, kernels)
-    kgg = assemble_form(FormKind.GRAD_GRAD, mesh, system.dofmap, kernels)
-    gv = assemble_form(FormKind.GRAD_COUPLING, mesh, system.dofmap, kernels)
+    kernels = scalar_kernels(system.dofmap)
+    mv = assemble_form(FormKind.MASS_VEC, kernels)
+    kgg = assemble_form(FormKind.GRAD_GRAD, kernels)
+    gv = assemble_form(FormKind.GRAD_COUPLING, kernels)
     for _ in range(4):
         p = rng.standard_normal(n)
         xi = rng.standard_normal(2 * n)
@@ -257,7 +259,8 @@ def loop_constraints(dofmap, corner, tip):
 
 @pytest.mark.parametrize("domain,degree,formulation", [
     (SQUARE_PI, 1, "sg"), (L_SHAPE, 2, "osgs"), (CRACKED_SQUARE, 1, "ag"),
-    (CRACKED_SQUARE, 2, "osgs")])
+    (CRACKED_SQUARE, 2, "osgs")], ids=["domain0-1-sg", "domain1-2-osgs",
+                                       "domain2-1-ag", "domain3-2-osgs"])
 def test_constraints_match_loop_reference(domain, degree, formulation):
     dofmap = build_dofmap(powell_sabin_refine(build_uniform(domain, 4)),
                           degree, formulation)
@@ -285,7 +288,8 @@ def loop_reduction_matrix(cons):
 
 
 @pytest.mark.parametrize("domain,degree,formulation", [
-    (L_SHAPE, 1, "sg"), (L_SHAPE, 2, "osgs"), (CRACKED_SQUARE, 1, "ag")])
+    (L_SHAPE, 1, "sg"), (L_SHAPE, 2, "osgs"), (CRACKED_SQUARE, 1, "ag")],
+    ids=["domain0-1-sg", "domain1-2-osgs", "domain2-1-ag"])
 def test_reduction_matrix_matches_loop_reference(domain, degree, formulation):
     dofmap = build_dofmap(powell_sabin_refine(build_uniform(domain, 4)),
                           degree, formulation)
@@ -371,7 +375,7 @@ def dense_eigenvalues(A, M):
 def test_osgs_matches_schur_complement_spectrum():
     # monolithic implicit projections vs dense elimination of xi and eta
     mesh = build_uniform(SQUARE_PI, 2)
-    params = make_params(1.0, 0.1, 0.01, 0.6, mesh.h)
+    params = StabilizationParams(1.0, 0.1, 0.01, 0.6, mesh.h)
     system = build_osgs(mesh, 1, params)
     cons = build_constraints(system.dofmap)
     reduced = reduce_system(system, cons)
@@ -398,7 +402,7 @@ def test_osgs_matches_schur_complement_spectrum():
 
 def test_ag_osgs_spectra_strictly_positive():
     mesh = build_criss_cross(SQUARE_PI, 3)
-    params = make_params(1.0, 0.1, 0.01, 0.6, mesh.h)
+    params = StabilizationParams(1.0, 0.1, 0.01, 0.6, mesh.h)
     for build in (build_ag, build_osgs):
         system = build(mesh, 1, params)
         reduced = reduce_system(system, build_constraints(system.dofmap))
