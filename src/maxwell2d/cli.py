@@ -44,7 +44,6 @@ _FLAGS = {
     "degree": _Flag("degree", int, DEGREES),
     "N": _Flag("N_list", _N_list, default="5,10,15,20,25",
                help="comma-separated division counts, e.g. 5,10,15"),
-    "mu": _Flag("mu", float),
     "ell": _Flag("ell", float),
     "cu": _Flag("c_u", float),
     "cp": _Flag("c_p", float),

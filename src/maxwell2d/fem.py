@@ -31,7 +31,6 @@ class QuadratureRule:
 
     points: np.ndarray
     weights: np.ndarray
-    barycentric: np.ndarray
 
 
 def make_quadrature() -> QuadratureRule:
@@ -51,7 +50,7 @@ def make_quadrature() -> QuadratureRule:
     bary = np.asarray(bary)
     weights = 0.5 * np.asarray(weights)
     points = bary[:, 1:]
-    return QuadratureRule(points=points, weights=weights, barycentric=bary)
+    return QuadratureRule(points=points, weights=weights)
 
 
 def shape_functions(degree: int, pts: np.ndarray) -> np.ndarray:
@@ -253,7 +252,7 @@ def scalar_kernels(dofmap: DofMap) -> dict:
 
 def assemble_form(kind: FormKind, kernels: dict) -> sp.csr_matrix:
     """Assemble one bilinear form from the ``scalar_kernels``, without any
-    mu or tau scaling.
+    tau scaling.
 
     Vector-valued rows/columns use the component-major layout
     [component-1 nodes | component-2 nodes]; shapes are (2n, 2n) for

@@ -16,9 +16,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import meshgen
-from .eig import METHODS, EigenField, SolverConfig, Spectrum, \
-    attach_eigenfunction, filter_zeros, solve_generalized
-from .fem import DEGREES, DofMap
+from .eig import EigenField, SolverConfig, Spectrum, attach_eigenfunction, \
+    filter_zeros, solve_generalized
+from .fem import DEGREES, FORMULATION_FIELDS, DofMap
 from .meshgen import DomainKind, Mesh
 from .system import ConstraintSet, CornerStrategy, StabilizationParams, \
     TipStrategy, build_ag, build_constraints, build_osgs, build_sg, \
@@ -33,7 +33,7 @@ CRACK_REFERENCE = (1.0341, _PI2 / 4, 4.0469, _PI2, _PI2,
                    10.8449, 12.2649, 5 * _PI2 / 4, 2 * _PI2, 21.2441)
 
 MESH_FAMILIES = ("uniform", "cc", "ps", "cc-graded")
-FORMULATIONS = ("sg", "ag", "osgs")
+FORMULATIONS = tuple(FORMULATION_FIELDS)
 TABLE_FORMATS = ("csv", "md")
 
 DEFAULT_NEV = {
@@ -64,17 +64,17 @@ def reference_values(domain: DomainKind, count: int) -> np.ndarray:
 class StudyConfig:
     """Full description of one convergence campaign.
 
-    Every setting is declared and checked here: an inconsistent
-    combination raises ValueError on construction, before any solve.  The
-    solver settings default to SolverConfig's.  The cc-graded family's
-    exponent is the fixed meshgen.GRADING_EXPONENT, not a setting."""
+    Every setting is declared here, and an inconsistent combination raises
+    ValueError on construction, before any solve.  The solver settings
+    default to SolverConfig's and are checked by it: construction builds
+    ``solver_config`` once.  The cc-graded family's exponent is the fixed
+    meshgen.GRADING_EXPONENT, not a setting."""
 
     domain: DomainKind
     mesh: str
     formulation: str
     N_list: tuple
     degree: int = 1
-    mu: float = 1.0
     ell: float = 0.1
     c_u: float = 0.01
     c_p: float = 0.6
@@ -87,7 +87,7 @@ class StudyConfig:
 
     def __post_init__(self):
         choices = {"mesh": MESH_FAMILIES, "formulation": FORMULATIONS,
-                   "degree": DEGREES, "solver": METHODS}
+                   "degree": DEGREES}
         for name, allowed in choices.items():
             value = getattr(self, name)
             if value not in allowed:
@@ -97,8 +97,7 @@ class StudyConfig:
             raise ValueError("N list needs at least one positive value")
         if list(self.N_list) != sorted(set(self.N_list)):
             raise ValueError("N list must be strictly increasing")
-        if self.nev is not None and self.nev < 1:
-            raise ValueError("nev must be at least 1")
+        self.solver_config  # SolverConfig owns the nev and method rules
         if self.mesh == "cc-graded" and not self.domain.has_crack:
             raise ValueError("graded meshes are specific to the cracked square")
         if self.corner is CornerStrategy.BISECTOR_NORMAL and \
@@ -109,8 +108,6 @@ class StudyConfig:
         if self.domain.has_crack and any(N % 2 for N in self.N_list):
             raise ValueError("the cracked square needs even N values: its "
                              "crack line must be a grid line")
-        if self.mu <= 0.0:
-            raise ValueError("mu must be positive")
         if self.formulation != "sg" and self.ell <= 0.0:
             raise ValueError("ell must be positive")
         if self.formulation == "ag" and min(self.c_u, self.c_p) < 0.0:
@@ -126,6 +123,11 @@ class StudyConfig:
     @property
     def nev_effective(self) -> int:
         return self.nev if self.nev is not None else DEFAULT_NEV[self.domain]
+
+    @property
+    def solver_config(self) -> SolverConfig:
+        return SolverConfig(nev=self.nev_effective, shift=self.shift,
+                            method=self.solver, seed=self.seed)
 
 
 def build_mesh(config: StudyConfig, N: int) -> Mesh:
@@ -168,10 +170,9 @@ def run_case(config: StudyConfig, N: int) -> Case:
     reduced pencil is alive during the solve."""
     mesh = build_mesh(config, N)
     if config.formulation == "sg":
-        system = build_sg(mesh, config.degree, mu=config.mu)
+        system = build_sg(mesh, config.degree)
     else:
-        params = StabilizationParams(config.mu, config.ell, config.c_u,
-                                     config.c_p,
+        params = StabilizationParams(config.ell, config.c_u, config.c_p,
                                      stabilization_length(config, mesh))
         build = build_ag if config.formulation == "ag" else build_osgs
         system = build(mesh, config.degree, params)
@@ -179,9 +180,7 @@ def run_case(config: StudyConfig, N: int) -> Case:
                                     tip=config.tip)
     reduced = reduce_system(system, constraints)
     del system
-    solver = SolverConfig(nev=config.nev_effective, shift=config.shift,
-                          method=config.solver, seed=config.seed)
-    spectrum = solve_generalized(reduced, solver)
+    spectrum = solve_generalized(reduced, config.solver_config)
     if config.formulation == "sg":
         spectrum = filter_zeros(spectrum)
     return Case(spectrum.values[:config.nev_effective], spectrum,

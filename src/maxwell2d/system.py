@@ -11,6 +11,9 @@ semidefinite: A is a symmetric indefinite saddle-point operator.
 
 Boundary conditions are applied by congruence reduction (x = T x_r,
 A_r = T' A T), never by penalties, so the reduced spectrum is exact.
+
+The permeability mu is 1 in every benchmark cavity and enters no form:
+tau_p = c_p ell^2 and tau_u = c_u h^2 / ell^2.
 """
 from __future__ import annotations
 
@@ -26,30 +29,29 @@ from .meshgen import Mesh
 
 @dataclass(frozen=True)
 class StabilizationParams:
-    """mu, length scale ell, constants c_u / c_p, and the mesh size h.
+    """Length scale ell, constants c_u / c_p, and the mesh size h.
 
-    mu and ell must be positive, the others nonnegative: ValueError on
+    ell must be positive, the others nonnegative: ValueError on
     construction otherwise."""
 
-    mu: float
     ell: float
     c_u: float
     c_p: float
     h: float
 
     def __post_init__(self):
-        if self.mu <= 0.0 or self.ell <= 0.0:
-            raise ValueError("mu and ell must be positive")
+        if self.ell <= 0.0:
+            raise ValueError("ell must be positive")
         if self.c_u < 0.0 or self.c_p < 0.0 or self.h < 0.0:
             raise ValueError("c_u, c_p and h must be nonnegative")
 
     @property
     def tau_p(self) -> float:
-        return self.c_p * self.ell ** 2 / self.mu
+        return self.c_p * self.ell ** 2
 
     @property
     def tau_u(self) -> float:
-        return self.c_u * self.mu * self.h ** 2 / self.ell ** 2
+        return self.c_u * self.h ** 2 / self.ell ** 2
 
 
 class CornerStrategy(Enum):
@@ -133,13 +135,11 @@ class EvpSystem:
         return self.A.shape[0]
 
 
-def build_sg(mesh: Mesh, degree: int, mu: float = 1.0) -> EvpSystem:
+def build_sg(mesh: Mesh, degree: int) -> EvpSystem:
     """Standard Galerkin curl-curl system over (u1, u2)."""
-    if mu <= 0.0:
-        raise ValueError("mu must be positive")
     dofmap = build_dofmap(mesh, degree, "sg")
     kernels = scalar_kernels(dofmap)
-    A = (mu * assemble_form(FormKind.CURL_CURL, kernels)).tocsr()
+    A = assemble_form(FormKind.CURL_CURL, kernels)
     M = assemble_form(FormKind.MASS_VEC, kernels)
     return EvpSystem(A=A, M=M, dofmap=dofmap)
 
@@ -154,7 +154,7 @@ def build_ag(mesh: Mesh, degree: int, params: StabilizationParams) -> EvpSystem:
     kgg = assemble_form(FormKind.GRAD_GRAD, kernels)
     g = assemble_form(FormKind.GRAD_COUPLING, kernels)
     mv = assemble_form(FormKind.MASS_VEC, kernels)
-    A = sp.bmat([[params.mu * kcc + params.tau_u * kdd, g],
+    A = sp.bmat([[kcc + params.tau_u * kdd, g],
                  [g.T, -params.tau_p * kgg]], format="csr")
     M = sp.block_diag([mv, sp.csr_matrix((dofmap.n_scalar,) * 2)],
                       format="csr")
@@ -180,10 +180,10 @@ def build_osgs(mesh: Mesh, degree: int, params: StabilizationParams) -> EvpSyste
     mv = assemble_form(FormKind.MASS_VEC, kernels)
     tp, tu = params.tau_p, params.tau_u
     A = sp.bmat([
-        [params.mu * kcc + tu * kdd, g,         None,     -tu * d.T],
-        [g.T,                        -tp * kgg, tp * g.T, None],
-        [None,                       tp * g,    -tp * mv, None],
-        [-tu * d,                    None,      None,     tu * kernels["mass"]],
+        [kcc + tu * kdd, g,         None,     -tu * d.T],
+        [g.T,            -tp * kgg, tp * g.T, None],
+        [None,           tp * g,    -tp * mv, None],
+        [-tu * d,        None,      None,     tu * kernels["mass"]],
     ], format="csr")
     M = sp.block_diag([mv, sp.csr_matrix((4 * dofmap.n_scalar,) * 2)],
                       format="csr")

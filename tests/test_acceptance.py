@@ -265,8 +265,7 @@ def test_criterion_10_property_suite(osgs_cc_square, ag_cc_square,
     # monolithic OSGS vs dense Schur elimination of the projections
     import scipy.linalg as la
     mesh = build_uniform(SQUARE_PI, 2)
-    params = StabilizationParams(1.0, SQ["ell"], SQ["c_u"], SQ["c_p"],
-                                 mesh.h)
+    params = StabilizationParams(SQ["ell"], SQ["c_u"], SQ["c_p"], mesh.h)
     system = build_osgs(mesh, 1, params)
     cons = build_constraints(system.dofmap)
     reduced = reduce_system(system, cons)
@@ -325,7 +324,7 @@ def test_criterion_10_property_suite(osgs_cc_square, ag_cc_square,
 
 def test_criterion_11_graded_crack_rates():
     # AG at these parameters carries a genuine pressure-mode band near
-    # mu / (c_p ell^2) = 4 inside the reported range, so the rate check
+    # 1 / (c_p ell^2) = 4 inside the reported range, so the rate check
     # is meaningful for the orthogonal-projection stabilization only.
     table = graded_crack("osgs")
     assert np.all(table.values > 0)

@@ -95,11 +95,13 @@ def test_inconsistent_combinations(tmp_path, monkeypatch, capsys):
         capsys.readouterr().err
     assert cli_main(["--domain", "crack", "--N", "2,3"]) == 2
     assert "even" in capsys.readouterr().err
-    # SG needs a positive mu and, below its kernel at 0, a positive shift
+    # mu is 1 in every cavity, not a flag
     sg = ["--domain", "square", "--mesh", "cc", "--formulation", "sg",
           "--N", "2,4", "--nev", "3"]
-    assert cli_main(sg + ["--mu", "0"]) == 2
-    assert cli_main(sg + ["--mu", "-1"]) == 2
+    for mu in ("0", "-1"):
+        assert cli_main(sg + ["--mu", mu]) == 2
+        assert f"unrecognized arguments: --mu {mu}" in capsys.readouterr().err
+    # SG shift-invert, below its kernel at 0, needs a positive shift
     assert cli_main(sg + ["--shift", "0"]) == 2
     assert cli_main(["--formulation", "osgs", "--ell", "0"]) == 2
     assert "ell must be positive" in capsys.readouterr().err
@@ -224,9 +226,9 @@ def test_export_reuses_finest_solve(tmp_path, monkeypatch, capsys):
                      "--format", "csv", "--out", str(out),
                      "--export-mode", "1"])
     assert code == 0
-    assert len(calls) == 2
     config = StudyConfig(domain=SQUARE_PI, mesh="cc", formulation="osgs",
                          N_list=(3, 6), nev=3, solver="shift-invert", seed=7)
+    assert calls == [config.solver_config] * 2
     case = run_case(config, 6)
     expected = tmp_path / "expected.txt"
     export_eigenfunction(attach_eigenfunction(case.spectrum, case, 1),

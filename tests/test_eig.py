@@ -52,7 +52,7 @@ def test_sg_square_first_nonzero_both_methods():
 
 
 def reduced_stabilized(build, mesh, **kwargs):
-    system = build(mesh, 1, StabilizationParams(1.0, 0.1, 0.01, 0.6,
+    system = build(mesh, 1, StabilizationParams(0.1, 0.01, 0.6,
                                                 mesh.h))
     return reduce_system(system, build_constraints(system.dofmap, **kwargs))
 
@@ -69,9 +69,9 @@ def test_shift_invert_matches_dense_oracle():
     crack = powell_sabin_refine(build_uniform(CRACKED_SQUARE, 4))
     coarse_crack = powell_sabin_refine(build_uniform(CRACKED_SQUARE, 2))
     p2_system = build_osgs(p2_square, 2, StabilizationParams(
-        1.0, 0.1, 0.01, 0.6, p2_square.h))
+        0.1, 0.01, 0.6, p2_square.h))
     crack_system = build_osgs(coarse_crack, 1, StabilizationParams(
-        1.0, 0.2, 0.1, 1.0, coarse_crack.h))
+        0.2, 0.1, 1.0, coarse_crack.h))
     cases = [(reduced_sg(SQUARE_PI, square), 10),
              (reduced_stabilized(build_ag, square), 10),
              (reduced_stabilized(build_osgs, square), 10),
@@ -117,7 +117,7 @@ def test_finite_spectrum_can_fall_short_of_mass_rank():
     # square OSGS/P2 uniform N=2: A is singular on the M-null rows, so QZ
     # finds fewer finite values than rank M, all of them real
     mesh = build_uniform(SQUARE_PI, 2)
-    params = StabilizationParams(1.0, 0.1, 0.01, 0.6, mesh.h)
+    params = StabilizationParams(0.1, 0.01, 0.6, mesh.h)
     system = build_osgs(mesh, 2, params)
     reduced = reduce_system(system, build_constraints(system.dofmap))
     assert reduced.n == 114
@@ -140,12 +140,12 @@ def test_solver_methods():
 def test_node_ordering_fill(case):
     if case == "crack-ps":
         mesh = powell_sabin_refine(build_uniform(CRACKED_SQUARE, 8))
-        params = StabilizationParams(1.0, 0.2, 0.1, 1.0, mesh.h)
+        params = StabilizationParams(0.2, 0.1, 1.0, mesh.h)
         system = build_osgs(mesh, 1, params)
         cons = build_constraints(system.dofmap, tip=TipStrategy.FREE)
     else:
         mesh = build_criss_cross(L_SHAPE, 5)
-        params = StabilizationParams(1.0, 0.1, 0.01, 0.6, mesh.h)
+        params = StabilizationParams(0.1, 0.01, 0.6, mesh.h)
         system = build_osgs(mesh, 2, params)
         cons = build_constraints(system.dofmap,
                                  corner=CornerStrategy.BISECTOR_NORMAL)
@@ -198,7 +198,7 @@ def test_node_ordering_matches_float_fold(config, N):
         build = build_ag if config.formulation == "ag" else build_osgs
         system = build(mesh, config.degree,
                        StabilizationParams(
-                           config.mu, config.ell, config.c_u, config.c_p,
+                           config.ell, config.c_u, config.c_p,
                            stabilization_length(config, mesh)))
     reduced = reduce_system(system, build_constraints(
         system.dofmap, corner=config.corner, tip=config.tip))
@@ -298,7 +298,7 @@ def test_filter_zeros_examples():
 
 def test_ag_osgs_spectra_pass_filter_untouched():
     mesh = build_criss_cross(SQUARE_PI, 3)
-    params = StabilizationParams(1.0, 0.1, 0.01, 0.6, mesh.h)
+    params = StabilizationParams(0.1, 0.01, 0.6, mesh.h)
     system = build_osgs(mesh, 1, params)
     reduced = reduce_system(system, build_constraints(system.dofmap))
     spec = solve_generalized(reduced, SolverConfig(nev=8, shift=0.7,
@@ -336,7 +336,7 @@ def test_certify_block_residuals():
 
 def test_determinism():
     mesh = build_criss_cross(SQUARE_PI, 4)
-    params = StabilizationParams(1.0, 0.1, 0.01, 0.6, mesh.h)
+    params = StabilizationParams(0.1, 0.01, 0.6, mesh.h)
     system = build_osgs(mesh, 1, params)
     reduced = reduce_system(system, build_constraints(system.dofmap))
     cfg = SolverConfig(nev=6, method="shift-invert", seed=77)
@@ -429,7 +429,7 @@ def test_lshape_fundamental_mode_peaks_at_corner():
 
 def test_crack_fundamental_mode_peaks_at_tip():
     mesh = powell_sabin_refine(build_uniform(CRACKED_SQUARE, 8))
-    params = StabilizationParams(1.0, 0.2, 0.1, 1.0, mesh.h)
+    params = StabilizationParams(0.2, 0.1, 1.0, mesh.h)
     system = build_osgs(mesh, 1, params)
     cons = build_constraints(system.dofmap, tip=TipStrategy.FREE)
     reduced = reduce_system(system, cons)

@@ -29,7 +29,7 @@ def test_quadrature_weights_sum_to_reference_area():
     rule = make_quadrature()
     assert len(rule.weights) == 7
     assert_allclose(rule.weights.sum(), 0.5, rtol=1e-15)
-    assert_allclose(rule.barycentric.sum(axis=1), 1.0, rtol=1e-15)
+    assert np.all(rule.points >= 0.0) and np.all(rule.points.sum(axis=1) <= 1.0)
 
 
 @pytest.mark.parametrize("a,b", [(a, b) for a in range(6) for b in range(6)

@@ -65,7 +65,6 @@ def test_study_config_rejects_inconsistent_combinations():
         dict(domain=SQUARE_PI, corner=CornerStrategy.BISECTOR_NORMAL),
         dict(domain=L_SHAPE, tip=TipStrategy.BOTH_ZERO),
         dict(domain=CRACKED_SQUARE, N_list=(3,)),
-        dict(domain=SQUARE_PI, formulation="sg", mu=0.0),
         dict(domain=SQUARE_PI, formulation="sg", shift=0.0),
         dict(domain=SQUARE_PI, N_list=()),
         dict(domain=SQUARE_PI, N_list=(0, 4)),

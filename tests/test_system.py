@@ -15,20 +15,20 @@ from projection import l2_project
 
 
 def test_make_params_values():
-    p = StabilizationParams(1.0, 0.1, 0.01, 0.6, 0.3)
+    p = StabilizationParams(0.1, 0.01, 0.6, 0.3)
     assert_allclose(p.tau_p, 0.006, rtol=1e-15)
     h = np.sqrt(2) * np.pi / 25
-    p = StabilizationParams(1.0, 0.1, 0.01, 0.6, h)
+    p = StabilizationParams(0.1, 0.01, 0.6, h)
     assert_allclose(p.tau_u, h ** 2, rtol=1e-15)
     assert_allclose(p.tau_u, 0.03158, rtol=1e-3)
-    p = StabilizationParams(1.0, 0.3, 0.85, 0.5, 0.1)
+    p = StabilizationParams(0.3, 0.85, 0.5, 0.1)
     assert_allclose(p.tau_p, 0.045, rtol=1e-15)
 
 
 def test_make_params_rejects_nonpositive():
     # the type cannot be built invalid: no tau divides by zero or flips sign
-    ok = dict(mu=1.0, ell=0.1, c_u=0.01, c_p=0.6, h=0.1)
-    bad = [dict(mu=0.0), dict(mu=-1.0), dict(ell=0.0), dict(ell=-0.1),
+    ok = dict(ell=0.1, c_u=0.01, c_p=0.6, h=0.1)
+    bad = [dict(ell=0.0), dict(ell=-0.1),
            dict(c_u=-0.01), dict(c_p=-0.6), dict(h=-0.1)]
     for change in bad:
         with pytest.raises(ValueError):
@@ -54,7 +54,7 @@ def test_sg_mass_of_constant_field_is_domain_area():
 
 def test_ag_zero_tau_equals_mixed_galerkin():
     mesh = build_criss_cross(SQUARE_PI, 3)
-    params = StabilizationParams(1.0, 0.1, 0.0, 0.0, 0.5)
+    params = StabilizationParams(0.1, 0.0, 0.0, 0.5)
     system = build_ag(mesh, 1, params)
     dofmap = system.dofmap
     kernels = scalar_kernels(dofmap)
@@ -67,7 +67,7 @@ def test_ag_zero_tau_equals_mixed_galerkin():
 
 def test_ag_pressure_block_gradient_seminorm():
     mesh = build_criss_cross(SQUARE_PI, 3)
-    params = StabilizationParams(1.0, 0.1, 0.01, 0.6, 0.5)
+    params = StabilizationParams(0.1, 0.01, 0.6, 0.5)
     system = build_ag(mesh, 1, params)
     n = system.dofmap.n_scalar
     p_const = np.zeros(system.n)
@@ -81,7 +81,7 @@ def test_ag_pressure_block_gradient_seminorm():
 
 def test_coupling_blocks_transpose_exact():
     mesh = build_criss_cross(SQUARE_PI, 3)
-    params = StabilizationParams(1.0, 0.1, 0.01, 0.6, 0.5)
+    params = StabilizationParams(0.1, 0.01, 0.6, 0.5)
     for system in (build_ag(mesh, 1, params), build_osgs(mesh, 1, params)):
         n = system.dofmap.n_scalar
         u, p = slice(0, 2 * n), slice(2 * n, 3 * n)
@@ -94,7 +94,7 @@ def test_coupling_blocks_transpose_exact():
 
 def test_mass_kernel_is_non_u_fields():
     mesh = build_criss_cross(SQUARE_PI, 3)
-    params = StabilizationParams(1.0, 0.1, 0.01, 0.6, 0.5)
+    params = StabilizationParams(0.1, 0.01, 0.6, 0.5)
     system = build_osgs(mesh, 1, params)
     n = system.dofmap.n_scalar
     m = system.M.toarray()
@@ -106,14 +106,14 @@ def test_mass_kernel_is_non_u_fields():
 def test_osgs_rejects_zero_tau():
     mesh = build_criss_cross(SQUARE_PI, 2)
     with pytest.raises(ValueError):
-        build_osgs(mesh, 1, StabilizationParams(1.0, 0.1, 0.0, 0.6, 0.5))
+        build_osgs(mesh, 1, StabilizationParams(0.1, 0.0, 0.6, 0.5))
     with pytest.raises(ValueError):
-        build_osgs(mesh, 1, StabilizationParams(1.0, 0.1, 0.01, 0.0, 0.5))
+        build_osgs(mesh, 1, StabilizationParams(0.1, 0.01, 0.0, 0.5))
 
 
 def test_osgs_linear_pressure_forces_exact_projection():
     mesh = build_criss_cross(SQUARE_PI, 3)
-    params = StabilizationParams(1.0, 0.1, 0.01, 0.6, 0.5)
+    params = StabilizationParams(0.1, 0.01, 0.6, 0.5)
     system = build_osgs(mesh, 1, params)
     dofmap = system.dofmap
     n = dofmap.n_scalar
@@ -135,7 +135,7 @@ def test_osgs_linear_pressure_forces_exact_projection():
 
 def test_osgs_stabilization_blocks_are_psd():
     mesh = build_criss_cross(SQUARE_PI, 3)
-    params = StabilizationParams(1.0, 0.1, 0.01, 0.6, 0.5)
+    params = StabilizationParams(0.1, 0.01, 0.6, 0.5)
     system = build_osgs(mesh, 1, params)
     n = system.dofmap.n_scalar
     a = system.A
@@ -375,7 +375,7 @@ def dense_eigenvalues(A, M):
 def test_osgs_matches_schur_complement_spectrum():
     # monolithic implicit projections vs dense elimination of xi and eta
     mesh = build_uniform(SQUARE_PI, 2)
-    params = StabilizationParams(1.0, 0.1, 0.01, 0.6, mesh.h)
+    params = StabilizationParams(0.1, 0.01, 0.6, mesh.h)
     system = build_osgs(mesh, 1, params)
     cons = build_constraints(system.dofmap)
     reduced = reduce_system(system, cons)
@@ -402,7 +402,7 @@ def test_osgs_matches_schur_complement_spectrum():
 
 def test_ag_osgs_spectra_strictly_positive():
     mesh = build_criss_cross(SQUARE_PI, 3)
-    params = StabilizationParams(1.0, 0.1, 0.01, 0.6, mesh.h)
+    params = StabilizationParams(0.1, 0.01, 0.6, mesh.h)
     for build in (build_ag, build_osgs):
         system = build(mesh, 1, params)
         reduced = reduce_system(system, build_constraints(system.dofmap))
