@@ -15,9 +15,9 @@ from .fem import (AssemblyError, DofMap, FormKind, assemble_form,
 from .system import (ConstraintError, ConstraintSet, CornerStrategy,
                      EvpSystem, StabilizationParams, TipStrategy, build_ag,
                      build_constraints, build_osgs, build_sg, reduce_system)
-from .eig import (EigenField, EigenSolveError, SolverConfig, Spectrum,
-                  attach_eigenfunction, filter_zeros, solve_generalized)
-from .study import (CRACK_REFERENCE, L_SHAPE_REFERENCE, EigenTable,
+from .eig import (EigenSolveError, SolverConfig, Spectrum, filter_zeros,
+                  solve_generalized)
+from .study import (CRACK_REFERENCE, L_SHAPE_REFERENCE, EigenField, EigenTable,
                     StudyConfig, build_mesh, compute_eigenfunction,
                     convergence_rate, emit_table, export_eigenfunction,
                     parse_csv_table, reference_values, run_case, run_study,

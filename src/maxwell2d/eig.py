@@ -88,6 +88,8 @@ class SolverConfig:
         if self.method not in METHODS:
             raise ValueError(f"unknown solver method {self.method!r}; "
                              f"choose from {', '.join(METHODS)}")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -289,38 +291,3 @@ def filter_zeros(spectrum: Spectrum) -> Spectrum:
     dropped = int(np.count_nonzero(~keep))
     return _keep(spectrum, keep,
                  n_zero_filtered=spectrum.n_zero_filtered + dropped)
-
-
-@dataclass(frozen=True)
-class EigenField:
-    """Nodal eigenfunction data: coordinates, u components, p if present."""
-
-    coords: np.ndarray
-    u1: np.ndarray
-    u2: np.ndarray
-    p: np.ndarray | None = None
-
-
-def attach_eigenfunction(spectrum: Spectrum, system, index: int) -> EigenField:
-    """Expand eigenvector `index` to nodal fields, normalized so the largest
-    nodal |u| is one and u1 is positive at its own largest-magnitude node.
-
-    Only `system.dofmap` and `system.constraints` are read, so the reduced
-    EvpSystem or a solved study Case will do."""
-    if not 0 <= index < len(spectrum.values):
-        raise IndexError(f"eigenpair index {index} out of range")
-    x = spectrum.vectors[:, index]
-    full = system.constraints.expand(x) if system.constraints is not None else x
-    dofmap = system.dofmap
-    u1 = full[dofmap.field_slice("u1")].copy()
-    u2 = full[dofmap.field_slice("u2")].copy()
-    p = full[dofmap.field_slice("p")].copy() if "p" in dofmap.fields else None
-    magnitude = np.hypot(u1, u2)
-    scale = 1.0 / magnitude.max()
-    if u1[int(np.argmax(np.abs(u1)))] < 0:
-        scale = -scale
-    u1 *= scale
-    u2 *= scale
-    if p is not None:
-        p *= scale
-    return EigenField(coords=dofmap.coords.copy(), u1=u1, u2=u2, p=p)

@@ -16,8 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import meshgen
-from .eig import EigenField, SolverConfig, Spectrum, attach_eigenfunction, \
-    filter_zeros, solve_generalized
+from .eig import SolverConfig, Spectrum, filter_zeros, solve_generalized
 from .fem import DEGREES, FORMULATION_FIELDS, DofMap
 from .meshgen import DomainKind, Mesh
 from .system import ConstraintSet, CornerStrategy, StabilizationParams, \
@@ -210,7 +209,6 @@ class EigenTable:
     """
 
     domain: DomainKind
-    formulation: str
     N_list: tuple
     references: np.ndarray
     values: np.ndarray
@@ -247,9 +245,9 @@ def run_study(config: StudyConfig) -> EigenTable:
                 rates[i, j] = convergence_rate(e_prev, e_curr,
                                                config.N_list[j - 1],
                                                config.N_list[j])
-    return EigenTable(domain=config.domain, formulation=config.formulation,
-                      N_list=tuple(config.N_list), references=refs,
-                      values=values, rates=rates, finest=finest)
+    return EigenTable(domain=config.domain, N_list=tuple(config.N_list),
+                      references=refs, values=values, rates=rates,
+                      finest=finest)
 
 
 def _cell(value: float, rate: float, markdown: bool) -> str:
@@ -316,6 +314,16 @@ def parse_csv_table(text: str):
     return values, rates
 
 
+@dataclass(frozen=True)
+class EigenField:
+    """Nodal eigenfunction data: coordinates, u components, p if present."""
+
+    coords: np.ndarray
+    u1: np.ndarray
+    u2: np.ndarray
+    p: np.ndarray | None = None
+
+
 def export_eigenfunction(fld: EigenField, path) -> None:
     """One record per nodal point: x, y, u1, u2 and p when present."""
     with open(path, "w") as f:
@@ -328,7 +336,21 @@ def export_eigenfunction(fld: EigenField, path) -> None:
 
 
 def compute_eigenfunction(table: EigenTable, index: int) -> EigenField:
-    """Expand eigenfunction `index` of the table's finest case, reusing the
-    solve `run_study` already did."""
+    """Expand eigenvector `index` of the table's finest case to nodal fields,
+    reusing the solve `run_study` already did.  The fields are scaled so the
+    largest nodal |u| is one and u1 is positive at its own largest-magnitude
+    node."""
     case = table.finest
-    return attach_eigenfunction(case.spectrum, case, index)
+    if not 0 <= index < len(case.spectrum.values):
+        raise IndexError(f"eigenpair index {index} out of range")
+    full = case.constraints.expand(case.spectrum.vectors[:, index])
+    dofmap = case.dofmap
+    u1 = full[dofmap.field_slice("u1")]
+    u2 = full[dofmap.field_slice("u2")]
+    scale = 1.0 / np.hypot(u1, u2).max()
+    if u1[int(np.argmax(np.abs(u1)))] < 0:
+        scale = -scale
+    p = scale * full[dofmap.field_slice("p")] if "p" in dofmap.fields \
+        else None
+    return EigenField(coords=dofmap.coords.copy(), u1=scale * u1,
+                      u2=scale * u2, p=p)

@@ -94,10 +94,6 @@ class ConstraintSet:
         if fixed & masters:
             raise ConstraintError("an MPC master cannot be a fixed dof")
 
-    @property
-    def n_reduced(self) -> int:
-        return self.ndof - len(self.fixed) - len(self.mpcs)
-
     def retained_dofs(self) -> np.ndarray:
         """Full-system indices of the dofs that survive reduction, in order."""
         drop = np.zeros(self.ndof, dtype=bool)

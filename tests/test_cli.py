@@ -6,8 +6,8 @@ from pathlib import Path
 import numpy as np
 
 import maxwell2d
-from maxwell2d import SQUARE_PI, StudyConfig, attach_eigenfunction, \
-    cli, cli_main, export_eigenfunction, run_case, study
+from maxwell2d import SQUARE_PI, StudyConfig, cli, cli_main, \
+    compute_eigenfunction, export_eigenfunction, run_study, study
 
 ROOT = Path(__file__).resolve().parents[1]
 SPANS_PATH = ROOT / "perfbench" / "spans.py"
@@ -108,6 +108,11 @@ def test_inconsistent_combinations(tmp_path, monkeypatch, capsys):
     assert cli_main(["--N", ","]) == 2
     assert "N list needs at least one positive value" in \
         capsys.readouterr().err
+    # a negative seed: numpy refuses it only after meshing, and the rank-M
+    # dense fallback never reads it
+    assert cli_main(["--domain", "square", "--mesh", "cc", "--formulation",
+                     "osgs", "--N", "8", "--nev", "3", "--seed", "-1"]) == 2
+    assert "seed must be nonnegative" in capsys.readouterr().err
     assert calls == []
 
 
@@ -150,6 +155,15 @@ def test_readme_lists_every_flag():
     parsed = {opt for action in cli._build_parser()._actions
               for opt in action.option_strings if opt.startswith("--")}
     assert documented == parsed - {"--help"}
+
+
+def test_readme_sketch_names_resolve():
+    readme = (ROOT / "README.md").read_text()
+    sketch = readme.split("## Library sketch", 1)[1].split("```python", 1)[1]
+    names = set(re.findall(r"\bm\.(\w+)", sketch.split("```", 1)[0]))
+    assert names
+    assert [name for name in sorted(names)
+            if not hasattr(maxwell2d, name)] == []
 
 
 def load_spans(monkeypatch):
@@ -229,9 +243,8 @@ def test_export_reuses_finest_solve(tmp_path, monkeypatch, capsys):
     config = StudyConfig(domain=SQUARE_PI, mesh="cc", formulation="osgs",
                          N_list=(3, 6), nev=3, solver="shift-invert", seed=7)
     assert calls == [config.solver_config] * 2
-    case = run_case(config, 6)
     expected = tmp_path / "expected.txt"
-    export_eigenfunction(attach_eigenfunction(case.spectrum, case, 1),
+    export_eigenfunction(compute_eigenfunction(run_study(config), 1),
                          expected)
     exported = tmp_path / "t.csv.mode1.txt"
     assert exported.read_bytes() == expected.read_bytes()

@@ -9,8 +9,8 @@ from numpy.testing import assert_allclose
 
 from maxwell2d import (CRACKED_SQUARE, L_SHAPE, SQUARE_PI, CornerStrategy,
                        EigenSolveError, EvpSystem, SolverConfig, Spectrum,
-                       TipStrategy, attach_eigenfunction, build_constraints,
-                       build_ag, build_criss_cross, build_dofmap, build_osgs,
+                       TipStrategy, build_constraints, build_ag,
+                       build_criss_cross, build_dofmap, build_osgs,
                        StabilizationParams, StudyConfig, build_sg,
                        build_uniform, filter_zeros, powell_sabin_refine,
                        reduce_system, run_case, solve_generalized)
@@ -397,45 +397,3 @@ def test_arpack_failure_is_not_a_shift_collision(monkeypatch):
                                               "-9999"):
         solve_generalized(system, SolverConfig(nev=2, shift=0.5))
     assert calls == [0.5]
-
-
-def test_attach_eigenfunction_normalization():
-    mesh = build_criss_cross(SQUARE_PI, 4)
-    reduced = reduced_sg(SQUARE_PI, mesh)
-    spec = filter_zeros(solve_generalized(
-        reduced, SolverConfig(nev=5, method="shift-invert")))
-    fld = attach_eigenfunction(spec, reduced, 0)
-    mag = np.hypot(fld.u1, fld.u2)
-    assert_allclose(mag.max(), 1.0, rtol=1e-12)
-    assert fld.u1[int(np.argmax(np.abs(fld.u1)))] > 0
-    assert fld.p is None
-    with pytest.raises(IndexError):
-        attach_eigenfunction(spec, reduced, len(spec.values))
-
-
-def test_lshape_fundamental_mode_peaks_at_corner():
-    mesh = powell_sabin_refine(build_uniform(L_SHAPE, 6))
-    system = build_sg(mesh, 1)
-    cons = build_constraints(system.dofmap,
-                             corner=CornerStrategy.BISECTOR_NORMAL)
-    reduced = reduce_system(system, cons)
-    spec = filter_zeros(solve_generalized(
-        reduced, SolverConfig(nev=3, method="shift-invert")))
-    fld = attach_eigenfunction(spec, reduced, 0)
-    mag = np.hypot(fld.u1, fld.u2)
-    peak = fld.coords[int(np.argmax(mag))]
-    assert np.linalg.norm(peak) <= 2.5 / 6  # within a couple of cells of origin
-
-
-def test_crack_fundamental_mode_peaks_at_tip():
-    mesh = powell_sabin_refine(build_uniform(CRACKED_SQUARE, 8))
-    params = StabilizationParams(0.2, 0.1, 1.0, mesh.h)
-    system = build_osgs(mesh, 1, params)
-    cons = build_constraints(system.dofmap, tip=TipStrategy.FREE)
-    reduced = reduce_system(system, cons)
-    spec = solve_generalized(reduced, SolverConfig(nev=3,
-                                                   method="shift-invert"))
-    fld = attach_eigenfunction(spec, reduced, 0)
-    mag = np.hypot(fld.u1, fld.u2)
-    peak = fld.coords[int(np.argmax(mag))]
-    assert np.linalg.norm(peak) <= 2.5 * 2 / 8

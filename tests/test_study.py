@@ -8,12 +8,11 @@ import scipy.sparse as sp
 from numpy.testing import assert_allclose
 
 from maxwell2d import (CRACKED_SQUARE, L_SHAPE, SQUARE_PI, CornerStrategy,
-                       EigenTable, StudyConfig, TipStrategy, build_mesh,
-                       compute_eigenfunction, convergence_rate, emit_table,
-                       export_eigenfunction, parse_csv_table,
+                       EigenField, EigenTable, StudyConfig, TipStrategy,
+                       build_mesh, compute_eigenfunction, convergence_rate,
+                       emit_table, export_eigenfunction, parse_csv_table,
                        reference_values, run_case, run_study,
                        square_reference)
-from maxwell2d.eig import EigenField
 from maxwell2d.study import stabilization_length
 
 
@@ -69,6 +68,7 @@ def test_study_config_rejects_inconsistent_combinations():
         dict(domain=SQUARE_PI, N_list=()),
         dict(domain=SQUARE_PI, N_list=(0, 4)),
         dict(domain=SQUARE_PI, nev=0),
+        dict(domain=SQUARE_PI, seed=-1),
         dict(domain=SQUARE_PI, degree=3),
         dict(domain=SQUARE_PI, formulation="ag", ell=0.0),
         dict(domain=SQUARE_PI, formulation="ag", c_u=-0.01),
@@ -142,8 +142,8 @@ def make_table():
     for i in range(2):
         rates[i, 1] = convergence_rate(abs(values[i, 0] - refs[i]),
                                        abs(values[i, 1] - refs[i]), 5, 10)
-    return EigenTable(domain=SQUARE_PI, formulation="sg", N_list=(5, 10),
-                      references=refs, values=values, rates=rates)
+    return EigenTable(domain=SQUARE_PI, N_list=(5, 10), references=refs,
+                      values=values, rates=rates)
 
 
 def test_emit_markdown():
@@ -160,8 +160,8 @@ def test_emit_markdown_negative_rate():
     refs = np.array([9.0])
     rates = np.array([[np.nan,
                        convergence_rate(abs(8.6504 - 9), abs(8.1746 - 9), 5, 10)]])
-    table = EigenTable(domain=SQUARE_PI, formulation="sg", N_list=(5, 10),
-                       references=refs, values=values, rates=rates)
+    table = EigenTable(domain=SQUARE_PI, N_list=(5, 10), references=refs,
+                       values=values, rates=rates)
     text = emit_table(table, "md")
     assert "(-1.2)" in text
 
@@ -170,8 +170,8 @@ def test_emit_saturated_rate():
     values = np.array([[1.0, 1.0]])
     refs = np.array([1.0])
     rates = np.array([[np.nan, np.inf]])
-    table = EigenTable(domain=SQUARE_PI, formulation="sg", N_list=(5, 10),
-                       references=refs, values=values, rates=rates)
+    table = EigenTable(domain=SQUARE_PI, N_list=(5, 10), references=refs,
+                       values=values, rates=rates)
     assert "(—)" in emit_table(table, "md")
     assert "inf" in emit_table(table, "csv")
 
@@ -237,6 +237,38 @@ def test_compute_eigenfunction_lshape_peak(tmp_path):
     mag = np.hypot(rows[:, 2], rows[:, 3])
     peak = rows[np.argmax(mag), :2]
     assert np.linalg.norm(peak) <= 2.5 / 6
+
+
+def test_compute_eigenfunction_normalization():
+    cfg = StudyConfig(domain=SQUARE_PI, mesh="cc", formulation="sg",
+                      N_list=(4,), nev=5)
+    table = run_study(cfg)
+    fld = compute_eigenfunction(table, 0)
+    mag = np.hypot(fld.u1, fld.u2)
+    assert_allclose(mag.max(), 1.0, rtol=1e-12)
+    assert fld.u1[int(np.argmax(np.abs(fld.u1)))] > 0
+    assert fld.p is None
+    with pytest.raises(IndexError):
+        compute_eigenfunction(table, len(table.finest.spectrum.values))
+
+
+def test_crack_fundamental_mode_peaks_at_tip():
+    cfg = StudyConfig(domain=CRACKED_SQUARE, mesh="ps", formulation="osgs",
+                      N_list=(8,), ell=0.2, c_u=0.1, c_p=1.0, nev=3)
+    table = run_study(cfg)
+    fld = compute_eigenfunction(table, 0)
+    mag = np.hypot(fld.u1, fld.u2)
+    peak = fld.coords[int(np.argmax(mag))]
+    assert np.linalg.norm(peak) <= 2.5 * 2 / 8
+    # p is exported, scaled by the same factor as u
+    case = table.finest
+    full = case.constraints.expand(case.spectrum.vectors[:, 0])
+    raw_u1 = full[case.dofmap.field_slice("u1")]
+    raw_p = full[case.dofmap.field_slice("p")]
+    j = int(np.argmax(np.abs(raw_u1)))
+    assert fld.p is not None
+    assert_allclose(fld.p, raw_p * (fld.u1[j] / raw_u1[j]), rtol=1e-14,
+                    atol=0)
 
 
 def reachable(root):
