@@ -90,6 +90,8 @@ class SolverConfig:
                              f"choose from {', '.join(METHODS)}")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
+        if not np.isfinite(self.shift):
+            raise ValueError("shift must be finite")
 
 
 @dataclass(frozen=True)

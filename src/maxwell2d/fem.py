@@ -91,14 +91,6 @@ def shape_gradients(degree: int, pts: np.ndarray) -> np.ndarray:
     raise AssemblyError(f"unsupported polynomial degree {degree}")
 
 
-def reference_nodes(degree: int) -> np.ndarray:
-    verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    if degree == 1:
-        return verts
-    mids = 0.5 * (verts + np.roll(verts, -1, axis=0))
-    return np.vstack([verts, mids])
-
-
 DEGREES = (1, 2)
 
 FORMULATION_FIELDS = {

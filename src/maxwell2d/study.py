@@ -107,13 +107,15 @@ class StudyConfig:
         if self.domain.has_crack and any(N % 2 for N in self.N_list):
             raise ValueError("the cracked square needs even N values: its "
                              "crack line must be a grid line")
-        if self.formulation != "sg" and self.ell <= 0.0:
-            raise ValueError("ell must be positive")
-        if self.formulation == "ag" and min(self.c_u, self.c_p) < 0.0:
-            raise ValueError("AG needs nonnegative c_u and c_p")
-        if self.formulation == "osgs" and min(self.c_u, self.c_p) <= 0.0:
-            raise ValueError("OSGS needs positive c_u and c_p: a zero tau "
-                             "wipes a projection row")
+        if self.formulation != "sg" and not 0.0 < self.ell < math.inf:
+            raise ValueError("ell must be positive and finite")
+        if self.formulation == "ag" and \
+                not all(0.0 <= c < math.inf for c in (self.c_u, self.c_p)):
+            raise ValueError("AG needs nonnegative, finite c_u and c_p")
+        if self.formulation == "osgs" and \
+                not all(0.0 < c < math.inf for c in (self.c_u, self.c_p)):
+            raise ValueError("OSGS needs positive, finite c_u and c_p: a "
+                             "zero tau wipes a projection row")
         if self.formulation == "sg" and self.solver == "shift-invert" and \
                 self.shift <= 0.0:
             raise ValueError("SG shift-invert needs a positive shift: the "

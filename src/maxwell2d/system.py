@@ -10,7 +10,9 @@ is then negative semidefinite, and the blocks on u and on eta positive
 semidefinite: A is a symmetric indefinite saddle-point operator.
 
 Boundary conditions are applied by congruence reduction (x = T x_r,
-A_r = T' A T), never by penalties, so the reduced spectrum is exact.
+A_r = T' A T), never by penalties, so the reduced spectrum is exact.  A
+constraint set is a kept-dof mask plus at most one fold, the bisector
+rule u2 = -u1 at the L-shape's re-entrant corner.
 
 The permeability mu is 1 in every benchmark cavity and enters no form:
 tau_p = c_p ell^2 and tau_u = c_u h^2 / ell^2.
@@ -31,8 +33,8 @@ from .meshgen import Mesh
 class StabilizationParams:
     """Length scale ell, constants c_u / c_p, and the mesh size h.
 
-    ell must be positive, the others nonnegative: ValueError on
-    construction otherwise."""
+    ell must be positive, the others nonnegative, and all finite:
+    ValueError on construction otherwise."""
 
     ell: float
     c_u: float
@@ -40,10 +42,10 @@ class StabilizationParams:
     h: float
 
     def __post_init__(self):
-        if self.ell <= 0.0:
-            raise ValueError("ell must be positive")
-        if self.c_u < 0.0 or self.c_p < 0.0 or self.h < 0.0:
-            raise ValueError("c_u, c_p and h must be nonnegative")
+        if not 0.0 < self.ell < np.inf:
+            raise ValueError("ell must be positive and finite")
+        if not all(0.0 <= v < np.inf for v in (self.c_u, self.c_p, self.h)):
+            raise ValueError("c_u, c_p and h must be nonnegative and finite")
 
     @property
     def tau_p(self) -> float:
@@ -71,51 +73,43 @@ class ConstraintError(Exception):
 
 @dataclass(frozen=True)
 class ConstraintSet:
-    """Homogeneous fixed dofs plus (slave, master, factor) couplings."""
+    """The dofs that survive reduction, plus at most the bisector fold.
 
-    ndof: int
-    fixed: np.ndarray
-    mpcs: tuple
+    keep is a boolean mask over the full system.  fold is None or one
+    (slave, master) pair: the slave is dropped and rebuilt as -master.
+    Anything else raises ConstraintError on construction."""
+
+    keep: np.ndarray
+    fold: tuple | None = None
 
     def __post_init__(self):
-        fixed = set(int(d) for d in self.fixed)
-        slaves = set(int(s) for s, _m, _f in self.mpcs)
-        masters = set(int(m) for _s, m, _f in self.mpcs)
-        for role, dofs in (("fixed", fixed), ("slave", slaves),
-                           ("master", masters)):
-            outside = sorted(d for d in dofs if not 0 <= d < self.ndof)
-            if outside:
-                raise ConstraintError(
-                    f"{role} dof {outside[0]} outside [0, {self.ndof})")
-        if fixed & slaves:
-            raise ConstraintError("a dof cannot be both fixed and a slave")
-        if slaves & masters:
-            raise ConstraintError("MPC chains (slave of a slave) are rejected")
-        if fixed & masters:
-            raise ConstraintError("an MPC master cannot be a fixed dof")
+        keep, fold = self.keep, self.fold
+        ok = isinstance(keep, np.ndarray) and keep.dtype == bool \
+            and keep.ndim == 1
+        if ok and fold is not None:
+            ok = 0 <= min(fold) and max(fold) < len(keep) \
+                and not keep[fold[0]] and keep[fold[1]]
+        if not ok:
+            raise ConstraintError("need a 1-D bool mask and at most one fold "
+                                  "of a dropped slave onto a kept master")
 
     def retained_dofs(self) -> np.ndarray:
         """Full-system indices of the dofs that survive reduction, in order."""
-        drop = np.zeros(self.ndof, dtype=bool)
-        drop[self.fixed] = True
-        for s, _m, _f in self.mpcs:
-            drop[s] = True
-        return np.where(~drop)[0]
+        return np.flatnonzero(self.keep)
 
     def reduction_matrix(self) -> sp.csr_matrix:
         """T with x_full = T x_reduced; retained dofs keep their order."""
-        keep = self.retained_dofs()
-        col = -np.ones(self.ndof, dtype=np.int64)
-        col[keep] = np.arange(len(keep))
-        mpcs = np.array(self.mpcs, dtype=float).reshape(-1, 3)
-        slaves, masters = mpcs[:, :2].astype(np.int64).T
-        rows = np.concatenate([keep, slaves])
-        cols = np.concatenate([col[keep], col[masters]])
-        vals = np.concatenate([np.ones(len(keep)), mpcs[:, 2]])
-        return sp.csr_matrix((vals, (rows, cols)), shape=(self.ndof, len(keep)))
+        kept = self.retained_dofs()
+        rows, cols, vals = kept, np.arange(len(kept)), np.ones(len(kept))
+        if self.fold is not None:
+            rows = np.append(rows, self.fold[0])
+            cols = np.append(cols, np.searchsorted(kept, self.fold[1]))
+            vals = np.append(vals, -1.0)
+        return sp.csr_matrix((vals, (rows, cols)),
+                             shape=(len(self.keep), len(kept)))
 
     def expand(self, x_reduced: np.ndarray) -> np.ndarray:
-        """Full vector: fixed dofs zero, slaves reconstructed from masters."""
+        """Full vector: dropped dofs zero, the fold's slave rebuilt."""
         return self.reduction_matrix() @ x_reduced
 
 
@@ -202,27 +196,26 @@ def build_constraints(dofmap: DofMap,
             not dofmap.mesh.domain.has_reentrant_corner:
         raise ConstraintError(
             "bisector-normal corner handling needs a re-entrant corner")
-    u1, u2 = dofmap.offset("u1"), dofmap.offset("u2")
-    fix_u1, fix_u2 = dofmap.on_h.copy(), dofmap.on_v.copy()
-    mpcs = ()
+    keep = np.ones(dofmap.ndof, dtype=bool)
+    keep[dofmap.field_slice("u1")] = ~dofmap.on_h
+    keep[dofmap.field_slice("u2")] = ~dofmap.on_v
+    if "p" in dofmap.fields:
+        keep[dofmap.field_slice("p")] = ~(dofmap.on_h | dofmap.on_v)
+    fold = None
     node = dofmap.mesh.singular_node
     if node >= 0:
+        u1, u2 = dofmap.dof("u1", node), dofmap.dof("u2", node)
         rule = corner if dofmap.mesh.domain.has_reentrant_corner else tip
-        fix_u1[node] = fix_u2[node] = \
-            rule in (CornerStrategy.BOTH_ZERO, TipStrategy.BOTH_ZERO)
+        keep[u1] = rule not in (CornerStrategy.BOTH_ZERO, TipStrategy.BOTH_ZERO)
+        keep[u2] = rule in (CornerStrategy.FREE, TipStrategy.FREE)
         if rule is CornerStrategy.BISECTOR_NORMAL:
-            mpcs = ((u2 + node, u1 + node, -1.0),)
-    fixed = [u1 + np.flatnonzero(fix_u1), u2 + np.flatnonzero(fix_u2)]
-    if "p" in dofmap.fields:
-        fixed.append(dofmap.offset("p")
-                     + np.flatnonzero(dofmap.on_h | dofmap.on_v))
-    return ConstraintSet(ndof=dofmap.ndof, fixed=np.sort(np.concatenate(fixed)),
-                         mpcs=mpcs)
+            fold = (u2, u1)
+    return ConstraintSet(keep, fold)
 
 
 def reduce_system(system: EvpSystem, constraints: ConstraintSet) -> EvpSystem:
     """Congruence reduction T' A T, T' M T onto the retained dofs."""
-    if constraints.ndof != system.n:
+    if len(constraints.keep) != system.n:
         raise ConstraintError("constraint set does not match system size")
     T = constraints.reduction_matrix()
     A = (T.T @ system.A @ T).tocsr()

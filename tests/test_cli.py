@@ -113,6 +113,14 @@ def test_inconsistent_combinations(tmp_path, monkeypatch, capsys):
     assert cli_main(["--domain", "square", "--mesh", "cc", "--formulation",
                      "osgs", "--N", "8", "--nev", "3", "--seed", "-1"]) == 2
     assert "seed must be nonnegative" in capsys.readouterr().err
+    # non-finite numbers are rejected before anything is meshed
+    osgs = ["--domain", "square", "--mesh", "cc", "--formulation", "osgs",
+            "--N", "4,8", "--nev", "3"]
+    for flag, value in (("--shift", "nan"), ("--shift", "inf"),
+                        ("--ell", "nan"), ("--ell", "inf"),
+                        ("--cu", "nan"), ("--cp", "inf")):
+        assert cli_main(osgs + [flag, value]) == 2
+        assert "finite" in capsys.readouterr().err
     assert calls == []
 
 

@@ -262,13 +262,13 @@ def test_shift_invert_releases_factor(monkeypatch):
 
 
 def test_reduced_operator_symmetric():
-    # the assembled A is symmetric and congruence keeps it so, MPC included
+    # the assembled A is symmetric and congruence keeps it so, fold included
     lshape = powell_sabin_refine(build_uniform(L_SHAPE, 3))
     crack = powell_sabin_refine(build_uniform(CRACKED_SQUARE, 4))
     for build in (build_ag, build_osgs):
         bisector = reduced_stabilized(build, lshape,
                                       corner=CornerStrategy.BISECTOR_NORMAL)
-        assert bisector.constraints.mpcs
+        assert bisector.constraints.fold is not None
         for reduced in (bisector, reduced_stabilized(build, crack,
                                                      tip=TipStrategy.FREE)):
             A = reduced.A

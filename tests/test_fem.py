@@ -10,7 +10,7 @@ from maxwell2d import (CRACKED_SQUARE, SQUARE_PI, AssemblyError, FormKind,
                        assemble_form, build_criss_cross, build_dofmap,
                        build_uniform, make_quadrature, shape_functions,
                        shape_gradients)
-from maxwell2d.fem import reference_nodes, scalar_kernels
+from maxwell2d.fem import scalar_kernels
 from bare_mesh import bare_mesh
 from projection import l2_project
 
@@ -18,6 +18,15 @@ from projection import l2_project
 def monomial_integral(a, b):
     # exact value of x^a y^b over the reference triangle
     return math.factorial(a) * math.factorial(b) / math.factorial(a + b + 2)
+
+
+def reference_nodes(degree):
+    # vertices, then for P2 the midpoints of edges (0,1), (1,2), (2,0)
+    verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    if degree == 1:
+        return verts
+    mids = 0.5 * (verts + np.roll(verts, -1, axis=0))
+    return np.vstack([verts, mids])
 
 
 def single_triangle_mesh():

@@ -76,6 +76,14 @@ def test_study_config_rejects_inconsistent_combinations():
         dict(domain=SQUARE_PI, formulation="osgs", ell=0.0),
         dict(domain=SQUARE_PI, formulation="osgs", c_u=0.0),
         dict(domain=SQUARE_PI, formulation="osgs", c_p=0.0),
+        dict(domain=SQUARE_PI, shift=math.nan),
+        dict(domain=SQUARE_PI, shift=math.inf),
+        dict(domain=SQUARE_PI, formulation="ag", ell=math.nan),
+        dict(domain=SQUARE_PI, formulation="ag", c_u=math.nan),
+        dict(domain=SQUARE_PI, formulation="ag", c_p=math.inf),
+        dict(domain=SQUARE_PI, formulation="osgs", ell=math.inf),
+        dict(domain=SQUARE_PI, formulation="osgs", c_u=math.nan),
+        dict(domain=SQUARE_PI, formulation="osgs", c_p=math.inf),
     ]
     base = dict(mesh="ps", formulation="osgs", N_list=(4,))
     for case in cases:
@@ -291,4 +299,4 @@ def test_finest_case_keeps_no_matrix():
                       corner=CornerStrategy.BISECTOR_NORMAL)
     finest = run_study(cfg).finest
     assert not [obj for obj in reachable(finest) if sp.issparse(obj)]
-    assert finest.constraints.mpcs and "xi1" in finest.dofmap.fields
+    assert finest.constraints.fold is not None and "xi1" in finest.dofmap.fields

@@ -29,7 +29,9 @@ def test_make_params_rejects_nonpositive():
     # the type cannot be built invalid: no tau divides by zero or flips sign
     ok = dict(ell=0.1, c_u=0.01, c_p=0.6, h=0.1)
     bad = [dict(ell=0.0), dict(ell=-0.1),
-           dict(c_u=-0.01), dict(c_p=-0.6), dict(h=-0.1)]
+           dict(c_u=-0.01), dict(c_p=-0.6), dict(h=-0.1),
+           dict(ell=np.nan), dict(ell=np.inf), dict(c_u=np.nan),
+           dict(c_p=np.inf), dict(h=np.nan), dict(h=np.inf)]
     for change in bad:
         with pytest.raises(ValueError):
             StabilizationParams(**(ok | change))
@@ -159,7 +161,10 @@ def test_osgs_stabilization_blocks_are_psd():
 
 
 def fixed_set(constraints, dofmap, field, node):
-    return dofmap.dof(field, node) in set(constraints.fixed.tolist())
+    # fixed: dropped, and not the fold's slave rebuilt from its master
+    dof = dofmap.dof(field, node)
+    return not constraints.keep[dof] and \
+        (constraints.fold is None or dof != constraints.fold[0])
 
 
 def test_square_constraints():
@@ -172,21 +177,23 @@ def test_square_constraints():
             any(abs(y - e) < 1e-12 for e in (0.0, np.pi))
         assert fixed_set(cons, dofmap, "u2", i) == \
             any(abs(x - e) < 1e-12 for e in (0.0, np.pi))
-    assert len(cons.mpcs) == 0
+    assert cons.fold is None
 
 
 def test_lshape_bisector_single_mpc():
     mesh = powell_sabin_refine(build_uniform(L_SHAPE, 2))
     dofmap = build_dofmap(mesh, 1, "sg")
     cons = build_constraints(dofmap, corner=CornerStrategy.BISECTOR_NORMAL)
-    assert len(cons.mpcs) == 1
-    slave, master, factor = cons.mpcs[0]
+    slave, master = cons.fold
     origin = mesh.singular_node
     assert_allclose(dofmap.coords[origin], [0.0, 0.0], atol=1e-14)
     assert slave == dofmap.dof("u2", origin)
     assert master == dofmap.dof("u1", origin)
-    assert factor == -1.0
+    assert not cons.keep[slave] and cons.keep[master]
     assert not fixed_set(cons, dofmap, "u1", origin)
+    # the fold rebuilds the slave as -master
+    x = cons.expand(np.arange(1.0, len(cons.retained_dofs()) + 1))
+    assert x[slave] == -x[master] != 0.0
 
 
 def test_lshape_corner_strategies():
@@ -234,27 +241,28 @@ def test_crack_tip_strategies():
 
 def loop_constraints(dofmap, corner, tip):
     """Reference for build_constraints: one node at a time."""
-    fixed, mpcs = [], []
+    keep, fold = np.ones(dofmap.ndof, dtype=bool), None
     u1, u2 = dofmap.offset("u1"), dofmap.offset("u2")
     domain = dofmap.mesh.domain
     for i in range(dofmap.n_scalar):
         singular = i == dofmap.mesh.singular_node
         if singular and domain.has_reentrant_corner:
             if corner is CornerStrategy.BOTH_ZERO:
-                fixed += [u1 + i, u2 + i]
+                keep[u1 + i] = keep[u2 + i] = False
             elif corner is CornerStrategy.BISECTOR_NORMAL:
-                mpcs.append((u2 + i, u1 + i, -1.0))
+                keep[u2 + i] = False
+                fold = (u2 + i, u1 + i)
         elif singular and domain.has_crack:
             if tip is TipStrategy.BOTH_ZERO:
-                fixed += [u1 + i, u2 + i]
+                keep[u1 + i] = keep[u2 + i] = False
         else:
             if dofmap.on_h[i]:
-                fixed.append(u1 + i)
+                keep[u1 + i] = False
             if dofmap.on_v[i]:
-                fixed.append(u2 + i)
+                keep[u2 + i] = False
         if "p" in dofmap.fields and (dofmap.on_h[i] or dofmap.on_v[i]):
-            fixed.append(dofmap.offset("p") + i)
-    return sorted(fixed), mpcs
+            keep[dofmap.offset("p") + i] = False
+    return keep, fold
 
 
 @pytest.mark.parametrize("domain,degree,formulation", [
@@ -269,22 +277,24 @@ def test_constraints_match_loop_reference(domain, degree, formulation):
     for corner in corners:
         for tip in TipStrategy:
             cs = build_constraints(dofmap, corner, tip)
-            fixed, mpcs = loop_constraints(dofmap, corner, tip)
-            assert cs.fixed.tolist() == fixed
-            assert list(cs.mpcs) == mpcs
+            keep, fold = loop_constraints(dofmap, corner, tip)
+            assert cs.keep.dtype == bool and np.array_equal(cs.keep, keep)
+            assert cs.fold == fold
 
 
 def loop_reduction_matrix(cons):
     """Reference for ConstraintSet.reduction_matrix: one triplet at a time."""
-    keep = cons.retained_dofs()
-    col = -np.ones(cons.ndof, dtype=np.int64)
+    ndof = len(cons.keep)
+    keep = np.array([i for i in range(ndof) if cons.keep[i]], dtype=np.int64)
+    col = -np.ones(ndof, dtype=np.int64)
     col[keep] = np.arange(len(keep))
     rows, cols, vals = list(keep), list(col[keep]), [1.0] * len(keep)
-    for s, m, f in cons.mpcs:
+    if cons.fold is not None:
+        s, m = cons.fold
         rows.append(s)
         cols.append(col[m])
-        vals.append(f)
-    return sp.csr_matrix((vals, (rows, cols)), shape=(cons.ndof, len(keep)))
+        vals.append(-1.0)
+    return sp.csr_matrix((vals, (rows, cols)), shape=(ndof, len(keep)))
 
 
 @pytest.mark.parametrize("domain,degree,formulation", [
@@ -309,29 +319,31 @@ def test_osgs_projection_fields_never_constrained():
     dofmap = build_dofmap(mesh, 1, "osgs")
     cons = build_constraints(dofmap)
     lo = dofmap.offset("xi1")
-    assert np.all(cons.fixed < lo)
+    assert cons.keep[lo:].all()
 
 
 def test_constraint_validation():
-    with pytest.raises(ConstraintError):
-        ConstraintSet(ndof=4, fixed=np.array([1]), mpcs=((1, 0, -1.0),))
-    with pytest.raises(ConstraintError):
-        ConstraintSet(ndof=4, fixed=np.array([]), mpcs=((1, 2, -1.0), (2, 3, 1.0)))
-    with pytest.raises(ConstraintError):
-        ConstraintSet(ndof=4, fixed=np.array([2]), mpcs=((1, 2, -1.0),))
-    # indices outside [0, ndof); a negative one would silently drop dof 3
-    for fixed, mpcs in (([9], ()), ([], ((1, 7, 1.0),)), ([-1], ()),
-                        ([], ((-1, 0, 1.0),))):
-        with pytest.raises(ConstraintError, match=r"outside \[0, 4\)"):
-            ConstraintSet(ndof=4, fixed=np.array(fixed, dtype=np.int64),
-                          mpcs=mpcs)
+    keep = np.array([True, False, False, True])
+    ConstraintSet(keep, fold=(1, 0))
+    bad = [
+        (np.array([]), None),              # float, not bool
+        (np.array([1, 0, 0, 1]), None),    # int, not bool
+        (keep.tolist(), None),             # not an array
+        (keep.reshape(2, 2), None),        # 2-D
+        (keep, (0, 3)),                    # kept slave
+        (keep, (1, 2)),                    # dropped master
+        (keep, (1, 4)), (keep, (4, 0)),    # outside [0, 4)
+        (keep, (1, -1)), (keep, (-3, 0)),  # negative: would wrap to a valid pair
+    ]
+    for mask, fold in bad:
+        with pytest.raises(ConstraintError):
+            ConstraintSet(mask, fold)
 
 
 def test_reduce_identity_without_constraints():
     mesh = build_criss_cross(SQUARE_PI, 2)
     system = build_sg(mesh, 1)
-    cons = ConstraintSet(ndof=system.n, fixed=np.array([], dtype=np.int64),
-                         mpcs=())
+    cons = ConstraintSet(np.ones(system.n, dtype=bool))
     reduced = reduce_system(system, cons)
     assert reduced.n == system.n
     assert np.abs((reduced.A - system.A)).max() == 0
@@ -339,15 +351,14 @@ def test_reduce_identity_without_constraints():
 
 def test_reduce_single_fixed_dof():
     A = sp.csr_matrix(np.arange(9.0).reshape(3, 3))
-    cons = ConstraintSet(ndof=3, fixed=np.array([1]), mpcs=())
+    cons = ConstraintSet(np.array([True, False, True]))
     T = cons.reduction_matrix()
     out = (T.T @ A @ T).toarray()
     assert_allclose(out, [[0.0, 2.0], [6.0, 8.0]])
 
 
 def test_reduce_mpc_toy():
-    cons = ConstraintSet(ndof=2, fixed=np.array([], dtype=np.int64),
-                         mpcs=((1, 0, -1.0),))
+    cons = ConstraintSet(np.array([True, False]), fold=(1, 0))
     T = cons.reduction_matrix()
     A = sp.identity(2, format="csr")
     out = (T.T @ A @ T).toarray()
