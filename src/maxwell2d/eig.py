@@ -9,43 +9,48 @@ A - sigma M is factored once per shift by SuperLU in symmetric mode
 (diagonal pivots, one ordering for rows and columns).  The ordering is
 computed once per solve, on nodes rather than dofs: every field uses the
 same continuous Lagrangian interpolation, so all dofs of a nodal point
-couple to the same neighbours and the dof graph is the node graph with
-each vertex replaced by a small clique.  Minimum degree on the node graph,
+couple to the same neighbours and the dof graph is the node graph with each
+vertex replaced by a small clique.  Minimum degree on the node graph,
 expanded with each node's retained dofs kept consecutive, orders that
 structure on P1 Powell-Sabin and P2 meshes alike (crack OSGS/PS N=32: 5.3M
 stored entries against 19.6M under COLAMD on the dofs), and every shift
-retry reuses it.  ARPACK's
-symmetric Lanczos computes theta = 1/(lambda - sigma), requesting the
-largest algebraic values so the search walks the spectrum upward from the
-shift.  That ordering skips the large machine-zero cluster of the
-standard Galerkin operator (theta = -1/sigma < 0), so only genuinely
-nonzero eigenvalues come back from SG solves.  Every pair is certified
-against A.
+retry reuses it.  ARPACK's symmetric Lanczos computes
+theta = 1/(lambda - sigma), requesting the largest algebraic values so the
+search walks the spectrum upward from the shift.  That ordering skips the
+large machine-zero cluster of the standard Galerkin operator
+(theta = -1/sigma < 0), so only genuinely nonzero eigenvalues come back
+from SG solves.
 
-This is the one solver path at every size.  Lanczos needs a finite
-spectrum larger than its window of max(4 nev, nev + 20) vectors; the
-finite spectrum has at most rank M members, the reduced dofs with a
-nonzero M row (M vanishes on the p, xi and eta rows).  It has fewer where
-A is singular on the M-null rows, as on OSGS P2 (square uniform N=2: 29
-finite values, rank M 30).  Where rank M is no larger than the window,
-the pencil is small and a dense QZ solve stands in, keeping
-only the values at or above the shift, so neither path reports a value
-below it.  Dense QZ is otherwise the explicit oracle (method "dense"), which
-returns every finite real pair, zero modes included.
+ARPACK tests convergence in the M-norm, blind to the p, xi and eta rows
+where M vanishes.  Where M has such rows, one block solve with the factor
+purifies the Ritz vectors, x <- (lambda - sigma) (A - sigma M)^-1 M x,
+keeping lambda (Nour-Omid, Parlett, Ericsson and Jensen (1987), "How to
+implement the spectral transformation"); unpurified, the pressure band
+above 1/(c_p ell^2) fails the certificate on square OSGS/P2 CC N=4.  SG's
+M has none: there the step only amplifies kernel components.
 
-The factor is the largest object of a solve, so it is built next to one
-copy of the pencil only: the reduced A and M, the node ordering and the
-factor stay alive through the Lanczos iteration, nothing else.  The
-permuted P (A - sigma M) P' is formed for each shift and dies inside the
-factorization call.  The factor is released before the residual
-certificate allocates its n x k blocks.
+This is the one solver path at every size.  Lanczos needs a finite spectrum
+larger than its window of max(4 nev, nev + 20) vectors; the finite spectrum
+has at most rank M members, the reduced dofs with a nonzero M row, and
+fewer where A is singular on the M-null rows (OSGS P2).  Where rank M is no
+larger than the window, a dense QZ solve stands in, keeping only the values
+at or above the shift, so neither path reports a value below it.  Dense QZ
+is otherwise the oracle (method "dense"), returning every finite real pair,
+zero modes included.  QZ is read in homogeneous form, dividing out only the
+finite values.  It may split a double value into a near-real pair a +- ib
+with vectors x +- iy; x and y span its eigenspace, so each half keeps one
+and no multiplicity is lost.
+
+The factor is the largest object of a solve: only the reduced A and M, the
+node ordering and the factor live through Lanczos and purification.  The
+permuted P (A - sigma M) P' dies inside each factorization call, and the
+factor before the certificate.
 
 Grimes, Lewis and Simon (1994), "A shifted block Lanczos algorithm for
 solving sparse symmetric generalized eigenproblems".
 """
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -63,8 +68,8 @@ GUARD_PAIRS = 8        # Lanczos converges nev + 8 pairs, reports them all
 ZERO_TOL = 1e-6        # filter_zeros drops |lambda| below this
 DIAG_PIVOT_THRESH = 0.0
 METHODS = ("shift-invert", "dense")
-# dense path only: QZ values this large are infinite, and a pair is real
-# when its imaginary part is within IMAG_TOL (1 + |lambda|)
+# dense path only: a QZ value alpha/beta is infinite where |alpha| >=
+# FINITE_CUTOFF |beta|, and real where |Im| <= IMAG_TOL (1 + |Re|)
 IMAG_TOL = 1e-8
 FINITE_CUTOFF = 1e12
 
@@ -109,17 +114,10 @@ class Spectrum:
     shift_retries: int = 0         # shifts abandoned before that one
 
 
-def _realign(vec: np.ndarray) -> np.ndarray:
-    """Rotate a (near-)real complex vector onto the real axis (dense path
-    only)."""
-    j = int(np.argmax(np.abs(vec)))
-    phase = vec[j] / abs(vec[j])
-    out = np.real(vec / phase)
-    nrm = np.linalg.norm(out)
-    return out / nrm if nrm > 0 else out
-
-
-def _certify(system: EvpSystem, values, vectors) -> np.ndarray:
+def _certified(system: EvpSystem, values, vectors, **record) -> Spectrum:
+    """Both paths' finish: the pairs ascending, certified against A."""
+    order = np.argsort(values)
+    values, vectors = values[order], vectors[:, order]
     R = system.A @ vectors - (system.M @ vectors) * values
     res = np.linalg.norm(R, axis=0) / np.linalg.norm(vectors, axis=0)
     failed = np.flatnonzero(res > RESIDUAL_TOL * (1.0 + np.abs(values)))
@@ -128,35 +126,24 @@ def _certify(system: EvpSystem, values, vectors) -> np.ndarray:
         raise EigenSolveError(
             f"eigenpair {k} (lambda={values[k]:.6g}) fails the residual "
             f"certificate: {res[k]:.3e}")
-    return res
-
-
-def _select_real(w, v):
-    """The finite real pairs of a QZ solve, ascending, and the number of
-    finite complex ones rejected (dense path only)."""
-    finite = np.isfinite(w) & (np.abs(w) < FINITE_CUTOFF)
-    real = np.abs(w.imag) <= IMAG_TOL * (1.0 + np.abs(w.real))
-    keep = finite & real
-    n_rejected = int(np.count_nonzero(finite & ~real))
-    w_keep = w[keep].real
-    order = np.argsort(w_keep)
-    vectors = np.column_stack([_realign(v[:, i]) for i in np.where(keep)[0]]) \
-        if np.any(keep) else np.zeros((v.shape[0], 0))
-    return w_keep[order], vectors[:, order], n_rejected
+    return Spectrum(values=values, vectors=vectors, residuals=res, **record)
 
 
 def _solve_dense(system: EvpSystem, config: SolverConfig) -> Spectrum:
     if system.n > DENSE_LIMIT:
         raise EigenSolveError(
             f"dense solve capped at {DENSE_LIMIT} dofs, got {system.n}")
-    with warnings.catch_warnings(), np.errstate(divide="ignore", invalid="ignore"):
-        warnings.simplefilter("ignore", la.LinAlgWarning)
-        warnings.simplefilter("ignore", RuntimeWarning)
-        w, v = la.eig(system.A.toarray(), system.M.toarray())
-    values, vectors, n_rejected = _select_real(w, v)
-    residuals = _certify(system, values, vectors)
-    return Spectrum(values=values, vectors=vectors, residuals=residuals,
-                    n_complex_rejected=n_rejected, shift=config.shift)
+    (alpha, beta), v = la.eig(system.A.toarray(), system.M.toarray(),
+                              homogeneous_eigvals=True)
+    finite = np.abs(alpha) < FINITE_CUTOFF * np.abs(beta)
+    w, v = alpha[finite] / beta[finite], v[:, finite]
+    real = np.abs(w.imag) <= IMAG_TOL * (1.0 + np.abs(w.real))
+    # a near-real pair a +- ib keeps x for a + ib and -y for a - ib
+    vectors = np.where(w.imag < 0, v.imag, v.real)[:, real]
+    return _certified(system, w[real].real,
+                      vectors / np.linalg.norm(vectors, axis=0),
+                      n_complex_rejected=int(np.count_nonzero(~real)),
+                      shift=config.shift)
 
 
 def node_ordering(system: EvpSystem) -> np.ndarray:
@@ -203,8 +190,8 @@ def mass_rank(system: EvpSystem) -> int:
 
 def _lanczos(system: EvpSystem, perm: np.ndarray, sigma: float, k: int,
              ncv: int, v0: np.ndarray):
-    """Factor P (A - sigma M) P' and run ARPACK on it.  The permuted
-    matrix dies inside splu's call and the factor when this returns."""
+    """Factor P (A - sigma M) P', run ARPACK on it and purify.  The
+    permuted matrix dies inside splu's call and the factor on return."""
     n = system.n
     lu = spla.splu((system.A - sigma * system.M)[perm][:, perm].tocsc(),
                    permc_spec="NATURAL", diag_pivot_thresh=DIAG_PIVOT_THRESH,
@@ -213,7 +200,7 @@ def _lanczos(system: EvpSystem, perm: np.ndarray, sigma: float, k: int,
 
     def solve(b):
         nonlocal n_ops
-        n_ops += 1
+        n_ops += b.size // n   # one per column
         x = np.empty_like(b)
         x[perm] = lu.solve(b[perm])
         return x
@@ -222,6 +209,10 @@ def _lanczos(system: EvpSystem, perm: np.ndarray, sigma: float, k: int,
                       v0=v0, ncv=ncv, maxiter=MAX_RESTARTS, tol=ARPACK_TOL,
                       OPinv=spla.LinearOperator((n, n), matvec=solve,
                                                 dtype=float))
+    if np.min(np.abs(w - sigma)) < 1e-12:
+        raise RuntimeError("shift collides with a converged eigenvalue")
+    if mass_rank(system) < n:   # M has null rows to purify
+        v = (w - sigma) * solve(system.M @ v)
     return w, v, int(lu.nnz), n_ops
 
 
@@ -229,22 +220,19 @@ def _solve_shift_invert(system: EvpSystem, config: SolverConfig) -> Spectrum:
     # rank M > the window, so the window fits in n and k fits in the window
     k = config.nev + GUARD_PAIRS
     ncv = lanczos_window(config.nev)
-    rng = np.random.default_rng(config.seed)
-    v0 = rng.standard_normal(system.n)
+    v0 = np.random.default_rng(config.seed).standard_normal(system.n)
     perm = node_ordering(system)
     sigma = config.shift
     last = None
     for retries in range(3):
         try:
             w, v, lu_nnz, n_ops = _lanczos(system, perm, sigma, k, ncv, v0)
-            if np.min(np.abs(w - sigma)) < 1e-12:
-                raise RuntimeError("shift collides with a converged eigenvalue")
             break
         except spla.ArpackError as exc:
             # a RuntimeError too, but no shift collision: non-convergence
             # within MAX_RESTARTS or any other ARPACK failure is final
             raise EigenSolveError(f"ARPACK failed: {exc}") from exc
-        except RuntimeError as exc:  # splu's, or the collision above
+        except RuntimeError as exc:  # splu's, or _lanczos's collision
             last = str(exc)  # not the exception: its traceback holds frames
             # perturb downward: the LA ordering only reports values above
             # sigma, so the colliding eigenvalue must stay in range
@@ -252,12 +240,8 @@ def _solve_shift_invert(system: EvpSystem, config: SolverConfig) -> Spectrum:
     else:
         raise EigenSolveError(
             f"factorization failed near sigma={config.shift}: {last}")
-    order = np.argsort(w)
-    values, vectors = w[order], v[:, order]
-    residuals = _certify(system, values, vectors)
-    return Spectrum(values=values, vectors=vectors, residuals=residuals,
-                    lu_nnz=lu_nnz, n_op_applications=n_ops,
-                    shift=sigma, shift_retries=retries)
+    return _certified(system, w, v, lu_nnz=lu_nnz, n_op_applications=n_ops,
+                      shift=sigma, shift_retries=retries)
 
 
 def solve_generalized(system: EvpSystem, config: SolverConfig) -> Spectrum:

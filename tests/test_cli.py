@@ -4,6 +4,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import maxwell2d
 from maxwell2d import SQUARE_PI, StudyConfig, cli, cli_main, \
@@ -219,6 +220,16 @@ def test_traced_runs_feed_every_hook(monkeypatch, tmp_path, capsys):
     # no pencil this small has a complex pair for QZ to reject
     produced = set(spans.COUNTERS) - {"eig.complex_rejected"}
     assert {c for c in produced if tracer.counters[c] > 0} == produced
+
+
+@pytest.mark.parametrize("seed", ["1", "2", "1234"])
+def test_pressure_band_run_exits_zero(seed, capsys):
+    # square OSGS/P2 CC N=4 failed the residual certificate at these seeds
+    # before the Lanczos vectors were purified
+    assert cli_main(["--domain", "square", "--mesh", "cc",
+                     "--formulation", "osgs", "--degree", "2", "--N", "4",
+                     "--ell", "0.2", "--cu", "0.1", "--cp", "1.0",
+                     "--nev", "17", "--seed", seed]) == 0
 
 
 def test_export_mode(tmp_path, capsys):

@@ -13,10 +13,12 @@ from maxwell2d import (CRACKED_SQUARE, L_SHAPE, SQUARE_PI, CornerStrategy,
                        build_criss_cross, build_dofmap, build_osgs,
                        StabilizationParams, StudyConfig, build_sg,
                        build_uniform, filter_zeros, powell_sabin_refine,
-                       reduce_system, run_case, solve_generalized)
+                       reduce_system, run_case, run_study,
+                       solve_generalized)
 from maxwell2d import eig
 from maxwell2d.eig import node_ordering
-from maxwell2d.study import build_mesh, stabilization_length
+from maxwell2d.study import (build_mesh, compute_eigenfunction,
+                             stabilization_length)
 
 
 def reduced_sg(domain, mesh, **kwargs):
@@ -62,7 +64,11 @@ def test_shift_invert_matches_dense_oracle():
     # (rank M) exceeds the window, whatever its size: first nev nonzero
     # eigenvalues to relative 1e-10.  P2 edge nodes and split crack-face
     # nodes go through the node ordering; square SG/PS N=5 is the bench
-    # set-up solve, and crack N=2 has rank M = 45 against a window of 40
+    # set-up solve, and crack N=2 has rank M = 45 against a window of 40.
+    # Square OSGS/P2 CC N=4 at ell 0.2, c_u 0.1, c_p 1.0 ends its window in
+    # two doubles just above 1/(c_p ell^2) = 25; ARPACK's M-norm test cannot
+    # see their error on the p and xi rows, and only purified Ritz vectors
+    # pass the certificate there
     square = build_criss_cross(SQUARE_PI, 5)
     lshape = build_criss_cross(L_SHAPE, 3)
     p2_square = build_criss_cross(SQUARE_PI, 3)
@@ -70,6 +76,9 @@ def test_shift_invert_matches_dense_oracle():
     coarse_crack = powell_sabin_refine(build_uniform(CRACKED_SQUARE, 2))
     p2_system = build_osgs(p2_square, 2, StabilizationParams(
         0.1, 0.01, 0.6, p2_square.h))
+    band_square = build_criss_cross(SQUARE_PI, 4)
+    band_system = build_osgs(band_square, 2, StabilizationParams(
+        0.2, 0.1, 1.0, band_square.h))
     crack_system = build_osgs(coarse_crack, 1, StabilizationParams(
         0.2, 0.1, 1.0, coarse_crack.h))
     cases = [(reduced_sg(SQUARE_PI, square), 10),
@@ -79,6 +88,8 @@ def test_shift_invert_matches_dense_oracle():
                                  corner=CornerStrategy.BISECTOR_NORMAL), 10),
              (reduce_system(p2_system, build_constraints(p2_system.dofmap)),
               10),
+             (reduce_system(band_system, build_constraints(
+                 band_system.dofmap)), 17),
              (reduced_stabilized(build_ag, crack, tip=TipStrategy.FREE), 10),
              (reduced_sg(SQUARE_PI, powell_sabin_refine(
                  build_uniform(SQUARE_PI, 5))), 17),
@@ -93,6 +104,8 @@ def test_shift_invert_matches_dense_oracle():
                                                  SolverConfig(nev=nev)))
         assert lanczos.lu_nnz > 0
         assert_allclose(lanczos.values[:nev], dense.values[:nev], rtol=1e-10)
+        assert np.all(lanczos.residuals
+                      <= 1e-8 * (1 + np.abs(lanczos.values)))
         assert lanczos.n_complex_rejected == 0
 
 
@@ -124,6 +137,26 @@ def test_finite_spectrum_can_fall_short_of_mass_rank():
     dense = solve_generalized(reduced, SolverConfig(nev=3, method="dense"))
     assert dense.n_complex_rejected == 0
     assert len(dense.values) == 29 < eig.mass_rank(reduced) == 30
+
+
+@pytest.mark.parametrize("solver", ["dense", "shift-invert"])
+def test_double_eigenvalue_keeps_both_vectors(solver):
+    # square AG/CC P2 N=2: QZ splits the double 5.2262 into a near-real
+    # pair a +- ib; its two real vectors must span the eigenspace, not
+    # repeat one vector.  The default method takes the rank-M fallback here
+    config = StudyConfig(domain=SQUARE_PI, mesh="cc", formulation="ag",
+                         degree=2, N_list=(2,), ell=0.2, c_u=0.1, c_p=1.0,
+                         nev=17, solver=solver)
+    table = run_study(config)
+    spec = table.finest.spectrum
+    assert spec.lu_nnz == 0
+    double = np.flatnonzero(np.abs(spec.values - 5.2262) < 1e-4)
+    assert list(double) == [5, 6]
+    x, y = spec.vectors[:, double].T
+    assert abs(x @ y) < 0.9 * np.linalg.norm(x) * np.linalg.norm(y)
+    mode5, mode6 = (compute_eigenfunction(table, i) for i in (5, 6))
+    assert not np.allclose(np.c_[mode5.u1, mode5.u2],
+                           np.c_[mode6.u1, mode6.u2])
 
 
 def test_solver_methods():
@@ -242,19 +275,19 @@ def test_shift_invert_releases_factor(monkeypatch):
             return self.lu.solve(b)
 
     factors, alive = [], []
-    splu, certify = spla.splu, eig._certify
+    splu, certified = spla.splu, eig._certified
 
     def keep(*args, **kwargs):
         lu = Factor(splu(*args, **kwargs))
         factors.append(weakref.ref(lu))
         return lu
 
-    def check(*args):
+    def check(*args, **kwargs):
         alive.append([ref() is not None for ref in factors])
-        return certify(*args)
+        return certified(*args, **kwargs)
 
     monkeypatch.setattr(spla, "splu", keep)
-    monkeypatch.setattr(eig, "_certify", check)
+    monkeypatch.setattr(eig, "_certified", check)
     mesh = build_criss_cross(SQUARE_PI, 4)
     solve_generalized(reduced_sg(SQUARE_PI, mesh),
                       SolverConfig(nev=4, method="shift-invert"))
@@ -331,7 +364,7 @@ def test_certify_block_residuals():
     values[2] *= 1.01
     with pytest.raises(EigenSolveError, match="eigenpair 2 .* fails the "
                        "residual certificate"):
-        eig._certify(reduced, values, spec.vectors)
+        eig._certified(reduced, values, spec.vectors)
 
 
 def test_determinism():
