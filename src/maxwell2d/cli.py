@@ -168,5 +168,7 @@ def main() -> None:
     sys.exit(cli_main(sys.argv[1:]))
 
 
+# `python -m maxwell2d.cli` still runs, though runpy warns that the package
+# imported this module first; `python -m maxwell2d` runs without the warning
 if __name__ == "__main__":
     main()

@@ -65,8 +65,9 @@ class StudyConfig:
 
     Every setting is declared here, and an inconsistent combination raises
     ValueError on construction, before any solve.  The solver settings
-    default to SolverConfig's and are checked by it: construction builds
-    ``solver_config`` once.  The cc-graded family's exponent is the fixed
+    default to SolverConfig's and are checked by it, and ell, c_u and c_p
+    by StabilizationParams: construction builds ``solver_config`` and
+    ``stabilization`` once.  The cc-graded family's exponent is the fixed
     meshgen.GRADING_EXPONENT, not a setting."""
 
     domain: DomainKind
@@ -107,19 +108,15 @@ class StudyConfig:
         if self.domain.has_crack and any(N % 2 for N in self.N_list):
             raise ValueError("the cracked square needs even N values: its "
                              "crack line must be a grid line")
-        if self.formulation != "sg" and not 0.0 < self.ell < math.inf:
-            raise ValueError("ell must be positive and finite")
-        if self.formulation == "ag" and \
-                not all(0.0 <= c < math.inf for c in (self.c_u, self.c_p)):
-            raise ValueError("AG needs nonnegative, finite c_u and c_p")
-        if self.formulation == "osgs" and \
-                not all(0.0 < c < math.inf for c in (self.c_u, self.c_p)):
-            raise ValueError("OSGS needs positive, finite c_u and c_p: a "
-                             "zero tau wipes a projection row")
-        if self.formulation == "sg" and self.solver == "shift-invert" and \
-                self.shift <= 0.0:
-            raise ValueError("SG shift-invert needs a positive shift: the "
-                             "curl-curl kernel sits at 0")
+        self.stabilization  # StabilizationParams owns the ell and c rules
+        if self.solver == "shift-invert":
+            if self.formulation == "sg" and self.shift <= 0.0:
+                raise ValueError("SG shift-invert needs a positive shift: "
+                                 "the curl-curl kernel sits at 0")
+            if self.formulation != "sg" and self.c_p <= 0.0:
+                raise ValueError("AG and OSGS shift-invert need a positive "
+                                 "c_p: the pivot-free factor has no pivot "
+                                 "on a zero p block")
 
     @property
     def nev_effective(self) -> int:
@@ -129,6 +126,13 @@ class StudyConfig:
     def solver_config(self) -> SolverConfig:
         return SolverConfig(nev=self.nev_effective, shift=self.shift,
                             method=self.solver, seed=self.seed)
+
+    @property
+    def stabilization(self) -> StabilizationParams | None:
+        """ell, c_u and c_p of AG and OSGS; None for SG, which has none."""
+        if self.formulation == "sg":
+            return None
+        return StabilizationParams(self.ell, self.c_u, self.c_p)
 
 
 def build_mesh(config: StudyConfig, N: int) -> Mesh:
@@ -173,10 +177,9 @@ def run_case(config: StudyConfig, N: int) -> Case:
     if config.formulation == "sg":
         system = build_sg(mesh, config.degree)
     else:
-        params = StabilizationParams(config.ell, config.c_u, config.c_p,
-                                     stabilization_length(config, mesh))
         build = build_ag if config.formulation == "ag" else build_osgs
-        system = build(mesh, config.degree, params)
+        system = build(mesh, config.degree, config.stabilization,
+                       stabilization_length(config, mesh))
     constraints = build_constraints(system.dofmap, corner=config.corner,
                                     tip=config.tip)
     reduced = reduce_system(system, constraints)

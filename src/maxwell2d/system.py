@@ -4,10 +4,14 @@ Every A is symmetric.  M vanishes on the rows of the multiplier p and of
 the OSGS projections, so their test equations may carry either sign
 without moving an eigenpair; the p and xi rows take the sign that makes
 the (p, u) block the transpose of the (u, p) block.  The OSGS projections
-are carried as implicit unknowns (xi for grad p, eta for div u) whose rows
-are scaled by the corresponding tau.  The stabilization block on (p, xi)
-is then negative semidefinite, and the blocks on u and on eta positive
-semidefinite: A is a symmetric indefinite saddle-point operator.
+are carried as implicit unknowns, scaled by the square root of their tau:
+xi' = sqrt(tau_p) xi for grad p and eta' = sqrt(tau_u) eta for div u.
+That is a diagonal congruence on rows where M vanishes, so it moves no
+eigenpair, and a zero tau decouples its projection instead of wiping its
+row: OSGS at tau_p = tau_u = 0 is mixed Galerkin, as AG is.  The
+stabilization block on (p, xi') is then negative semidefinite, and the
+blocks on u and on eta' positive semidefinite: A is a symmetric indefinite
+saddle-point operator.
 
 Boundary conditions are applied by congruence reduction (x = T x_r,
 A_r = T' A T), never by penalties, so the reduced spectrum is exact.  A
@@ -15,7 +19,8 @@ constraint set is a kept-dof mask plus at most one fold, the bisector
 rule u2 = -u1 at the L-shape's re-entrant corner.
 
 The permeability mu is 1 in every benchmark cavity and enters no form:
-tau_p = c_p ell^2 and tau_u = c_u h^2 / ell^2.
+tau_p = c_p ell^2 and tau_u = c_u h^2 / ell^2, where the mesh size h is
+known only once a mesh exists and so is passed to the builders.
 """
 from __future__ import annotations
 
@@ -31,29 +36,30 @@ from .meshgen import Mesh
 
 @dataclass(frozen=True)
 class StabilizationParams:
-    """Length scale ell, constants c_u / c_p, and the mesh size h.
+    """Length scale ell and constants c_u / c_p of AG and OSGS.
 
-    ell must be positive, the others nonnegative, and all finite:
-    ValueError on construction otherwise."""
+    ell must be positive, c_u and c_p nonnegative, and all finite:
+    ValueError on construction otherwise.  The mesh size h enters only
+    tau_u(h)."""
 
     ell: float
     c_u: float
     c_p: float
-    h: float
 
     def __post_init__(self):
         if not 0.0 < self.ell < np.inf:
             raise ValueError("ell must be positive and finite")
-        if not all(0.0 <= v < np.inf for v in (self.c_u, self.c_p, self.h)):
-            raise ValueError("c_u, c_p and h must be nonnegative and finite")
+        if not all(0.0 <= v < np.inf for v in (self.c_u, self.c_p)):
+            raise ValueError("c_u and c_p must be nonnegative and finite")
 
     @property
     def tau_p(self) -> float:
         return self.c_p * self.ell ** 2
 
-    @property
-    def tau_u(self) -> float:
-        return self.c_u * self.h ** 2 / self.ell ** 2
+    def tau_u(self, h: float) -> float:
+        if not 0.0 <= h < np.inf:
+            raise ValueError("h must be nonnegative and finite")
+        return self.c_u * h ** 2 / self.ell ** 2
 
 
 class CornerStrategy(Enum):
@@ -134,9 +140,10 @@ def build_sg(mesh: Mesh, degree: int) -> EvpSystem:
     return EvpSystem(A=A, M=M, dofmap=dofmap)
 
 
-def build_ag(mesh: Mesh, degree: int, params: StabilizationParams) -> EvpSystem:
-    """Augmented system over (u1, u2, p); tau_p = tau_u = 0 degenerates to
-    the plain mixed Galerkin matrix."""
+def build_ag(mesh: Mesh, degree: int, params: StabilizationParams,
+             h: float) -> EvpSystem:
+    """Augmented system over (u1, u2, p) at mesh size h; tau_p = tau_u = 0
+    degenerates to the plain mixed Galerkin matrix."""
     dofmap = build_dofmap(mesh, degree, "ag")
     kernels = scalar_kernels(dofmap)
     kcc = assemble_form(FormKind.CURL_CURL, kernels)
@@ -144,22 +151,23 @@ def build_ag(mesh: Mesh, degree: int, params: StabilizationParams) -> EvpSystem:
     kgg = assemble_form(FormKind.GRAD_GRAD, kernels)
     g = assemble_form(FormKind.GRAD_COUPLING, kernels)
     mv = assemble_form(FormKind.MASS_VEC, kernels)
-    A = sp.bmat([[kcc + params.tau_u * kdd, g],
+    A = sp.bmat([[kcc + params.tau_u(h) * kdd, g],
                  [g.T, -params.tau_p * kgg]], format="csr")
     M = sp.block_diag([mv, sp.csr_matrix((dofmap.n_scalar,) * 2)],
                       format="csr")
     return EvpSystem(A=A, M=M, dofmap=dofmap)
 
 
-def build_osgs(mesh: Mesh, degree: int, params: StabilizationParams) -> EvpSystem:
-    """Orthogonal-subgrid-scale system over (u1, u2, p, xi1, xi2, eta).
+def build_osgs(mesh: Mesh, degree: int, params: StabilizationParams,
+               h: float) -> EvpSystem:
+    """Orthogonal-subgrid-scale system over (u1, u2, p, xi1, xi2, eta) at
+    mesh size h.
 
-    The projections are implicit: the xi row enforces (xi, chi) = (grad p,
-    chi) and the eta row (eta, psi) = (div u, psi), both scaled by their
-    tau.  Zero tau would wipe a projection row, so both must be positive.
+    The projections are implicit and scaled by sqrt(tau): the xi' row
+    enforces (xi', chi) = sqrt(tau_p) (grad p, chi) and the eta' row
+    (eta', psi) = sqrt(tau_u) (div u, psi).  A zero tau leaves its
+    projection decoupled, with an invertible mass block.
     """
-    if params.tau_p <= 0.0 or params.tau_u <= 0.0:
-        raise ValueError("OSGS requires strictly positive tau_p and tau_u")
     dofmap = build_dofmap(mesh, degree, "osgs")
     kernels = scalar_kernels(dofmap)
     kcc = assemble_form(FormKind.CURL_CURL, kernels)
@@ -168,12 +176,13 @@ def build_osgs(mesh: Mesh, degree: int, params: StabilizationParams) -> EvpSyste
     g = assemble_form(FormKind.GRAD_COUPLING, kernels)
     d = assemble_form(FormKind.DIV_SCALAR, kernels)
     mv = assemble_form(FormKind.MASS_VEC, kernels)
-    tp, tu = params.tau_p, params.tau_u
+    tp, tu = params.tau_p, params.tau_u(h)
+    rp, ru = np.sqrt(tp), np.sqrt(tu)
     A = sp.bmat([
-        [kcc + tu * kdd, g,         None,     -tu * d.T],
-        [g.T,            -tp * kgg, tp * g.T, None],
-        [None,           tp * g,    -tp * mv, None],
-        [-tu * d,        None,      None,     tu * kernels["mass"]],
+        [kcc + tu * kdd, g,         None,     -ru * d.T],
+        [g.T,            -tp * kgg, rp * g.T, None],
+        [None,           rp * g,    -mv,      None],
+        [-ru * d,        None,      None,     kernels["mass"]],
     ], format="csr")
     M = sp.block_diag([mv, sp.csr_matrix((4 * dofmap.n_scalar,) * 2)],
                       format="csr")

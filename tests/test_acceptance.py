@@ -265,8 +265,8 @@ def test_criterion_10_property_suite(osgs_cc_square, ag_cc_square,
     # monolithic OSGS vs dense Schur elimination of the projections
     import scipy.linalg as la
     mesh = build_uniform(SQUARE_PI, 2)
-    params = StabilizationParams(SQ["ell"], SQ["c_u"], SQ["c_p"], mesh.h)
-    system = build_osgs(mesh, 1, params)
+    params = StabilizationParams(**SQ)
+    system = build_osgs(mesh, 1, params, mesh.h)
     cons = build_constraints(system.dofmap)
     reduced = reduce_system(system, cons)
     assert reduced.n <= 200

@@ -1,5 +1,7 @@
 import importlib.util
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -42,6 +44,21 @@ def test_small_run_to_stdout(capsys):
     assert code == 0
     assert out.startswith("| Ref. | N=2 | N=4 |")
     assert "1.0000" in out
+
+
+def test_python_m_maxwell2d_runs_clean():
+    # pytest's filterwarnings does not reach a child interpreter, so the
+    # child's stderr is read for runpy's warning
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-m", "maxwell2d", "--domain", "square", "--mesh",
+         "cc", "--formulation", "sg", "--N", "2", "--nev", "3"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.startswith("| Ref. | N=2 |")
+    assert "RuntimeWarning" not in run.stderr
 
 
 def test_out_file_and_csv(tmp_path, capsys):
@@ -106,6 +123,13 @@ def test_inconsistent_combinations(tmp_path, monkeypatch, capsys):
     assert cli_main(sg + ["--shift", "0"]) == 2
     assert cli_main(["--formulation", "osgs", "--ell", "0"]) == 2
     assert "ell must be positive" in capsys.readouterr().err
+    # the pivot-free shift-invert factor has no pivot on a zero p block
+    for formulation in ("ag", "osgs"):
+        assert cli_main(["--domain", "square", "--mesh", "ps",
+                         "--formulation", formulation, "--N", "3,6",
+                         "--cu", "0.01", "--cp", "0", "--nev", "4"]) == 2
+        assert ("AG and OSGS shift-invert need a positive c_p" in
+                capsys.readouterr().err)
     assert cli_main(["--N", ","]) == 2
     assert "N list needs at least one positive value" in \
         capsys.readouterr().err

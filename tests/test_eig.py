@@ -54,8 +54,7 @@ def test_sg_square_first_nonzero_both_methods():
 
 
 def reduced_stabilized(build, mesh, **kwargs):
-    system = build(mesh, 1, StabilizationParams(0.1, 0.01, 0.6,
-                                                mesh.h))
+    system = build(mesh, 1, StabilizationParams(0.1, 0.01, 0.6), mesh.h)
     return reduce_system(system, build_constraints(system.dofmap, **kwargs))
 
 
@@ -74,13 +73,14 @@ def test_shift_invert_matches_dense_oracle():
     p2_square = build_criss_cross(SQUARE_PI, 3)
     crack = powell_sabin_refine(build_uniform(CRACKED_SQUARE, 4))
     coarse_crack = powell_sabin_refine(build_uniform(CRACKED_SQUARE, 2))
-    p2_system = build_osgs(p2_square, 2, StabilizationParams(
-        0.1, 0.01, 0.6, p2_square.h))
+    p2_system = build_osgs(p2_square, 2, StabilizationParams(0.1, 0.01, 0.6),
+                           p2_square.h)
     band_square = build_criss_cross(SQUARE_PI, 4)
-    band_system = build_osgs(band_square, 2, StabilizationParams(
-        0.2, 0.1, 1.0, band_square.h))
-    crack_system = build_osgs(coarse_crack, 1, StabilizationParams(
-        0.2, 0.1, 1.0, coarse_crack.h))
+    band_system = build_osgs(band_square, 2, StabilizationParams(0.2, 0.1, 1.0),
+                             band_square.h)
+    crack_system = build_osgs(coarse_crack, 1,
+                              StabilizationParams(0.2, 0.1, 1.0),
+                              coarse_crack.h)
     cases = [(reduced_sg(SQUARE_PI, square), 10),
              (reduced_stabilized(build_ag, square), 10),
              (reduced_stabilized(build_osgs, square), 10),
@@ -130,8 +130,8 @@ def test_finite_spectrum_can_fall_short_of_mass_rank():
     # square OSGS/P2 uniform N=2: A is singular on the M-null rows, so QZ
     # finds fewer finite values than rank M, all of them real
     mesh = build_uniform(SQUARE_PI, 2)
-    params = StabilizationParams(0.1, 0.01, 0.6, mesh.h)
-    system = build_osgs(mesh, 2, params)
+    params = StabilizationParams(0.1, 0.01, 0.6)
+    system = build_osgs(mesh, 2, params, mesh.h)
     reduced = reduce_system(system, build_constraints(system.dofmap))
     assert reduced.n == 114
     dense = solve_generalized(reduced, SolverConfig(nev=3, method="dense"))
@@ -173,13 +173,13 @@ def test_solver_methods():
 def test_node_ordering_fill(case):
     if case == "crack-ps":
         mesh = powell_sabin_refine(build_uniform(CRACKED_SQUARE, 8))
-        params = StabilizationParams(0.2, 0.1, 1.0, mesh.h)
-        system = build_osgs(mesh, 1, params)
+        params = StabilizationParams(0.2, 0.1, 1.0)
+        system = build_osgs(mesh, 1, params, mesh.h)
         cons = build_constraints(system.dofmap, tip=TipStrategy.FREE)
     else:
         mesh = build_criss_cross(L_SHAPE, 5)
-        params = StabilizationParams(0.1, 0.01, 0.6, mesh.h)
-        system = build_osgs(mesh, 2, params)
+        params = StabilizationParams(0.1, 0.01, 0.6)
+        system = build_osgs(mesh, 2, params, mesh.h)
         cons = build_constraints(system.dofmap,
                                  corner=CornerStrategy.BISECTOR_NORMAL)
     reduced = reduce_system(system, cons)
@@ -229,10 +229,8 @@ def test_node_ordering_matches_float_fold(config, N):
         system = build_sg(mesh, config.degree)
     else:
         build = build_ag if config.formulation == "ag" else build_osgs
-        system = build(mesh, config.degree,
-                       StabilizationParams(
-                           config.ell, config.c_u, config.c_p,
-                           stabilization_length(config, mesh)))
+        system = build(mesh, config.degree, config.stabilization,
+                       stabilization_length(config, mesh))
     reduced = reduce_system(system, build_constraints(
         system.dofmap, corner=config.corner, tip=config.tip))
     assert np.array_equal(node_ordering(reduced),
@@ -331,8 +329,8 @@ def test_filter_zeros_examples():
 
 def test_ag_osgs_spectra_pass_filter_untouched():
     mesh = build_criss_cross(SQUARE_PI, 3)
-    params = StabilizationParams(0.1, 0.01, 0.6, mesh.h)
-    system = build_osgs(mesh, 1, params)
+    params = StabilizationParams(0.1, 0.01, 0.6)
+    system = build_osgs(mesh, 1, params, mesh.h)
     reduced = reduce_system(system, build_constraints(system.dofmap))
     spec = solve_generalized(reduced, SolverConfig(nev=8, shift=0.7,
                                                    method="dense"))
@@ -369,8 +367,8 @@ def test_certify_block_residuals():
 
 def test_determinism():
     mesh = build_criss_cross(SQUARE_PI, 4)
-    params = StabilizationParams(0.1, 0.01, 0.6, mesh.h)
-    system = build_osgs(mesh, 1, params)
+    params = StabilizationParams(0.1, 0.01, 0.6)
+    system = build_osgs(mesh, 1, params, mesh.h)
     reduced = reduce_system(system, build_constraints(system.dofmap))
     cfg = SolverConfig(nev=6, method="shift-invert", seed=77)
     a = solve_generalized(reduced, cfg)

@@ -74,8 +74,9 @@ def test_study_config_rejects_inconsistent_combinations():
         dict(domain=SQUARE_PI, formulation="ag", c_u=-0.01),
         dict(domain=SQUARE_PI, formulation="ag", c_p=-0.6),
         dict(domain=SQUARE_PI, formulation="osgs", ell=0.0),
-        dict(domain=SQUARE_PI, formulation="osgs", c_u=0.0),
         dict(domain=SQUARE_PI, formulation="osgs", c_p=0.0),
+        dict(domain=SQUARE_PI, formulation="ag", c_p=0.0),
+        dict(domain=SQUARE_PI, formulation="osgs", c_u=-0.01),
         dict(domain=SQUARE_PI, shift=math.nan),
         dict(domain=SQUARE_PI, shift=math.inf),
         dict(domain=SQUARE_PI, formulation="ag", ell=math.nan),
@@ -93,11 +94,16 @@ def test_study_config_rejects_inconsistent_combinations():
     # the dense oracle keeps the SG kernel, so it takes any shift
     StudyConfig(domain=SQUARE_PI, mesh="cc", formulation="sg", N_list=(4,),
                 shift=0.0, solver="dense")
-    # AG degenerates to mixed Galerkin at zero tau; SG has no ell
-    StudyConfig(domain=SQUARE_PI, mesh="cc", formulation="ag", N_list=(4,),
-                c_u=0.0, c_p=0.0)
-    StudyConfig(domain=SQUARE_PI, mesh="cc", formulation="sg", N_list=(4,),
-                ell=0.0)
+    # AG and OSGS degenerate to mixed Galerkin at zero tau, which the dense
+    # oracle solves and the pivot-free shift-invert factor cannot; a zero
+    # c_u alone leaves the p block to pivot on; SG has no ell
+    for formulation in ("ag", "osgs"):
+        StudyConfig(domain=SQUARE_PI, mesh="cc", formulation=formulation,
+                    N_list=(4,), c_u=0.0, c_p=0.0, solver="dense")
+        StudyConfig(domain=SQUARE_PI, mesh="cc", formulation=formulation,
+                    N_list=(4,), c_u=0.0)
+    assert StudyConfig(domain=SQUARE_PI, mesh="cc", formulation="sg",
+                       N_list=(4,), ell=0.0).stabilization is None
 
 
 def test_default_nev_per_domain():

@@ -5,37 +5,42 @@ import scipy.sparse as sp
 from numpy.testing import assert_allclose
 
 from maxwell2d import (CRACKED_SQUARE, L_SHAPE, SQUARE_PI, ConstraintError,
-                       ConstraintSet, CornerStrategy, FormKind,
-                       StabilizationParams, TipStrategy, assemble_form,
-                       build_ag, build_constraints, build_criss_cross,
-                       build_dofmap, build_osgs, build_sg, build_uniform,
-                       powell_sabin_refine, reduce_system)
+                       ConstraintSet, CornerStrategy, FormKind, SolverConfig,
+                       StabilizationParams, StudyConfig, TipStrategy,
+                       assemble_form, build_ag, build_constraints,
+                       build_criss_cross, build_dofmap, build_osgs, build_sg,
+                       build_uniform, powell_sabin_refine, reduce_system,
+                       run_case, solve_generalized)
 from maxwell2d.fem import scalar_kernels
 from projection import l2_project
 
 
 def test_make_params_values():
-    p = StabilizationParams(0.1, 0.01, 0.6, 0.3)
+    p = StabilizationParams(0.1, 0.01, 0.6)
     assert_allclose(p.tau_p, 0.006, rtol=1e-15)
     h = np.sqrt(2) * np.pi / 25
-    p = StabilizationParams(0.1, 0.01, 0.6, h)
-    assert_allclose(p.tau_u, h ** 2, rtol=1e-15)
-    assert_allclose(p.tau_u, 0.03158, rtol=1e-3)
-    p = StabilizationParams(0.3, 0.85, 0.5, 0.1)
+    assert_allclose(p.tau_u(h), h ** 2, rtol=1e-15)
+    assert_allclose(p.tau_u(h), 0.03158, rtol=1e-3)
+    p = StabilizationParams(0.3, 0.85, 0.5)
     assert_allclose(p.tau_p, 0.045, rtol=1e-15)
 
 
 def test_make_params_rejects_nonpositive():
     # the type cannot be built invalid: no tau divides by zero or flips sign
-    ok = dict(ell=0.1, c_u=0.01, c_p=0.6, h=0.1)
+    ok = dict(ell=0.1, c_u=0.01, c_p=0.6)
     bad = [dict(ell=0.0), dict(ell=-0.1),
-           dict(c_u=-0.01), dict(c_p=-0.6), dict(h=-0.1),
+           dict(c_u=-0.01), dict(c_p=-0.6),
            dict(ell=np.nan), dict(ell=np.inf), dict(c_u=np.nan),
-           dict(c_p=np.inf), dict(h=np.nan), dict(h=np.inf)]
+           dict(c_p=np.inf)]
     for change in bad:
         with pytest.raises(ValueError):
             StabilizationParams(**(ok | change))
-    StabilizationParams(**(ok | dict(c_u=0.0, c_p=0.0, h=0.0)))
+    params = StabilizationParams(**ok)
+    for h in (-0.1, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            params.tau_u(h)
+    zero = StabilizationParams(**(ok | dict(c_u=0.0, c_p=0.0)))
+    assert zero.tau_p == zero.tau_u(0.0) == 0.0
 
 
 def test_sg_gradient_field_curl_free():
@@ -56,8 +61,8 @@ def test_sg_mass_of_constant_field_is_domain_area():
 
 def test_ag_zero_tau_equals_mixed_galerkin():
     mesh = build_criss_cross(SQUARE_PI, 3)
-    params = StabilizationParams(0.1, 0.0, 0.0, 0.5)
-    system = build_ag(mesh, 1, params)
+    params = StabilizationParams(0.1, 0.0, 0.0)
+    system = build_ag(mesh, 1, params, 0.5)
     dofmap = system.dofmap
     kernels = scalar_kernels(dofmap)
     kcc = assemble_form(FormKind.CURL_CURL, kernels)
@@ -69,8 +74,8 @@ def test_ag_zero_tau_equals_mixed_galerkin():
 
 def test_ag_pressure_block_gradient_seminorm():
     mesh = build_criss_cross(SQUARE_PI, 3)
-    params = StabilizationParams(0.1, 0.01, 0.6, 0.5)
-    system = build_ag(mesh, 1, params)
+    params = StabilizationParams(0.1, 0.01, 0.6)
+    system = build_ag(mesh, 1, params, 0.5)
     n = system.dofmap.n_scalar
     p_const = np.zeros(system.n)
     p_const[2 * n:] = 1.0
@@ -83,8 +88,9 @@ def test_ag_pressure_block_gradient_seminorm():
 
 def test_coupling_blocks_transpose_exact():
     mesh = build_criss_cross(SQUARE_PI, 3)
-    params = StabilizationParams(0.1, 0.01, 0.6, 0.5)
-    for system in (build_ag(mesh, 1, params), build_osgs(mesh, 1, params)):
+    params = StabilizationParams(0.1, 0.01, 0.6)
+    for system in (build_ag(mesh, 1, params, 0.5),
+                   build_osgs(mesh, 1, params, 0.5)):
         n = system.dofmap.n_scalar
         u, p = slice(0, 2 * n), slice(2 * n, 3 * n)
         assert np.abs(system.A[p, u] - system.A[u, p].T).max() == 0
@@ -96,8 +102,8 @@ def test_coupling_blocks_transpose_exact():
 
 def test_mass_kernel_is_non_u_fields():
     mesh = build_criss_cross(SQUARE_PI, 3)
-    params = StabilizationParams(0.1, 0.01, 0.6, 0.5)
-    system = build_osgs(mesh, 1, params)
+    params = StabilizationParams(0.1, 0.01, 0.6)
+    system = build_osgs(mesh, 1, params, 0.5)
     n = system.dofmap.n_scalar
     m = system.M.toarray()
     assert np.abs(m[2 * n:, :]).max() == 0
@@ -105,18 +111,36 @@ def test_mass_kernel_is_non_u_fields():
     assert np.all(la.eigvalsh(m[:2 * n, :2 * n]) > 0)
 
 
-def test_osgs_rejects_zero_tau():
-    mesh = build_criss_cross(SQUARE_PI, 2)
-    with pytest.raises(ValueError):
-        build_osgs(mesh, 1, StabilizationParams(0.1, 0.0, 0.6, 0.5))
-    with pytest.raises(ValueError):
-        build_osgs(mesh, 1, StabilizationParams(0.1, 0.01, 0.0, 0.5))
+def test_osgs_zero_tau_decouples_projections():
+    # a zero tau decouples its sqrt(tau)-scaled projection: at tau_p =
+    # tau_u = 0 OSGS and AG are both mixed Galerkin, with one spectrum
+    mesh = powell_sabin_refine(build_uniform(SQUARE_PI, 3))
+    params = StabilizationParams(0.1, 0.0, 0.0)
+    for build in (build_ag, build_osgs):
+        system = build(mesh, 1, params, mesh.grid_step)
+        reduced = reduce_system(system, build_constraints(system.dofmap))
+        spectrum = solve_generalized(reduced, SolverConfig(nev=4,
+                                                           method="dense"))
+        assert_allclose(spectrum.values[:4],
+                        [1.00798622, 1.02314585, 2.08342573, 3.39138878],
+                        rtol=1e-8)
+    # c_u = 0 alone leaves the p block to factor: the default path solves
+    config = StudyConfig(domain=SQUARE_PI, mesh="ps", formulation="osgs",
+                         N_list=(3,), c_u=0.0, c_p=0.6, nev=4)
+    case = run_case(config, 3)
+    assert case.spectrum.lu_nnz > 0   # Lanczos ran, not the dense fallback
+    reduced = reduce_system(
+        build_osgs(mesh, 1, config.stabilization, mesh.grid_step),
+        case.constraints)
+    dense = solve_generalized(reduced, SolverConfig(nev=4, method="dense"))
+    assert_allclose(case.values, dense.values[dense.values >= 0.5][:4],
+                    rtol=1e-10)
 
 
 def test_osgs_linear_pressure_forces_exact_projection():
     mesh = build_criss_cross(SQUARE_PI, 3)
-    params = StabilizationParams(0.1, 0.01, 0.6, 0.5)
-    system = build_osgs(mesh, 1, params)
+    params = StabilizationParams(0.1, 0.01, 0.6)
+    system = build_osgs(mesh, 1, params, 0.5)
     dofmap = system.dofmap
     n = dofmap.n_scalar
     x, y = dofmap.coords[:, 0], dofmap.coords[:, 1]
@@ -126,19 +150,19 @@ def test_osgs_linear_pressure_forces_exact_projection():
     assert_allclose(xi[n:], -3.0, atol=1e-11)
     vec = np.zeros(system.n)
     vec[2 * n:3 * n] = p
-    vec[3 * n:5 * n] = xi
-    # xi rows (and the p-row stabilization) annihilate the exact pair
+    vec[3 * n:5 * n] = np.sqrt(params.tau_p) * xi   # the unknown xi'
+    # xi' rows (and the p-row stabilization) annihilate the exact pair
     resid = system.A @ vec
     assert np.abs(resid[3 * n:5 * n]).max() <= 1e-12
-    # stabilization energy tau_p * ||grad p - xi||^2 vanishes
+    # stabilization energy ||sqrt(tau_p) grad p - xi'||^2 vanishes
     quad = vec @ (system.A @ vec)
     assert abs(quad) <= 1e-10
 
 
 def test_osgs_stabilization_blocks_are_psd():
     mesh = build_criss_cross(SQUARE_PI, 3)
-    params = StabilizationParams(0.1, 0.01, 0.6, 0.5)
-    system = build_osgs(mesh, 1, params)
+    params = StabilizationParams(0.1, 0.01, 0.6)
+    system = build_osgs(mesh, 1, params, 0.5)
     n = system.dofmap.n_scalar
     a = system.A
     rng = np.random.default_rng(5)
@@ -151,11 +175,12 @@ def test_osgs_stabilization_blocks_are_psd():
         xi = rng.standard_normal(2 * n)
         vec = np.zeros(system.n)
         vec[2 * n:3 * n] = p
-        vec[3 * n:5 * n] = xi
+        vec[3 * n:5 * n] = np.sqrt(params.tau_p) * xi   # the unknown xi'
         quad = vec @ (a @ vec)
         explicit = params.tau_p * (p @ (kgg @ p) - 2 * xi @ (gv @ p)
                                    + xi @ (mv @ xi))
-        # the p and xi rows carry the energy tau_p ||grad p - xi||^2 negated
+        # the p and xi' rows carry the energy ||sqrt(tau_p) grad p - xi'||^2
+        # = tau_p ||grad p - xi||^2 negated
         assert_allclose(quad, -explicit, rtol=1e-10, atol=1e-12)
         assert quad <= 1e-10
 
@@ -386,8 +411,8 @@ def dense_eigenvalues(A, M):
 def test_osgs_matches_schur_complement_spectrum():
     # monolithic implicit projections vs dense elimination of xi and eta
     mesh = build_uniform(SQUARE_PI, 2)
-    params = StabilizationParams(0.1, 0.01, 0.6, mesh.h)
-    system = build_osgs(mesh, 1, params)
+    params = StabilizationParams(0.1, 0.01, 0.6)
+    system = build_osgs(mesh, 1, params, mesh.h)
     cons = build_constraints(system.dofmap)
     reduced = reduce_system(system, cons)
     assert reduced.n <= 200
@@ -413,9 +438,9 @@ def test_osgs_matches_schur_complement_spectrum():
 
 def test_ag_osgs_spectra_strictly_positive():
     mesh = build_criss_cross(SQUARE_PI, 3)
-    params = StabilizationParams(0.1, 0.01, 0.6, mesh.h)
+    params = StabilizationParams(0.1, 0.01, 0.6)
     for build in (build_ag, build_osgs):
-        system = build(mesh, 1, params)
+        system = build(mesh, 1, params, mesh.h)
         reduced = reduce_system(system, build_constraints(system.dofmap))
         w = dense_eigenvalues(reduced.A, reduced.M)
         assert np.all(w > 0)
