@@ -10,11 +10,12 @@ A - sigma M is factored once per shift by SuperLU in symmetric mode
 computed once per solve, on nodes rather than dofs: every field uses the
 same continuous Lagrangian interpolation, so all dofs of a nodal point
 couple to the same neighbours and the dof graph is the node graph with each
-vertex replaced by a small clique.  Minimum degree on the node graph,
-expanded with each node's retained dofs kept consecutive, orders that
-structure on P1 Powell-Sabin and P2 meshes alike (crack OSGS/PS N=32: 5.3M
-stored entries against 19.6M under COLAMD on the dofs), and every shift
-retry reuses it.  ARPACK's symmetric Lanczos computes
+vertex replaced by a small clique.  Two nodes couple when they share an
+element, so the graph is read from the mesh, not from A or M.  Minimum
+degree on it, expanded with each node's retained dofs kept consecutive,
+orders that structure on P1 Powell-Sabin and P2 meshes alike (crack
+OSGS/PS N=32: 5.3M stored entries against 19.6M under COLAMD on the dofs),
+and every shift retry reuses it.  ARPACK's symmetric Lanczos computes
 theta = 1/(lambda - sigma), requesting the largest algebraic values so the
 search walks the spectrum upward from the shift.  That ordering skips the
 large machine-zero cluster of the standard Galerkin operator
@@ -149,30 +150,23 @@ def _solve_dense(system: EvpSystem, config: SolverConfig) -> Spectrum:
 def node_ordering(system: EvpSystem) -> np.ndarray:
     """Fill-reducing order of the reduced dofs, blocked by nodal point.
 
-    Reduced dof i sits on node retained[i] % n_scalar.  The nonzero pattern
-    of A and M (structurally symmetric) folded onto the nodes, as integer
-    keys node_i * n_nodes + node_j, is ordered by SuperLU's minimum degree
-    on A'+A, run on the node graph Laplacian plus I (diagonally dominant,
-    so the surrogate factor itself needs no pivoting); perm_c[i] is node
-    i's new position.  The dofs are then listed node by node: perm[k] is
-    the reduced dof placed at position k."""
+    Reduced dof i sits on node retained[i] % n_scalar.  The node graph is
+    the pattern of B B' + I: B is the node-element incidence of
+    element_nodes, with the rows of nodes that keep no dof left empty, and
+    no entry of A or M is read.  SuperLU's minimum degree on A'+A orders
+    that SPD surrogate; perm_c[i] is node i's new position.  The dofs are
+    then listed node by node: perm[k] is the reduced dof placed at
+    position k."""
     dofs = system.constraints.retained_dofs() \
         if system.constraints is not None else np.arange(system.n)
     n_nodes = system.dofmap.n_scalar
     node = dofs % n_nodes
-    keys = [np.arange(n_nodes) * (n_nodes + 1)]   # diagonals: Laplacian + I
-    for X in (system.A, system.M):
-        nonzero = X.data != 0
-        rows = np.repeat(node, np.diff(X.indptr))[nonzero]
-        keys.append(rows * n_nodes + node[X.indices[nonzero]])
-    # sort and drop repeats: np.unique takes several times longer here
-    keys = np.sort(np.concatenate(keys))
-    keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
-    # symmetric pattern: the row-major keys are also the CSC layout
-    indptr = np.searchsorted(keys, np.arange(n_nodes + 1) * n_nodes)
-    col, row = np.divmod(keys, n_nodes)
-    data = np.where(row == col, np.diff(indptr)[col], -1.0)
-    surrogate = sp.csc_matrix((data, row, indptr), shape=(n_nodes, n_nodes))
+    elements = system.dofmap.element_nodes
+    live = np.isin(elements, node)   # the incidences of nodes with a dof
+    B = sp.csr_matrix((np.ones(np.count_nonzero(live)),
+                       (elements[live], np.nonzero(live)[0])),
+                      shape=(n_nodes, len(elements)))
+    surrogate = (B @ B.T + sp.identity(n_nodes)).tocsc()
     position = spla.splu(surrogate, permc_spec="MMD_AT_PLUS_A").perm_c
     return np.argsort(position[node], kind="stable")
 

@@ -44,7 +44,8 @@ DEFAULT_NEV = {
 
 def square_reference(count: int) -> np.ndarray:
     """m^2 + n^2 over m, n >= 0, m + n > 0, ascending with multiplicity."""
-    m = int(math.isqrt(count)) + 2
+    # [0, isqrt(count)]^2 holds count values of at most 2 count: m covers them
+    m = math.isqrt(2 * count) + 1
     vals = [i * i + j * j
             for i in range(m + 1) for j in range(m + 1) if i + j > 0]
     vals.sort()

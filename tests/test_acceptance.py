@@ -150,6 +150,7 @@ def test_criterion_04_square_sg_ps(sg_ps_square):
               f"17th value {last[-1]:.4f} < 17.1, final rates near 2")
 
 
+@pytest.mark.slow
 def test_criterion_05_square_osgs_p2_uniform(osgs_p2_uniform):
     table = osgs_p2_uniform
     refs = square_reference(10)
@@ -161,6 +162,7 @@ def test_criterion_05_square_osgs_p2_uniform(osgs_p2_uniform):
               f"{errors.max():.2e} <= 1e-4, final rates 4.0 +/- 0.2")
 
 
+@pytest.mark.slow
 def test_criterion_06_lshape_three_formulations(sg_ps_lshape, ag_ps_lshape,
                                                 osgs_ps_lshape):
     tables = {"sg": (sg_ps_lshape, bench.SG_PS_LSHAPE_VALUES),
@@ -176,6 +178,7 @@ def test_criterion_06_lshape_three_formulations(sg_ps_lshape, ag_ps_lshape,
               "within 1e-2 of the published tables")
 
 
+@pytest.mark.slow
 def test_criterion_07_lshape_osgs_p2_cc(osgs_p2_cc_lshape):
     table = osgs_p2_cc_lshape
     n_cols = dict(zip(table.N_list, range(len(table.N_list))))
@@ -190,6 +193,7 @@ def test_criterion_07_lshape_osgs_p2_cc(osgs_p2_cc_lshape):
               "stays regularity-limited")
 
 
+@pytest.mark.slow
 def test_criterion_08_crack_osgs_ps_free_tip(crack_osgs_ps):
     table = crack_osgs_ps
     lam2 = table.values[1, -1]
@@ -224,6 +228,7 @@ def test_criterion_09_corner_strategy_contrast():
               f"{osgs_free:.4f}/{osgs_bis:.4f} ~ 1.63")
 
 
+@pytest.mark.slow
 def test_criterion_10_property_suite(osgs_cc_square, ag_cc_square,
                                      osgs_ps_lshape, crack_osgs_ps):
     # mesh invariants on a representative sample

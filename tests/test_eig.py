@@ -1,5 +1,6 @@
 import tracemalloc
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -212,6 +213,18 @@ def float_fold_ordering(system):
     return np.argsort(position[node], kind="stable")
 
 
+def reduced_case(config, N):
+    mesh = build_mesh(config, N)
+    if config.formulation == "sg":
+        system = build_sg(mesh, config.degree)
+    else:
+        build = build_ag if config.formulation == "ag" else build_osgs
+        system = build(mesh, config.degree, config.stabilization,
+                       stabilization_length(config, mesh))
+    return reduce_system(system, build_constraints(
+        system.dofmap, corner=config.corner, tip=config.tip))
+
+
 @pytest.mark.parametrize("config, N", [
     (StudyConfig(domain=CRACKED_SQUARE, mesh="ps", formulation="osgs",
                  N_list=(6,), tip=TipStrategy.FREE), 6),
@@ -221,20 +234,35 @@ def float_fold_ordering(system):
                  N_list=(4,)), 4),
     (StudyConfig(domain=L_SHAPE, mesh="ps", formulation="ag",
                  corner=CornerStrategy.FREE, N_list=(5,)), 5),
+    (StudyConfig(domain=L_SHAPE, mesh="ps", formulation="sg",
+                 corner=CornerStrategy.BISECTOR_NORMAL, N_list=(5,)), 5),
+    (StudyConfig(domain=L_SHAPE, mesh="cc", formulation="osgs", degree=2,
+                 corner=CornerStrategy.BISECTOR_NORMAL, ell=0.3, c_u=0.85,
+                 c_p=0.5, N_list=(5,)), 5),
 ], ids=["crack-osgs-ps", "square-sg-ps", "lshape-osgs-p2-cc",
-        "lshape-ag-ps-free"])
+        "lshape-ag-ps-free", "lshape-sg-ps-bisector",
+        "lshape-osgs-p2-cc-bisector"])
 def test_node_ordering_matches_float_fold(config, N):
-    mesh = build_mesh(config, N)
-    if config.formulation == "sg":
-        system = build_sg(mesh, config.degree)
-    else:
-        build = build_ag if config.formulation == "ag" else build_osgs
-        system = build(mesh, config.degree, config.stabilization,
-                       stabilization_length(config, mesh))
-    reduced = reduce_system(system, build_constraints(
-        system.dofmap, corner=config.corner, tip=config.tip))
+    # the value-based graph and the element incidence agree wherever every
+    # element-adjacent node pair has a stored nonzero in A or M
+    reduced = reduced_case(config, N)
     assert np.array_equal(node_ordering(reduced),
                           float_fold_ordering(reduced))
+
+
+@pytest.mark.parametrize("change", ["coupled", "scaled"])
+def test_node_ordering_reads_only_mesh_and_constraints(change):
+    reduced = reduced_case(StudyConfig(
+        domain=CRACKED_SQUARE, mesh="ps", formulation="osgs", N_list=(6,),
+        tip=TipStrategy.FREE), 6)
+    n = reduced.n
+    if change == "coupled":   # first and last reduced dofs share no element
+        coupling = sp.csr_matrix(([1e-3, 1e-3], ([0, n - 1], [n - 1, 0])),
+                                 shape=(n, n))
+        other = replace(reduced, A=(reduced.A + coupling).tocsr())
+    else:
+        other = replace(reduced, A=2.0 * reduced.A, M=3.0 * reduced.M)
+    assert np.array_equal(node_ordering(other), node_ordering(reduced))
 
 
 def test_solve_holds_one_pencil(monkeypatch):

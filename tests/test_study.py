@@ -21,6 +21,14 @@ def test_square_reference_first_17():
     assert_allclose(square_reference(17), expected, rtol=0)
 
 
+def test_square_reference_matches_brute_force():
+    # every value up to 2500 on a 51 x 51 lattice: past the 1000th (1226)
+    brute = sorted(i * i + j * j for i in range(51) for j in range(51)
+                   if i + j > 0)
+    for count in range(1, 1001):
+        assert square_reference(count).tolist() == brute[:count], count
+
+
 def test_reference_values_tables():
     refs = reference_values(L_SHAPE, 5)
     assert_allclose(refs, [1.4756, 3.5340, 9.8696, 9.8696, 11.3895], atol=5e-5)
