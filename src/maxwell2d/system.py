@@ -63,14 +63,13 @@ class StabilizationParams:
 
 
 class CornerStrategy(Enum):
-    BOTH_ZERO = "both-zero"
     FREE = "free"
     BISECTOR_NORMAL = "bisector"
 
 
 class TipStrategy(Enum):
+    """The crack tip's one rule, which no code reads: see StudyConfig."""
     FREE = "free"
-    BOTH_ZERO = "both-zero"
 
 
 class ConstraintError(Exception):
@@ -190,21 +189,20 @@ def build_osgs(mesh: Mesh, degree: int, params: StabilizationParams,
 
 
 def build_constraints(dofmap: DofMap,
-                      corner: CornerStrategy = CornerStrategy.BOTH_ZERO,
-                      tip: TipStrategy = TipStrategy.FREE) -> ConstraintSet:
+                      corner: CornerStrategy | None = None) -> ConstraintSet:
     """Tangential-trace boundary conditions for the given field layout.
 
     Horizontal edges (crack faces included) fix u1, vertical edges fix u2,
     so nodes on both kinds fix both components.  p vanishes at every
     boundary node including crack-face copies; the projection fields are
-    never constrained.  The mesh's singular node follows the corner
-    strategy on the L-shape (the bisector-normal choice couples u2 = -u1)
-    and the tip strategy on the cracked square.
+    never constrained.  The mesh's singular node keeps u1 and u2, save
+    that u2 folds onto -u1 at the L-shape's re-entrant corner unless corner
+    is FREE.  A corner other than None or a member, or any corner off the
+    L-shape, raises ConstraintError.
     """
-    if corner is CornerStrategy.BISECTOR_NORMAL and \
-            not dofmap.mesh.domain.has_reentrant_corner:
-        raise ConstraintError(
-            "bisector-normal corner handling needs a re-entrant corner")
+    reentrant = dofmap.mesh.domain.has_reentrant_corner
+    if corner not in ((None, *CornerStrategy) if reentrant else (None,)):
+        raise ConstraintError(f"no corner rule {corner!r} on this domain")
     keep = np.ones(dofmap.ndof, dtype=bool)
     keep[dofmap.field_slice("u1")] = ~dofmap.on_h
     keep[dofmap.field_slice("u2")] = ~dofmap.on_v
@@ -214,11 +212,9 @@ def build_constraints(dofmap: DofMap,
     node = dofmap.mesh.singular_node
     if node >= 0:
         u1, u2 = dofmap.dof("u1", node), dofmap.dof("u2", node)
-        rule = corner if dofmap.mesh.domain.has_reentrant_corner else tip
-        keep[u1] = rule not in (CornerStrategy.BOTH_ZERO, TipStrategy.BOTH_ZERO)
-        keep[u2] = rule in (CornerStrategy.FREE, TipStrategy.FREE)
-        if rule is CornerStrategy.BISECTOR_NORMAL:
-            fold = (u2, u1)
+        keep[[u1, u2]] = True
+        if reentrant and corner is not CornerStrategy.FREE:
+            keep[u2], fold = False, (u2, u1)
     return ConstraintSet(keep, fold)
 
 

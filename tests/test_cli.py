@@ -1,6 +1,7 @@
 import importlib.util
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -102,10 +103,17 @@ def test_inconsistent_combinations(tmp_path, monkeypatch, capsys):
     assert cli_main(["--config", str(cfg)]) == 2
     assert ("invalid value 'auto' for 'solver'; choose from shift-invert, "
             "dense") in capsys.readouterr().err
-    assert cli_main(["--domain", "square", "--corner", "bisector"]) == 2
+    # any corner setting off the L-shape, the free one included
+    for domain in ("square", "crack"):
+        for corner in ("bisector", "free"):
+            assert cli_main(["--domain", domain, "--N", "4",
+                             "--corner", corner]) == 2
+            assert "corner settings apply to the L-shape only" in \
+                capsys.readouterr().err
     assert cli_main(["--domain", "square", "--mesh", "cc-graded"]) == 2
+    # the tip has one rule, so both-zero is no choice
     assert cli_main(["--domain", "lshape", "--tip", "both-zero"]) == 2
-    capsys.readouterr()
+    assert "invalid choice: 'both-zero'" in capsys.readouterr().err
     # the cc-graded exponent is fixed, not a flag
     assert cli_main(["--domain", "crack", "--mesh", "cc-graded",
                      "--grading-exponent", "3"]) == 2
@@ -166,7 +174,8 @@ def test_export_mode_out_of_range_rejected_before_solving(monkeypatch, capsys):
     assert "--export-mode" in err and "nev must be at least 1" in err
 
 
-def test_defaults_come_from_study_config(monkeypatch, capsys):
+def stop_before_solving(monkeypatch) -> list:
+    """Make cli.run_study record its StudyConfig and stop with exit 2."""
     configs = []
 
     def stop(config):
@@ -174,6 +183,11 @@ def test_defaults_come_from_study_config(monkeypatch, capsys):
         raise ValueError("stopped before solving")
 
     monkeypatch.setattr(cli, "run_study", stop)
+    return configs
+
+
+def test_defaults_come_from_study_config(monkeypatch, capsys):
+    configs = stop_before_solving(monkeypatch)
     assert cli_main([]) == 2
     [config] = configs
     assert config == StudyConfig(domain=SQUARE_PI, mesh="cc",
@@ -188,6 +202,29 @@ def test_readme_lists_every_flag():
     parsed = {opt for action in cli._build_parser()._actions
               for opt in action.option_strings if opt.startswith("--")}
     assert documented == parsed - {"--help"}
+    # each {a|b|...} lists exactly the parser's choices for its flag
+    listed = {flag: names.split("|") for flag, names in
+              re.findall(r"`(--[\w-]+) \{([^}<]*)\}`", paragraph)}
+    choices = {action.option_strings[0]: list(action.choices)
+               for action in cli._build_parser()._actions if action.choices}
+    assert listed == choices
+
+
+def test_readme_examples_build_valid_configs(monkeypatch, tmp_path, capsys):
+    readme = (ROOT / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh", 1)[1]
+    commands = block.split("```", 1)[0].replace("\\\n", " ").split("\n")
+    commands = [shlex.split(line) for line in commands if line.strip()]
+    example = readme.split("come from a `key = value` config file", 1)[1]
+    cfg = tmp_path / "example.cfg"
+    cfg.write_text(example.split("```", 2)[1])
+    commands.append(["maxwell2d", "--config", str(cfg)])
+    configs = stop_before_solving(monkeypatch)
+    for argv in commands:
+        assert argv[0] == "maxwell2d"
+        assert cli_main(argv[1:]) == 2
+        assert "stopped before solving" in capsys.readouterr().err
+    assert len(configs) == len(commands) == 4
 
 
 def test_readme_sketch_names_resolve():

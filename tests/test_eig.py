@@ -10,7 +10,7 @@ from numpy.testing import assert_allclose
 
 from maxwell2d import (CRACKED_SQUARE, L_SHAPE, SQUARE_PI, CornerStrategy,
                        EigenSolveError, EvpSystem, SolverConfig, Spectrum,
-                       TipStrategy, build_constraints, build_ag,
+                       build_constraints, build_ag,
                        build_criss_cross, build_dofmap, build_osgs,
                        StabilizationParams, StudyConfig, build_sg,
                        build_uniform, filter_zeros, powell_sabin_refine,
@@ -91,11 +91,11 @@ def test_shift_invert_matches_dense_oracle():
               10),
              (reduce_system(band_system, build_constraints(
                  band_system.dofmap)), 17),
-             (reduced_stabilized(build_ag, crack, tip=TipStrategy.FREE), 10),
+             (reduced_stabilized(build_ag, crack), 10),
              (reduced_sg(SQUARE_PI, powell_sabin_refine(
                  build_uniform(SQUARE_PI, 5))), 17),
              (reduce_system(crack_system, build_constraints(
-                 crack_system.dofmap, tip=TipStrategy.FREE)), 10)]
+                 crack_system.dofmap)), 10)]
     assert [r.n for r, _ in cases[-2:]] == [298, 162]
     assert eig.mass_rank(cases[-1][0]) == 45 > eig.lanczos_window(10) == 40
     for reduced, nev in cases:
@@ -176,7 +176,7 @@ def test_node_ordering_fill(case):
         mesh = powell_sabin_refine(build_uniform(CRACKED_SQUARE, 8))
         params = StabilizationParams(0.2, 0.1, 1.0)
         system = build_osgs(mesh, 1, params, mesh.h)
-        cons = build_constraints(system.dofmap, tip=TipStrategy.FREE)
+        cons = build_constraints(system.dofmap)
     else:
         mesh = build_criss_cross(L_SHAPE, 5)
         params = StabilizationParams(0.1, 0.01, 0.6)
@@ -221,13 +221,13 @@ def reduced_case(config, N):
         build = build_ag if config.formulation == "ag" else build_osgs
         system = build(mesh, config.degree, config.stabilization,
                        stabilization_length(config, mesh))
-    return reduce_system(system, build_constraints(
-        system.dofmap, corner=config.corner, tip=config.tip))
+    return reduce_system(system, build_constraints(system.dofmap,
+                                                   corner=config.corner))
 
 
 @pytest.mark.parametrize("config, N", [
     (StudyConfig(domain=CRACKED_SQUARE, mesh="ps", formulation="osgs",
-                 N_list=(6,), tip=TipStrategy.FREE), 6),
+                 N_list=(6,)), 6),
     (StudyConfig(domain=SQUARE_PI, mesh="ps", formulation="sg",
                  N_list=(7,)), 7),
     (StudyConfig(domain=L_SHAPE, mesh="cc", formulation="osgs", degree=2,
@@ -253,8 +253,7 @@ def test_node_ordering_matches_float_fold(config, N):
 @pytest.mark.parametrize("change", ["coupled", "scaled"])
 def test_node_ordering_reads_only_mesh_and_constraints(change):
     reduced = reduced_case(StudyConfig(
-        domain=CRACKED_SQUARE, mesh="ps", formulation="osgs", N_list=(6,),
-        tip=TipStrategy.FREE), 6)
+        domain=CRACKED_SQUARE, mesh="ps", formulation="osgs", N_list=(6,)), 6)
     n = reduced.n
     if change == "coupled":   # first and last reduced dofs share no element
         coupling = sp.csr_matrix(([1e-3, 1e-3], ([0, n - 1], [n - 1, 0])),
@@ -281,8 +280,7 @@ def test_solve_holds_one_pencil(monkeypatch):
 
     monkeypatch.setattr(spla, "eigsh", spy)
     config = StudyConfig(domain=CRACKED_SQUARE, mesh="ps", formulation="osgs",
-                         N_list=(8,), tip=TipStrategy.FREE,
-                         solver="shift-invert")
+                         N_list=(8,), solver="shift-invert")
     tracemalloc.start()
     try:
         run_case(config, 8)
@@ -328,8 +326,7 @@ def test_reduced_operator_symmetric():
         bisector = reduced_stabilized(build, lshape,
                                       corner=CornerStrategy.BISECTOR_NORMAL)
         assert bisector.constraints.fold is not None
-        for reduced in (bisector, reduced_stabilized(build, crack,
-                                                     tip=TipStrategy.FREE)):
+        for reduced in (bisector, reduced_stabilized(build, crack)):
             A = reduced.A
             assert abs(A - A.T).max() <= 1e-12 * abs(A).max()
 

@@ -8,7 +8,7 @@ import scipy.sparse as sp
 from numpy.testing import assert_allclose
 
 from maxwell2d import (CRACKED_SQUARE, L_SHAPE, SQUARE_PI, CornerStrategy,
-                       EigenField, EigenTable, StudyConfig, TipStrategy,
+                       EigenField, EigenTable, StudyConfig,
                        build_mesh, compute_eigenfunction, convergence_rate,
                        emit_table, export_eigenfunction, parse_csv_table,
                        reference_values, run_case, run_study,
@@ -70,7 +70,12 @@ def test_config_validation():
 def test_study_config_rejects_inconsistent_combinations():
     cases = [
         dict(domain=SQUARE_PI, corner=CornerStrategy.BISECTOR_NORMAL),
-        dict(domain=L_SHAPE, tip=TipStrategy.BOTH_ZERO),
+        dict(domain=SQUARE_PI, corner=CornerStrategy.FREE),
+        dict(domain=CRACKED_SQUARE, corner=CornerStrategy.FREE),
+        # a string is no enum member: it must not run a constraint set
+        # that no strategy defines
+        dict(domain=L_SHAPE, corner="bisector"),
+        dict(domain=CRACKED_SQUARE, tip="free"),
         dict(domain=CRACKED_SQUARE, N_list=(3,)),
         dict(domain=SQUARE_PI, formulation="sg", shift=0.0),
         dict(domain=SQUARE_PI, N_list=()),
@@ -99,6 +104,8 @@ def test_study_config_rejects_inconsistent_combinations():
         StudyConfig(**base, domain=case["domain"])
         with pytest.raises(ValueError):
             StudyConfig(**(base | case))
+    with pytest.raises(ValueError):
+        StudyConfig(**base, domain="square")
     # the dense oracle keeps the SG kernel, so it takes any shift
     StudyConfig(domain=SQUARE_PI, mesh="cc", formulation="sg", N_list=(4,),
                 shift=0.0, solver="dense")
@@ -155,6 +162,17 @@ def test_run_case_lshape_sg_ps_n25():
                       corner=CornerStrategy.BISECTOR_NORMAL)
     vals = run_case(cfg, 25).values
     assert_allclose(vals[0], 1.4786, atol=2e-3)
+
+
+def test_run_case_lshape_default_corner_is_bisector():
+    # corner=None is the L-shape's own rule: the bisector fold, bit for bit
+    base = dict(domain=L_SHAPE, mesh="ps", formulation="sg", N_list=(5,))
+    default = run_case(StudyConfig(**base), 5)
+    bisector = run_case(StudyConfig(
+        **base, corner=CornerStrategy.BISECTOR_NORMAL), 5)
+    assert np.array_equal(default.values, bisector.values)
+    assert np.array_equal(default.constraints.keep, bisector.constraints.keep)
+    assert default.constraints.fold == bisector.constraints.fold is not None
 
 
 def make_table():

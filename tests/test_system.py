@@ -6,12 +6,14 @@ from numpy.testing import assert_allclose
 
 from maxwell2d import (CRACKED_SQUARE, L_SHAPE, SQUARE_PI, ConstraintError,
                        ConstraintSet, CornerStrategy, FormKind, SolverConfig,
-                       StabilizationParams, StudyConfig, TipStrategy,
+                       StabilizationParams, StudyConfig,
                        assemble_form, build_ag, build_constraints,
                        build_criss_cross, build_dofmap, build_osgs, build_sg,
-                       build_uniform, powell_sabin_refine, reduce_system,
-                       run_case, solve_generalized)
+                       build_uniform, filter_zeros, powell_sabin_refine,
+                       reduce_system, run_case, solve_generalized,
+                       square_reference)
 from maxwell2d.fem import scalar_kernels
+from clough_tocher import clough_tocher_split
 from projection import l2_project
 
 
@@ -41,6 +43,35 @@ def test_make_params_rejects_nonpositive():
             params.tau_u(h)
     zero = StabilizationParams(**(ok | dict(c_u=0.0, c_p=0.0)))
     assert zero.tau_p == zero.tau_u(0.0) == 0.0
+
+
+def sg_p2_square_values(mesh_of):
+    """The first 17 nonzero SG P2 values on mesh_of(N) at N = 8 and 16."""
+    values = []
+    for N in (8, 16):
+        system = build_sg(mesh_of(N), 2)
+        reduced = reduce_system(system, build_constraints(system.dofmap))
+        spectrum = filter_zeros(solve_generalized(reduced,
+                                                  SolverConfig(nev=17)))
+        values.append(spectrum.values[:17])
+    return values
+
+
+def test_sg_p2_clean_on_clough_tocher_polluted_on_uniform():
+    # SG P2 converges on Clough-Tocher splits (Boffi, Guzman and Neilan,
+    # IMA J. Numer. Anal. 2023); on the plain uniform mesh it is polluted.
+    # N=4 is left out: the split still shows a spurious 13.27 there
+    refs = square_reference(17)
+    v8, v16 = sg_p2_square_values(
+        lambda N: clough_tocher_split(build_uniform(SQUARE_PI, N)))
+    e8, e16 = np.abs(v8 - refs), np.abs(v16 - refs)
+    assert np.max(e8 / refs) <= 2.5e-3 and np.max(e16 / refs) <= 2e-4
+    rates = np.log2(e8 / e16)
+    assert np.all((3.7 <= rates) & (rates <= 4.1)), rates
+    v8, v16 = sg_p2_square_values(lambda N: build_uniform(SQUARE_PI, N))
+    assert np.max(np.abs(v8 - refs) / refs) > 0.6
+    assert np.max(np.abs(v16 - refs) / refs) > 0.6
+    assert_allclose(v16[2], 1.3264, atol=5e-5)  # against the reference 2
 
 
 def test_sg_gradient_field_curl_free():
@@ -225,10 +256,14 @@ def test_lshape_corner_strategies():
     mesh = build_uniform(L_SHAPE, 2)
     dofmap = build_dofmap(mesh, 1, "ag")
     origin = mesh.singular_node
-    both = build_constraints(dofmap, corner=CornerStrategy.BOTH_ZERO)
-    assert fixed_set(both, dofmap, "u1", origin)
-    assert fixed_set(both, dofmap, "u2", origin)
+    # without a corner the L-shape takes the bisector rule
+    default = build_constraints(dofmap)
+    bisector = build_constraints(dofmap, corner=CornerStrategy.BISECTOR_NORMAL)
+    assert np.array_equal(default.keep, bisector.keep)
+    assert default.fold == bisector.fold == (dofmap.dof("u2", origin),
+                                             dofmap.dof("u1", origin))
     free = build_constraints(dofmap, corner=CornerStrategy.FREE)
+    assert free.fold is None
     assert not fixed_set(free, dofmap, "u1", origin)
     assert not fixed_set(free, dofmap, "u2", origin)
     # p is on the boundary at the corner, hence always fixed
@@ -236,10 +271,16 @@ def test_lshape_corner_strategies():
 
 
 def test_bisector_requires_reentrant_corner():
-    mesh = build_criss_cross(SQUARE_PI, 2)
-    dofmap = build_dofmap(mesh, 1, "sg")
+    # every corner setting, not the bisector alone, needs the L-shape
+    for domain in (SQUARE_PI, CRACKED_SQUARE):
+        dofmap = build_dofmap(build_criss_cross(domain, 2), 1, "sg")
+        for corner in CornerStrategy:
+            with pytest.raises(ConstraintError):
+                build_constraints(dofmap, corner=corner)
+    # a corner that is no CornerStrategy is rejected, not read as one
+    dofmap = build_dofmap(build_criss_cross(L_SHAPE, 2), 1, "sg")
     with pytest.raises(ConstraintError):
-        build_constraints(dofmap, corner=CornerStrategy.BISECTOR_NORMAL)
+        build_constraints(dofmap, corner="bisector")
 
 
 def test_crack_tip_strategies():
@@ -247,13 +288,11 @@ def test_crack_tip_strategies():
     dofmap = build_dofmap(mesh, 1, "ag")
     tip = mesh.singular_node
     assert_allclose(dofmap.coords[tip], [0.0, 0.0], atol=1e-14)
-    free = build_constraints(dofmap, tip=TipStrategy.FREE)
+    free = build_constraints(dofmap)
     assert not fixed_set(free, dofmap, "u1", tip)
     assert not fixed_set(free, dofmap, "u2", tip)
     assert fixed_set(free, dofmap, "p", tip)
-    zero = build_constraints(dofmap, tip=TipStrategy.BOTH_ZERO)
-    assert fixed_set(zero, dofmap, "u1", tip)
-    assert fixed_set(zero, dofmap, "u2", tip)
+    assert free.fold is None
     # crack faces pin the tangential (x) component on both copies
     x, y = dofmap.coords.T
     faces = np.flatnonzero((np.abs(y) < 1e-12) & (x > 1e-12) & (x < 1 - 1e-12))
@@ -264,22 +303,17 @@ def test_crack_tip_strategies():
         assert fixed_set(free, dofmap, "p", i)
 
 
-def loop_constraints(dofmap, corner, tip):
+def loop_constraints(dofmap, corner):
     """Reference for build_constraints: one node at a time."""
     keep, fold = np.ones(dofmap.ndof, dtype=bool), None
     u1, u2 = dofmap.offset("u1"), dofmap.offset("u2")
     domain = dofmap.mesh.domain
     for i in range(dofmap.n_scalar):
-        singular = i == dofmap.mesh.singular_node
-        if singular and domain.has_reentrant_corner:
-            if corner is CornerStrategy.BOTH_ZERO:
-                keep[u1 + i] = keep[u2 + i] = False
-            elif corner is CornerStrategy.BISECTOR_NORMAL:
+        if i == dofmap.mesh.singular_node:
+            if domain.has_reentrant_corner and \
+                    corner is not CornerStrategy.FREE:
                 keep[u2 + i] = False
                 fold = (u2 + i, u1 + i)
-        elif singular and domain.has_crack:
-            if tip is TipStrategy.BOTH_ZERO:
-                keep[u1 + i] = keep[u2 + i] = False
         else:
             if dofmap.on_h[i]:
                 keep[u1 + i] = False
@@ -297,14 +331,13 @@ def loop_constraints(dofmap, corner, tip):
 def test_constraints_match_loop_reference(domain, degree, formulation):
     dofmap = build_dofmap(powell_sabin_refine(build_uniform(domain, 4)),
                           degree, formulation)
-    corners = list(CornerStrategy) if domain.has_reentrant_corner else \
-        [CornerStrategy.BOTH_ZERO, CornerStrategy.FREE]
+    corners = [None, *CornerStrategy] if domain.has_reentrant_corner \
+        else [None]
     for corner in corners:
-        for tip in TipStrategy:
-            cs = build_constraints(dofmap, corner, tip)
-            keep, fold = loop_constraints(dofmap, corner, tip)
-            assert cs.keep.dtype == bool and np.array_equal(cs.keep, keep)
-            assert cs.fold == fold
+        cs = build_constraints(dofmap, corner)
+        keep, fold = loop_constraints(dofmap, corner)
+        assert cs.keep.dtype == bool and np.array_equal(cs.keep, keep)
+        assert cs.fold == fold
 
 
 def loop_reduction_matrix(cons):
@@ -328,15 +361,13 @@ def loop_reduction_matrix(cons):
 def test_reduction_matrix_matches_loop_reference(domain, degree, formulation):
     dofmap = build_dofmap(powell_sabin_refine(build_uniform(domain, 4)),
                           degree, formulation)
-    corners = list(CornerStrategy) if domain.has_reentrant_corner else \
-        [CornerStrategy.BOTH_ZERO]
+    corners = list(CornerStrategy) if domain.has_reentrant_corner else [None]
     for corner in corners:
-        for tip in TipStrategy:
-            cons = build_constraints(dofmap, corner, tip)
-            T, ref = cons.reduction_matrix(), loop_reduction_matrix(cons)
-            for a, b in ((T.indptr, ref.indptr), (T.indices, ref.indices),
-                         (T.data, ref.data)):
-                assert a.dtype == b.dtype and np.array_equal(a, b)
+        cons = build_constraints(dofmap, corner)
+        T, ref = cons.reduction_matrix(), loop_reduction_matrix(cons)
+        for a, b in ((T.indptr, ref.indptr), (T.indices, ref.indices),
+                     (T.data, ref.data)):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
 def test_osgs_projection_fields_never_constrained():
