@@ -21,7 +21,7 @@ from .meshgen import DomainKind
 from .study import FORMULATIONS, MESH_FAMILIES, TABLE_FORMATS, StudyConfig, \
     compute_eigenfunction, emit_table, export_eigenfunction, \
     reference_values, run_study
-from .system import CornerStrategy, TipStrategy
+from .system import CornerStrategy
 
 
 def _N_list(text: str) -> tuple:
@@ -48,7 +48,6 @@ _FLAGS = {
     "cu": _Flag("c_u", float),
     "cp": _Flag("c_p", float),
     "corner": _Flag("corner", CornerStrategy, CornerStrategy),
-    "tip": _Flag("tip", TipStrategy, TipStrategy),
     "nev": _Flag("nev", int),
     "shift": _Flag("shift", float),
     "solver": _Flag("solver", choices=METHODS),

@@ -79,6 +79,11 @@ class EigenSolveError(Exception):
     pass
 
 
+def is_integer(value) -> bool:
+    """A Python or NumPy integer, and no bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     """Knobs for one generalized eigensolve."""
@@ -89,13 +94,13 @@ class SolverConfig:
     seed: int = 1234              # ARPACK's start vector
 
     def __post_init__(self):
-        if self.nev < 1:
-            raise ValueError("nev must be at least 1")
+        if not is_integer(self.nev) or self.nev < 1:
+            raise ValueError("nev must be at least 1 and an integer")
         if self.method not in METHODS:
             raise ValueError(f"unknown solver method {self.method!r}; "
                              f"choose from {', '.join(METHODS)}")
-        if self.seed < 0:
-            raise ValueError("seed must be nonnegative")
+        if not is_integer(self.seed) or self.seed < 0:
+            raise ValueError("seed must be nonnegative and an integer")
         if not np.isfinite(self.shift):
             raise ValueError("shift must be finite")
 
@@ -183,9 +188,9 @@ def mass_rank(system: EvpSystem) -> int:
 
 
 def _lanczos(system: EvpSystem, perm: np.ndarray, sigma: float, k: int,
-             ncv: int, v0: np.ndarray):
-    """Factor P (A - sigma M) P', run ARPACK on it and purify.  The
-    permuted matrix dies inside splu's call and the factor on return."""
+             ncv: int, v0: np.ndarray, purify: bool):
+    """Factor P (A - sigma M) P', run ARPACK on it and purify if asked.
+    The permuted matrix dies inside splu's call and the factor on return."""
     n = system.n
     lu = spla.splu((system.A - sigma * system.M)[perm][:, perm].tocsc(),
                    permc_spec="NATURAL", diag_pivot_thresh=DIAG_PIVOT_THRESH,
@@ -205,12 +210,13 @@ def _lanczos(system: EvpSystem, perm: np.ndarray, sigma: float, k: int,
                                                 dtype=float))
     if np.min(np.abs(w - sigma)) < 1e-12:
         raise RuntimeError("shift collides with a converged eigenvalue")
-    if mass_rank(system) < n:   # M has null rows to purify
+    if purify:
         v = (w - sigma) * solve(system.M @ v)
     return w, v, int(lu.nnz), n_ops
 
 
-def _solve_shift_invert(system: EvpSystem, config: SolverConfig) -> Spectrum:
+def _solve_shift_invert(system: EvpSystem, config: SolverConfig,
+                        purify: bool) -> Spectrum:
     # rank M > the window, so the window fits in n and k fits in the window
     k = config.nev + GUARD_PAIRS
     ncv = lanczos_window(config.nev)
@@ -220,7 +226,8 @@ def _solve_shift_invert(system: EvpSystem, config: SolverConfig) -> Spectrum:
     last = None
     for retries in range(3):
         try:
-            w, v, lu_nnz, n_ops = _lanczos(system, perm, sigma, k, ncv, v0)
+            w, v, lu_nnz, n_ops = _lanczos(system, perm, sigma, k, ncv, v0,
+                                          purify)
             break
         except spla.ArpackError as exc:
             # a RuntimeError too, but no shift collision: non-convergence
@@ -251,11 +258,11 @@ def solve_generalized(system: EvpSystem, config: SolverConfig) -> Spectrum:
     """
     if config.method == "dense":
         return _solve_dense(system, config)
-    if mass_rank(system) <= lanczos_window(config.nev):
+    if (rank := mass_rank(system)) <= lanczos_window(config.nev):
         # too few finite eigenvalues to fill the Lanczos window
         spectrum = _solve_dense(system, config)
         return _keep(spectrum, spectrum.values >= config.shift)
-    return _solve_shift_invert(system, config)
+    return _solve_shift_invert(system, config, purify=rank < system.n)
 
 
 def _keep(spectrum: Spectrum, mask: np.ndarray, **changes) -> Spectrum:

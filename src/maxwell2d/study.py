@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import meshgen
-from .eig import SolverConfig, Spectrum, filter_zeros, solve_generalized
+from .eig import SolverConfig, Spectrum, filter_zeros, is_integer, \
+    solve_generalized
 from .fem import DEGREES, FORMULATION_FIELDS, DofMap
 from .meshgen import DomainKind, Mesh
 from .system import ConstraintSet, CornerStrategy, StabilizationParams, \
@@ -64,15 +65,14 @@ def reference_values(domain: DomainKind, count: int) -> np.ndarray:
 class StudyConfig:
     """Full description of one convergence campaign.
 
-    Every setting is declared here, and an inconsistent combination raises
-    ValueError on construction, before any solve.  The solver settings
-    default to SolverConfig's and are checked by it, and ell, c_u and c_p
-    by StabilizationParams: construction builds ``solver_config`` and
-    ``stabilization`` once.  The cc-graded family's exponent is the fixed
-    meshgen.GRADING_EXPONENT, not a setting.  corner=None is the domain's
-    own rule, as nev=None is its own count: u2 folds onto -u1 at the
-    L-shape's corner unless corner is FREE.  Nothing reads tip, whose one
-    value is FREE: it stays only because benchmark scripts pass it."""
+    An inconsistent setting raises ValueError on construction, before any
+    solve.  The properties ``solver_config`` and ``stabilization`` build,
+    anew on each read, the SolverConfig that owns the nev, seed, shift and
+    solver rules and the StabilizationParams that own ell, c_u and c_p;
+    construction reads both once.  The cc-graded exponent is the constant
+    meshgen.GRADING_EXPONENT.  corner=None, like nev=None, is the domain's
+    own rule: u2 folds onto -u1 at the L-shape's corner unless corner is
+    FREE.  Nothing reads tip and no flag sets it; benchmark scripts pass it."""
 
     domain: DomainKind
     mesh: str
@@ -99,11 +99,13 @@ class StudyConfig:
             if value not in allowed:
                 raise ValueError(f"unknown {name} {value!r}; choose from "
                                  f"{', '.join(map(str, allowed))}")
+        if not all(map(is_integer, (self.degree, *self.N_list))):
+            raise ValueError("degree and each N must be integers")
         if not self.N_list or min(self.N_list) < 1:
             raise ValueError("N list needs at least one positive value")
         if list(self.N_list) != sorted(set(self.N_list)):
             raise ValueError("N list must be strictly increasing")
-        self.solver_config  # SolverConfig owns the nev and method rules
+        self.solver_config  # SolverConfig owns nev, seed and method
         if self.mesh == "cc-graded" and not self.domain.has_crack:
             raise ValueError("graded meshes are specific to the cracked square")
         if self.corner is not None and not self.domain.has_reentrant_corner:

@@ -68,7 +68,7 @@ class CornerStrategy(Enum):
 
 
 class TipStrategy(Enum):
-    """The crack tip's one rule, which no code reads: see StudyConfig."""
+    """The crack tip's rule, kept only because benchmark scripts pass it."""
     FREE = "free"
 
 

@@ -11,7 +11,7 @@ from numpy.testing import assert_allclose
 import benchmark_tables as bench
 from maxwell2d import (CRACKED_SQUARE, L_SHAPE, SQUARE_PI, CornerStrategy,
                        SolverConfig, StabilizationParams, StudyConfig,
-                       TipStrategy, build_constraints, build_criss_cross,
+                       build_constraints, build_criss_cross,
                        build_osgs, build_sg, build_uniform, emit_table,
                        filter_zeros, reduce_system, run_case, run_study,
                        solve_generalized, square_reference)
@@ -94,14 +94,14 @@ def osgs_p2_cc_lshape():
 @pytest.fixture(scope="module")
 def crack_osgs_ps():
     cfg = StudyConfig(domain=CRACKED_SQUARE, mesh="ps", formulation="osgs",
-                      N_list=bench.CRACK_N, nev=10, tip=TipStrategy.FREE, **CR)
+                      N_list=bench.CRACK_N, nev=10, **CR)
     return run_study(cfg)
 
 
 def graded_crack(formulation):
     cfg = StudyConfig(domain=CRACKED_SQUARE, mesh="cc-graded",
                       formulation=formulation, N_list=(8, 16, 24, 32, 40),
-                      nev=10, tip=TipStrategy.FREE, **CRG)
+                      nev=10, **CRG)
     return run_study(cfg)
 
 

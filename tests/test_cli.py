@@ -111,9 +111,14 @@ def test_inconsistent_combinations(tmp_path, monkeypatch, capsys):
             assert "corner settings apply to the L-shape only" in \
                 capsys.readouterr().err
     assert cli_main(["--domain", "square", "--mesh", "cc-graded"]) == 2
-    # the tip has one rule, so both-zero is no choice
+    # the tip has one rule, which no flag sets
     assert cli_main(["--domain", "lshape", "--tip", "both-zero"]) == 2
-    assert "invalid choice: 'both-zero'" in capsys.readouterr().err
+    assert "unrecognized arguments: --tip both-zero" in capsys.readouterr().err
+    assert cli_main(["--domain", "crack", "--tip", "free"]) == 2
+    assert "unrecognized arguments: --tip free" in capsys.readouterr().err
+    cfg.write_text("tip = free\n")
+    assert cli_main(["--config", str(cfg)]) == 2
+    assert "unknown config key 'tip'" in capsys.readouterr().err
     # the cc-graded exponent is fixed, not a flag
     assert cli_main(["--domain", "crack", "--mesh", "cc-graded",
                      "--grading-exponent", "3"]) == 2
@@ -193,6 +198,14 @@ def test_defaults_come_from_study_config(monkeypatch, capsys):
     assert config == StudyConfig(domain=SQUARE_PI, mesh="cc",
                                  formulation="osgs",
                                  N_list=(5, 10, 15, 20, 25))
+
+
+def test_flags_and_fields_match():
+    # each StudyConfig field but the bench-only tip has exactly one flag,
+    # and each flag's field is a StudyConfig field
+    fields = [flag.field for flag in cli._FLAGS.values() if flag.field]
+    assert sorted(fields) == sorted(set(StudyConfig.__dataclass_fields__)
+                                    - {"tip"})
 
 
 def test_readme_lists_every_flag():

@@ -418,6 +418,31 @@ def test_shift_independence():
     assert_allclose(runs[2], runs[0], rtol=1e-8)
 
 
+def test_mass_rank_counted_once_per_solve(monkeypatch):
+    # the dense fallback and the purification both read one count of rank M
+    counts = []
+    mass_rank = eig.mass_rank
+
+    def counted(system):
+        counts.append(system)
+        return mass_rank(system)
+
+    monkeypatch.setattr(eig, "mass_rank", counted)
+    mesh = powell_sabin_refine(build_uniform(CRACKED_SQUARE, 4))
+    osgs = reduced_stabilized(build_osgs, mesh)
+    sg = reduced_sg(SQUARE_PI, build_criss_cross(SQUARE_PI, 4))
+    for reduced in (osgs, sg):
+        counts.clear()
+        spec = solve_generalized(reduced, SolverConfig(nev=4))
+        assert spec.lu_nnz > 0 and len(counts) == 1
+    # a shift retry counts it no more
+    counts.clear()
+    A = np.diag(np.concatenate(([0.5], np.arange(1.0, 40.0))))
+    spec = solve_generalized(toy_system(A, np.eye(40)),
+                             SolverConfig(nev=2, shift=0.5))
+    assert spec.shift_retries >= 1 and len(counts) == 1
+
+
 def test_shift_collision_retries(monkeypatch):
     # pencil with an eigenvalue exactly at the default shift
     orderings = []

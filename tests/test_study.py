@@ -8,7 +8,7 @@ import scipy.sparse as sp
 from numpy.testing import assert_allclose
 
 from maxwell2d import (CRACKED_SQUARE, L_SHAPE, SQUARE_PI, CornerStrategy,
-                       EigenField, EigenTable, StudyConfig,
+                       EigenField, EigenTable, SolverConfig, StudyConfig,
                        build_mesh, compute_eigenfunction, convergence_rate,
                        emit_table, export_eigenfunction, parse_csv_table,
                        reference_values, run_case, run_study,
@@ -83,6 +83,13 @@ def test_study_config_rejects_inconsistent_combinations():
         dict(domain=SQUARE_PI, nev=0),
         dict(domain=SQUARE_PI, seed=-1),
         dict(domain=SQUARE_PI, degree=3),
+        # counts are integers from the library as from the CLI's readers
+        dict(domain=SQUARE_PI, nev=5.0),
+        dict(domain=SQUARE_PI, nev=True),
+        dict(domain=SQUARE_PI, degree=True),
+        dict(domain=SQUARE_PI, degree=2.0),
+        dict(domain=SQUARE_PI, seed=1.5),
+        dict(domain=SQUARE_PI, N_list=(2.0,)),
         dict(domain=SQUARE_PI, formulation="ag", ell=0.0),
         dict(domain=SQUARE_PI, formulation="ag", c_u=-0.01),
         dict(domain=SQUARE_PI, formulation="ag", c_p=-0.6),
@@ -106,6 +113,13 @@ def test_study_config_rejects_inconsistent_combinations():
             StudyConfig(**(base | case))
     with pytest.raises(ValueError):
         StudyConfig(**base, domain="square")
+    for setting in (dict(nev=5.0), dict(seed=1.5)):
+        with pytest.raises(ValueError):
+            SolverConfig(**setting)
+    # NumPy integers are integers
+    i = np.int64
+    StudyConfig(domain=SQUARE_PI, mesh="cc", formulation="sg",
+                N_list=(i(2), i(4)), degree=i(2), nev=i(5), seed=i(1))
     # the dense oracle keeps the SG kernel, so it takes any shift
     StudyConfig(domain=SQUARE_PI, mesh="cc", formulation="sg", N_list=(4,),
                 shift=0.0, solver="dense")
