@@ -9,12 +9,12 @@ from .meshgen import (CRACKED_SQUARE, L_SHAPE, SQUARE_PI, DomainKind,
                       EdgeTag, Mesh, MeshError, build_criss_cross,
                       build_uniform, classify_boundary, dump_mesh,
                       powell_sabin_refine)
-from .fem import (AssemblyError, DofMap, FormKind, assemble_form,
-                  build_dofmap, make_quadrature, scalar_kernels,
-                  shape_functions, shape_gradients)
+from .fem import (AssemblyError, DofMap, build_dofmap, make_quadrature,
+                  scalar_kernels, shape_functions, shape_gradients)
 from .system import (ConstraintError, ConstraintSet, CornerStrategy,
-                     EvpSystem, StabilizationParams, TipStrategy, build_ag,
-                     build_constraints, build_osgs, build_sg, reduce_system)
+                     EvpSystem, StabilizationParams, TipStrategy,
+                     assemble_form, build_ag, build_constraints, build_osgs,
+                     build_sg, reduce_system)
 from .eig import (EigenSolveError, SolverConfig, Spectrum, filter_zeros,
                   solve_generalized)
 from .study import (CRACK_REFERENCE, L_SHAPE_REFERENCE, EigenField, EigenTable,

@@ -52,14 +52,17 @@ solving sparse symmetric generalized eigenproblems".
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 import scipy.linalg as la
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .system import EvpSystem
+if TYPE_CHECKING:  # system imports is_real from here
+    from .system import EvpSystem
 
 RESIDUAL_TOL = 1e-8
 MAX_RESTARTS = 300     # ARPACK restarts before a solve fails
@@ -84,6 +87,12 @@ def is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def is_real(value) -> bool:
+    """A Python or NumPy real, no bool, and finite."""
+    return is_integer(value) or (isinstance(value, (float, np.floating))
+                                 and math.isfinite(value))
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     """Knobs for one generalized eigensolve."""
@@ -101,8 +110,8 @@ class SolverConfig:
                              f"choose from {', '.join(METHODS)}")
         if not is_integer(self.seed) or self.seed < 0:
             raise ValueError("seed must be nonnegative and an integer")
-        if not np.isfinite(self.shift):
-            raise ValueError("shift must be finite")
+        if not is_real(self.shift):
+            raise ValueError("shift must be finite and a real")
 
 
 @dataclass(frozen=True)

@@ -1,15 +1,15 @@
-"""Reference elements, quadrature, dof management and sparse assembly.
+"""Reference elements, quadrature, dof management and the scalar kernels.
 
-All bilinear forms needed by the three formulations are assembled from six
-scalar kernels (mass, the four gradient-gradient combinations and the two
-value-gradient pairings) over the nodal points of the chosen degree.
-Matrices are returned in compressed sparse row format over a field-local
-layout: vector-valued roles are stacked component-major, [comp1 | comp2].
+Every pencil of the three formulations is built from six scalar kernels
+over the nodal points of the chosen degree: the mass, the gradient
+pairings Kxx, Kxy and Kyy (Kyx is Kxy') and the value-gradient pairings Gx
+and Gy, each n_scalar x n_scalar in compressed sparse row format.  They
+feed one pencil table, ``system.assemble_form``, whose fields are laid out
+as the dofmap lays them: contiguous per field, in the formulation's order.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 import scipy.sparse as sp
@@ -173,15 +173,6 @@ def build_dofmap(mesh: Mesh, degree: int, formulation: str) -> DofMap:
                   on_v=on_v)
 
 
-class FormKind(Enum):
-    CURL_CURL = "curl_curl"
-    MASS_VEC = "mass_vec"
-    GRAD_COUPLING = "grad_coupling"
-    DIV_DIV = "div_div"
-    GRAD_GRAD = "grad_grad"
-    DIV_SCALAR = "div_scalar"
-
-
 def _element_geometry(mesh: Mesh):
     p = mesh.points
     t = mesh.triangles
@@ -240,30 +231,3 @@ def scalar_kernels(dofmap: DofMap) -> dict:
         data = np.bincount(slot, weights=el.ravel())
         out[name] = sp.csr_matrix((data, indices, indptr), shape=(n, n))
     return out
-
-
-def assemble_form(kind: FormKind, kernels: dict) -> sp.csr_matrix:
-    """Assemble one bilinear form from the ``scalar_kernels``, without any
-    tau scaling.
-
-    Vector-valued rows/columns use the component-major layout
-    [component-1 nodes | component-2 nodes]; shapes are (2n, 2n) for
-    vector-vector forms, (n, n) scalar-scalar, (2n, n) for (grad p, v)
-    type couplings and (n, 2n) for (div u, psi).
-    """
-    mass, gx, gy = kernels["mass"], kernels["gx"], kernels["gy"]
-    kxx, kxy, kyy = kernels["kxx"], kernels["kxy"], kernels["kyy"]
-    if kind is FormKind.CURL_CURL:
-        return sp.bmat([[kyy, -kxy.T], [-kxy, kxx]], format="csr")
-    if kind is FormKind.MASS_VEC:
-        return sp.block_diag([mass, mass], format="csr")
-    if kind is FormKind.GRAD_COUPLING:
-        return sp.bmat([[gx], [gy]], format="csr")
-    if kind is FormKind.DIV_DIV:
-        return sp.bmat([[kxx, kxy], [kxy.T, kyy]], format="csr")
-    if kind is FormKind.GRAD_GRAD:
-        return (kxx + kyy).tocsr()
-    if kind is FormKind.DIV_SCALAR:
-        return sp.bmat([[gx, gy]], format="csr")
-    raise AssemblyError(f"unknown form kind {kind!r}")
-

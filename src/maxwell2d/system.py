@@ -11,7 +11,9 @@ eigenpair, and a zero tau decouples its projection instead of wiping its
 row: OSGS at tau_p = tau_u = 0 is mixed Galerkin, as AG is.  The
 stabilization block on (p, xi') is then negative semidefinite, and the
 blocks on u and on eta' positive semidefinite: A is a symmetric indefinite
-saddle-point operator.
+saddle-point operator.  The three pencils nest, so one block table
+assembles them all: SG is the leading (u1, u2) block of AG at tau_u = 0,
+and AG the leading (u1, u2, p) block of OSGS at the same taus.
 
 Boundary conditions are applied by congruence reduction (x = T x_r,
 A_r = T' A T), never by penalties, so the reduced spectrum is exact.  A
@@ -30,7 +32,9 @@ from enum import Enum
 import numpy as np
 import scipy.sparse as sp
 
-from .fem import DofMap, FormKind, assemble_form, build_dofmap, scalar_kernels
+from .eig import is_real
+from .fem import FORMULATION_FIELDS, AssemblyError, DofMap, build_dofmap, \
+    scalar_kernels
 from .meshgen import Mesh
 
 
@@ -38,27 +42,27 @@ from .meshgen import Mesh
 class StabilizationParams:
     """Length scale ell and constants c_u / c_p of AG and OSGS.
 
-    ell must be positive, c_u and c_p nonnegative, and all finite:
-    ValueError on construction otherwise.  The mesh size h enters only
-    tau_u(h)."""
+    ell must be positive, c_u and c_p nonnegative, and all finite reals
+    (no bool): ValueError on construction otherwise.  The mesh size h
+    enters only tau_u(h)."""
 
     ell: float
     c_u: float
     c_p: float
 
     def __post_init__(self):
-        if not 0.0 < self.ell < np.inf:
-            raise ValueError("ell must be positive and finite")
-        if not all(0.0 <= v < np.inf for v in (self.c_u, self.c_p)):
-            raise ValueError("c_u and c_p must be nonnegative and finite")
+        if not (is_real(self.ell) and self.ell > 0.0):
+            raise ValueError("ell must be positive and a finite real")
+        if not all(is_real(v) and v >= 0.0 for v in (self.c_u, self.c_p)):
+            raise ValueError("c_u and c_p must be nonnegative and finite reals")
 
     @property
     def tau_p(self) -> float:
         return self.c_p * self.ell ** 2
 
     def tau_u(self, h: float) -> float:
-        if not 0.0 <= h < np.inf:
-            raise ValueError("h must be nonnegative and finite")
+        if not (is_real(h) and h >= 0.0):
+            raise ValueError("h must be nonnegative and a finite real")
         return self.c_u * h ** 2 / self.ell ** 2
 
 
@@ -130,12 +134,41 @@ class EvpSystem:
         return self.A.shape[0]
 
 
+def assemble_form(formulation: str, kernels: dict, tau_p: float = 0.0,
+                  tau_u: float = 0.0) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+    """The pencil (A, M) of a formulation from the six ``scalar_kernels``.
+
+    One block table over the OSGS fields (u1, u2, p, xi1', xi2', eta')
+    holds all three pencils, and a formulation keeps its leading fields.
+    The u block is curl-curl plus tau_u div-div and the p block is
+    -tau_p grad-grad; the xi' row enforces (xi', chi) = sqrt(tau_p)
+    (grad p, chi) and the eta' row (eta', psi) = sqrt(tau_u) (div u, psi).
+    M is the vector mass on (u1, u2) and zero on the other fields.
+    """
+    if formulation not in FORMULATION_FIELDS:
+        raise AssemblyError(f"unknown formulation tag {formulation!r}")
+    mass, gx, gy = kernels["mass"], kernels["gx"], kernels["gy"]
+    kxx, kxy, kyy = kernels["kxx"], kernels["kxy"], kernels["kyy"]
+    rp, ru = np.sqrt(tau_p), np.sqrt(tau_u)
+    table = [
+        [kyy + tau_u * kxx, -kxy.T + tau_u * kxy, gx, None, None, -ru * gx.T],
+        [-kxy + tau_u * kxy.T, kxx + tau_u * kyy, gy, None, None, -ru * gy.T],
+        [gx.T, gy.T, -tau_p * (kxx + kyy), rp * gx.T, rp * gy.T, None],
+        [None, None, rp * gx, -mass, None, None],
+        [None, None, rp * gy, None, -mass, None],
+        [-ru * gx, -ru * gy, None, None, None, mass],
+    ]
+    k = len(FORMULATION_FIELDS[formulation])
+    A = sp.bmat([row[:k] for row in table[:k]], format="csr")
+    null = sp.csr_matrix(((k - 2) * mass.shape[0],) * 2)
+    M = sp.block_diag([mass, mass, null], format="csr")
+    return A, M
+
+
 def build_sg(mesh: Mesh, degree: int) -> EvpSystem:
     """Standard Galerkin curl-curl system over (u1, u2)."""
     dofmap = build_dofmap(mesh, degree, "sg")
-    kernels = scalar_kernels(dofmap)
-    A = assemble_form(FormKind.CURL_CURL, kernels)
-    M = assemble_form(FormKind.MASS_VEC, kernels)
+    A, M = assemble_form("sg", scalar_kernels(dofmap))
     return EvpSystem(A=A, M=M, dofmap=dofmap)
 
 
@@ -144,47 +177,18 @@ def build_ag(mesh: Mesh, degree: int, params: StabilizationParams,
     """Augmented system over (u1, u2, p) at mesh size h; tau_p = tau_u = 0
     degenerates to the plain mixed Galerkin matrix."""
     dofmap = build_dofmap(mesh, degree, "ag")
-    kernels = scalar_kernels(dofmap)
-    kcc = assemble_form(FormKind.CURL_CURL, kernels)
-    kdd = assemble_form(FormKind.DIV_DIV, kernels)
-    kgg = assemble_form(FormKind.GRAD_GRAD, kernels)
-    g = assemble_form(FormKind.GRAD_COUPLING, kernels)
-    mv = assemble_form(FormKind.MASS_VEC, kernels)
-    A = sp.bmat([[kcc + params.tau_u(h) * kdd, g],
-                 [g.T, -params.tau_p * kgg]], format="csr")
-    M = sp.block_diag([mv, sp.csr_matrix((dofmap.n_scalar,) * 2)],
-                      format="csr")
+    A, M = assemble_form("ag", scalar_kernels(dofmap), params.tau_p,
+                         params.tau_u(h))
     return EvpSystem(A=A, M=M, dofmap=dofmap)
 
 
 def build_osgs(mesh: Mesh, degree: int, params: StabilizationParams,
                h: float) -> EvpSystem:
-    """Orthogonal-subgrid-scale system over (u1, u2, p, xi1, xi2, eta) at
-    mesh size h.
-
-    The projections are implicit and scaled by sqrt(tau): the xi' row
-    enforces (xi', chi) = sqrt(tau_p) (grad p, chi) and the eta' row
-    (eta', psi) = sqrt(tau_u) (div u, psi).  A zero tau leaves its
-    projection decoupled, with an invertible mass block.
-    """
+    """Orthogonal-subgrid-scale system over (u1, u2, p, xi1', xi2', eta')
+    at mesh size h."""
     dofmap = build_dofmap(mesh, degree, "osgs")
-    kernels = scalar_kernels(dofmap)
-    kcc = assemble_form(FormKind.CURL_CURL, kernels)
-    kdd = assemble_form(FormKind.DIV_DIV, kernels)
-    kgg = assemble_form(FormKind.GRAD_GRAD, kernels)
-    g = assemble_form(FormKind.GRAD_COUPLING, kernels)
-    d = assemble_form(FormKind.DIV_SCALAR, kernels)
-    mv = assemble_form(FormKind.MASS_VEC, kernels)
-    tp, tu = params.tau_p, params.tau_u(h)
-    rp, ru = np.sqrt(tp), np.sqrt(tu)
-    A = sp.bmat([
-        [kcc + tu * kdd, g,         None,     -ru * d.T],
-        [g.T,            -tp * kgg, rp * g.T, None],
-        [None,           rp * g,    -mv,      None],
-        [-ru * d,        None,      None,     kernels["mass"]],
-    ], format="csr")
-    M = sp.block_diag([mv, sp.csr_matrix((4 * dofmap.n_scalar,) * 2)],
-                      format="csr")
+    A, M = assemble_form("osgs", scalar_kernels(dofmap), params.tau_p,
+                         params.tau_u(h))
     return EvpSystem(A=A, M=M, dofmap=dofmap)
 
 

@@ -6,7 +6,7 @@ import scipy.sparse as sp
 import scipy.linalg as la
 from numpy.testing import assert_allclose
 
-from maxwell2d import (CRACKED_SQUARE, SQUARE_PI, AssemblyError, FormKind,
+from maxwell2d import (CRACKED_SQUARE, SQUARE_PI, AssemblyError,
                        assemble_form, build_criss_cross, build_dofmap,
                        build_uniform, make_quadrature, shape_functions,
                        shape_gradients)
@@ -88,6 +88,9 @@ def test_dofmap_rejects_unknown_formulation():
         build_dofmap(mesh, 1, "galerkin")
     with pytest.raises(AssemblyError):
         build_dofmap(mesh, 3, "sg")
+    kernels = scalar_kernels(build_dofmap(mesh, 1, "sg"))
+    with pytest.raises(AssemblyError):
+        assemble_form("galerkin", kernels)
 
 
 def test_dofmap_p2_adds_edge_nodes():
@@ -135,8 +138,8 @@ def test_mass_scalar_single_triangle():
 def test_grad_grad_single_triangle():
     mesh = single_triangle_mesh()
     dofmap = build_dofmap(mesh, 1, "ag")
-    kgg = assemble_form(FormKind.GRAD_GRAD, scalar_kernels(dofmap))
-    kgg = kgg.toarray()
+    kernels = scalar_kernels(dofmap)
+    kgg = (kernels["kxx"] + kernels["kyy"]).toarray()
     expected = np.array([[1.0, -0.5, -0.5], [-0.5, 0.5, 0.0], [-0.5, 0.0, 0.5]])
     assert_allclose(kgg, expected, atol=1e-14)
 
@@ -144,8 +147,7 @@ def test_grad_grad_single_triangle():
 def test_curl_curl_single_triangle_diagonal():
     mesh = single_triangle_mesh()
     dofmap = build_dofmap(mesh, 1, "sg")
-    kcc = assemble_form(FormKind.CURL_CURL, scalar_kernels(dofmap))
-    kcc = kcc.toarray()
+    kcc = assemble_form("sg", scalar_kernels(dofmap))[0].toarray()
     # u2 dof of the node at (1, 0): integral of (d lambda_1 / dx)^2 = 1/2
     d = dofmap.dof("u2", 1)
     assert_allclose(kcc[d, d], 0.5, atol=1e-14)
@@ -157,12 +159,19 @@ def assert_symmetric(a):
     assert np.abs(diff.toarray()).max() <= 1e-12 * denom
 
 
-@pytest.mark.parametrize("kind", [FormKind.CURL_CURL, FormKind.MASS_VEC,
-                                  FormKind.DIV_DIV, FormKind.GRAD_GRAD])
-def test_symmetry(kind):
+def div_div(kernels):
+    # (div u, div v) over the component-major (u1, u2) layout
+    return sp.bmat([[kernels["kxx"], kernels["kxy"]],
+                    [kernels["kxy"].T, kernels["kyy"]]], format="csr")
+
+
+@pytest.mark.parametrize("formulation", ["sg", "ag", "osgs"])
+def test_symmetry(formulation):
     mesh = build_criss_cross(SQUARE_PI, 3)
     dofmap = build_dofmap(mesh, 1, "ag")
-    assert_symmetric(assemble_form(kind, scalar_kernels(dofmap)))
+    A, M = assemble_form(formulation, scalar_kernels(dofmap), 0.006, 0.03)
+    assert_symmetric(A)
+    assert_symmetric(M)
 
 
 def test_scalar_mass_kernel_symmetry():
@@ -177,8 +186,8 @@ def test_semidefinite_rayleigh(degree):
     dofmap = build_dofmap(mesh, degree, "ag")
     kernels = scalar_kernels(dofmap)
     rng = np.random.default_rng(7)
-    for kind in (FormKind.CURL_CURL, FormKind.GRAD_GRAD, FormKind.DIV_DIV):
-        a = assemble_form(kind, kernels)
+    for a in (assemble_form("sg", kernels)[0],
+              kernels["kxx"] + kernels["kyy"], div_div(kernels)):
         for _ in range(5):
             x = rng.standard_normal(a.shape[0])
             assert x @ (a @ x) >= -1e-10 * (x @ x)
@@ -188,7 +197,7 @@ def test_mass_positive_definite_after_reduction():
     mesh = build_uniform(SQUARE_PI, 3)
     dofmap = build_dofmap(mesh, 1, "ag")
     kernels = scalar_kernels(dofmap)
-    mv = assemble_form(FormKind.MASS_VEC, kernels).toarray()
+    mv = assemble_form("sg", kernels)[1].toarray()
     ms = kernels["mass"].toarray()
     interior = ~(dofmap.on_h | dofmap.on_v)
     keep = np.where(np.concatenate([interior, interior]))[0]
@@ -197,15 +206,21 @@ def test_mass_positive_definite_after_reduction():
 
 
 def test_adjoint_pairing():
+    # (grad p, v) is [Gx; Gy] in the u rows and its transpose in the p
+    # rows; the eta' rows carry -sqrt(tau_u) (div u, psi) = -[Gx Gy] / 2
+    # at tau_u = 1/4, and the u rows its transpose
     mesh = build_criss_cross(SQUARE_PI, 3)
     dofmap = build_dofmap(mesh, 1, "osgs")
     kernels = scalar_kernels(dofmap)
-    g = assemble_form(FormKind.GRAD_COUPLING, kernels)
-    d = assemble_form(FormKind.DIV_SCALAR, kernels)
+    n = dofmap.n_scalar
+    A = assemble_form("osgs", kernels, 0.006, 0.25)[0]
     stacked = sp.bmat([[kernels["gx"]], [kernels["gy"]]], format="csr")
-    assert np.abs((g - stacked)).max() == 0
-    expected = sp.bmat([[kernels["gx"], kernels["gy"]]], format="csr")
-    assert np.abs((d - expected)).max() == 0
+    div = sp.bmat([[kernels["gx"], kernels["gy"]]], format="csr")
+    u, p, eta = slice(0, 2 * n), slice(2 * n, 3 * n), slice(5 * n, 6 * n)
+    assert np.abs((A[u, p] - stacked)).max() == 0
+    assert np.abs((A[p, u] - stacked.T)).max() == 0
+    assert np.abs((A[eta, u] + 0.5 * div)).max() == 0
+    assert np.abs((A[u, eta] + 0.5 * div.T)).max() == 0
 
 
 def interpolate_vector(dofmap, fx, fy):
@@ -216,7 +231,7 @@ def interpolate_vector(dofmap, fx, fy):
 def test_gradient_field_has_zero_curl_energy():
     mesh = build_criss_cross(SQUARE_PI, 4)
     dofmap = build_dofmap(mesh, 1, "sg")
-    kcc = assemble_form(FormKind.CURL_CURL, scalar_kernels(dofmap))
+    kcc = assemble_form("sg", scalar_kernels(dofmap))[0]
     u = interpolate_vector(dofmap, lambda x, y: y, lambda x, y: x)  # grad(xy)
     assert abs(u @ (kcc @ u)) <= 1e-12
 
@@ -224,19 +239,22 @@ def test_gradient_field_has_zero_curl_energy():
 def test_divergence_free_field_has_zero_div_energy():
     mesh = build_criss_cross(SQUARE_PI, 4)
     dofmap = build_dofmap(mesh, 1, "sg")
-    kdd = assemble_form(FormKind.DIV_DIV, scalar_kernels(dofmap))
+    kdd = div_div(scalar_kernels(dofmap))
     u = interpolate_vector(dofmap, lambda x, y: -y, lambda x, y: x)
     assert abs(u @ (kdd @ u)) <= 1e-12
 
 
 def test_forms_do_not_depend_on_fields():
     # the kernels span the nodal points only: an SG dofmap, which has no
-    # p field, yields the same p forms as an OSGS one
+    # p field, yields the same kernels, and so the same OSGS pencil, as an
+    # OSGS one
     mesh = build_uniform(SQUARE_PI, 2)
     sg = scalar_kernels(build_dofmap(mesh, 1, "sg"))
     osgs = scalar_kernels(build_dofmap(mesh, 1, "osgs"))
-    for kind in FormKind:
-        a, b = assemble_form(kind, sg), assemble_form(kind, osgs)
+    pairs = [(sg[name], osgs[name]) for name in osgs]
+    pairs += zip(assemble_form("osgs", sg, 0.006, 0.03),
+                 assemble_form("osgs", osgs, 0.006, 0.03))
+    for a, b in pairs:
         assert a.shape == b.shape
         assert (a != b).nnz == 0
 
@@ -298,8 +316,8 @@ def test_orthogonal_projection_identity():
     mesh = build_uniform(SQUARE_PI, 2)
     dofmap = build_dofmap(mesh, 1, "osgs")
     kernels = scalar_kernels(dofmap)
-    kgg = assemble_form(FormKind.GRAD_GRAD, kernels).toarray()
-    mv = assemble_form(FormKind.MASS_VEC, kernels).toarray()
+    kgg = (kernels["kxx"] + kernels["kyy"]).toarray()
+    mv = assemble_form("sg", kernels)[1].toarray()
     rng = np.random.default_rng(11)
     n = dofmap.n_scalar
     for _ in range(4):

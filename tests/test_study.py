@@ -8,7 +8,8 @@ import scipy.sparse as sp
 from numpy.testing import assert_allclose
 
 from maxwell2d import (CRACKED_SQUARE, L_SHAPE, SQUARE_PI, CornerStrategy,
-                       EigenField, EigenTable, SolverConfig, StudyConfig,
+                       EigenField, EigenTable, SolverConfig,
+                       StabilizationParams, StudyConfig,
                        build_mesh, compute_eigenfunction, convergence_rate,
                        emit_table, export_eigenfunction, parse_csv_table,
                        reference_values, run_case, run_study,
@@ -105,6 +106,11 @@ def test_study_config_rejects_inconsistent_combinations():
         dict(domain=SQUARE_PI, formulation="osgs", ell=math.inf),
         dict(domain=SQUARE_PI, formulation="osgs", c_u=math.nan),
         dict(domain=SQUARE_PI, formulation="osgs", c_p=math.inf),
+        # a bool is no real, as the CLI's float readers say
+        dict(domain=SQUARE_PI, shift=True),
+        dict(domain=SQUARE_PI, formulation="ag", ell=True),
+        dict(domain=SQUARE_PI, formulation="osgs", c_u=True),
+        dict(domain=SQUARE_PI, formulation="osgs", c_p=True),
     ]
     base = dict(mesh="ps", formulation="osgs", N_list=(4,))
     for case in cases:
@@ -113,13 +119,18 @@ def test_study_config_rejects_inconsistent_combinations():
             StudyConfig(**(base | case))
     with pytest.raises(ValueError):
         StudyConfig(**base, domain="square")
-    for setting in (dict(nev=5.0), dict(seed=1.5)):
+    for setting in (dict(nev=5.0), dict(seed=1.5), dict(shift=True)):
         with pytest.raises(ValueError):
             SolverConfig(**setting)
-    # NumPy integers are integers
-    i = np.int64
+    # NumPy integers are integers, and NumPy reals are reals
+    i, f = np.int64, np.float64
     StudyConfig(domain=SQUARE_PI, mesh="cc", formulation="sg",
                 N_list=(i(2), i(4)), degree=i(2), nev=i(5), seed=i(1))
+    real = StudyConfig(domain=SQUARE_PI, mesh="cc", formulation="osgs",
+                       N_list=(4,), shift=f(0.5), ell=f(0.1), c_u=f(0.01),
+                       c_p=f(0.6))
+    assert real.solver_config.shift == 0.5
+    assert real.stabilization == StabilizationParams(0.1, 0.01, 0.6)
     # the dense oracle keeps the SG kernel, so it takes any shift
     StudyConfig(domain=SQUARE_PI, mesh="cc", formulation="sg", N_list=(4,),
                 shift=0.0, solver="dense")

@@ -5,7 +5,7 @@ import scipy.sparse as sp
 from numpy.testing import assert_allclose
 
 from maxwell2d import (CRACKED_SQUARE, L_SHAPE, SQUARE_PI, ConstraintError,
-                       ConstraintSet, CornerStrategy, FormKind, SolverConfig,
+                       ConstraintSet, CornerStrategy, SolverConfig,
                        StabilizationParams, StudyConfig,
                        assemble_form, build_ag, build_constraints,
                        build_criss_cross, build_dofmap, build_osgs, build_sg,
@@ -33,16 +33,41 @@ def test_make_params_rejects_nonpositive():
     bad = [dict(ell=0.0), dict(ell=-0.1),
            dict(c_u=-0.01), dict(c_p=-0.6),
            dict(ell=np.nan), dict(ell=np.inf), dict(c_u=np.nan),
-           dict(c_p=np.inf)]
+           dict(c_p=np.inf),
+           # a bool is no real, as the CLI's float readers say
+           dict(ell=True), dict(c_u=True), dict(c_p=True)]
     for change in bad:
         with pytest.raises(ValueError):
             StabilizationParams(**(ok | change))
     params = StabilizationParams(**ok)
-    for h in (-0.1, np.nan, np.inf):
+    for h in (-0.1, np.nan, np.inf, True):
         with pytest.raises(ValueError):
             params.tau_u(h)
+    f = np.float64  # NumPy reals are reals
+    assert StabilizationParams(f(0.1), f(0.01), f(0.6)).tau_u(f(0.5)) == \
+        params.tau_u(0.5)
     zero = StabilizationParams(**(ok | dict(c_u=0.0, c_p=0.0)))
     assert zero.tau_p == zero.tau_u(0.0) == 0.0
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+def test_pencils_nest(degree):
+    # SG is the leading (u1, u2) block of AG at tau_u = 0, and AG the
+    # leading (u1, u2, p) block of OSGS at the same taus
+    kernels = scalar_kernels(build_dofmap(build_uniform(L_SHAPE, 3),
+                                          degree, "osgs"))
+    n = kernels["mass"].shape[0]
+
+    def same(a, b):
+        return a.shape == b.shape and (a != b).nnz == 0
+
+    sg = assemble_form("sg", kernels)
+    ag = assemble_form("ag", kernels, 0.006, 0.0)
+    assert all(same(x, y[:2 * n, :2 * n]) for x, y in zip(sg, ag))
+    ag = assemble_form("ag", kernels, 0.006, 0.03)
+    osgs = assemble_form("osgs", kernels, 0.006, 0.03)
+    assert all(same(x, y[:3 * n, :3 * n]) for x, y in zip(ag, osgs))
+    assert osgs[0].shape == (6 * n, 6 * n)
 
 
 def sg_p2_square_values(mesh_of):
@@ -96,8 +121,8 @@ def test_ag_zero_tau_equals_mixed_galerkin():
     system = build_ag(mesh, 1, params, 0.5)
     dofmap = system.dofmap
     kernels = scalar_kernels(dofmap)
-    kcc = assemble_form(FormKind.CURL_CURL, kernels)
-    g = assemble_form(FormKind.GRAD_COUPLING, kernels)
+    kcc = assemble_form("sg", kernels)[0]
+    g = sp.bmat([[kernels["gx"]], [kernels["gy"]]], format="csr")
     plain = sp.bmat([[kcc, g], [g.T, sp.csr_matrix((dofmap.n_scalar,) * 2)]],
                     format="csr")
     assert np.abs((system.A - plain)).max() == 0
@@ -198,9 +223,9 @@ def test_osgs_stabilization_blocks_are_psd():
     a = system.A
     rng = np.random.default_rng(5)
     kernels = scalar_kernels(system.dofmap)
-    mv = assemble_form(FormKind.MASS_VEC, kernels)
-    kgg = assemble_form(FormKind.GRAD_GRAD, kernels)
-    gv = assemble_form(FormKind.GRAD_COUPLING, kernels)
+    mv = assemble_form("sg", kernels)[1]
+    kgg = kernels["kxx"] + kernels["kyy"]
+    gv = sp.bmat([[kernels["gx"]], [kernels["gy"]]], format="csr")
     for _ in range(4):
         p = rng.standard_normal(n)
         xi = rng.standard_normal(2 * n)
