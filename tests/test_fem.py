@@ -1,4 +1,5 @@
 import math
+from enum import Enum
 
 import numpy as np
 import pytest
@@ -165,8 +166,33 @@ def div_div(kernels):
                     [kernels["kxy"].T, kernels["kyy"]]], format="csr")
 
 
+class FormKind(Enum):
+    # the four symmetric forms the pencil table is built from
+    CURL_CURL = "curl_curl"
+    MASS_VEC = "mass_vec"
+    DIV_DIV = "div_div"
+    GRAD_GRAD = "grad_grad"
+
+
+def form(kind, kernels):
+    if kind is FormKind.CURL_CURL:
+        return assemble_form("sg", kernels)[0]
+    if kind is FormKind.MASS_VEC:
+        return assemble_form("sg", kernels)[1]
+    if kind is FormKind.DIV_DIV:
+        return div_div(kernels)
+    return kernels["kxx"] + kernels["kyy"]
+
+
+@pytest.mark.parametrize("kind", list(FormKind))
+def test_symmetry(kind):
+    mesh = build_criss_cross(SQUARE_PI, 3)
+    dofmap = build_dofmap(mesh, 1, "ag")
+    assert_symmetric(form(kind, scalar_kernels(dofmap)))
+
+
 @pytest.mark.parametrize("formulation", ["sg", "ag", "osgs"])
-def test_symmetry(formulation):
+def test_pencil_symmetry(formulation):
     mesh = build_criss_cross(SQUARE_PI, 3)
     dofmap = build_dofmap(mesh, 1, "ag")
     A, M = assemble_form(formulation, scalar_kernels(dofmap), 0.006, 0.03)
