@@ -10,7 +10,7 @@ from .meshgen import (CRACKED_SQUARE, L_SHAPE, SQUARE_PI, DomainKind,
                       build_uniform, classify_boundary, dump_mesh,
                       powell_sabin_refine)
 from .fem import (AssemblyError, DofMap, build_dofmap, make_quadrature,
-                  scalar_kernels, shape_functions, shape_gradients)
+                  reference_basis, scalar_kernels)
 from .system import (ConstraintError, ConstraintSet, CornerStrategy,
                      EvpSystem, StabilizationParams, TipStrategy,
                      assemble_form, build_ag, build_constraints, build_osgs,

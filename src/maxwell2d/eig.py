@@ -14,7 +14,7 @@ vertex replaced by a small clique.  Two nodes couple when they share an
 element, so the graph is read from the mesh, not from A or M.  Minimum
 degree on it, expanded with each node's retained dofs kept consecutive,
 orders that structure on P1 Powell-Sabin and P2 meshes alike (crack
-OSGS/PS N=32: 5.3M stored entries against 19.6M under COLAMD on the dofs),
+OSGS/PS N=32: 5.2M stored entries against 18.7M under COLAMD on the dofs),
 and every shift retry reuses it.  ARPACK's symmetric Lanczos computes
 theta = 1/(lambda - sigma), requesting the largest algebraic values so the
 search walks the spectrum upward from the shift.  That ordering skips the

@@ -6,6 +6,11 @@ pairings Kxx, Kxy and Kyy (Kyx is Kxy') and the value-gradient pairings Gx
 and Gy, each n_scalar x n_scalar in compressed sparse row format.  They
 feed one pencil table, ``system.assemble_form``, whose fields are laid out
 as the dofmap lays them: contiguous per field, in the formulation's order.
+
+All fields share one Lagrange basis on straight triangles, so each kernel
+is a block of one reference integral R = int psi psi' of psi = (phi, d_x
+phi, d_y phi): an element's block is det J G R G', G = diag(1, J^-T), and
+no quadrature runs per element (Kirby and Logg (2006), ACM TOMS 32(3)).
 """
 from __future__ import annotations
 
@@ -53,42 +58,23 @@ def make_quadrature() -> QuadratureRule:
     return QuadratureRule(points=points, weights=weights)
 
 
-def shape_functions(degree: int, pts: np.ndarray) -> np.ndarray:
-    """Values of the P1/P2 Lagrange basis at reference points, (npts, nloc)."""
+def reference_basis(degree: int, pts: np.ndarray) -> np.ndarray:
+    """The P1/P2 Lagrange basis at reference points, (npts, 3, nloc): row 0
+    holds the values, rows 1 and 2 the x- and y-derivatives."""
     x, y = pts[:, 0], pts[:, 1]
-    l0, l1, l2 = 1.0 - x - y, x, y
+    l0, one, zero = 1.0 - x - y, np.ones_like(x), np.zeros_like(x)
     if degree == 1:
-        return np.stack([l0, l1, l2], axis=1)
-    if degree == 2:
-        return np.stack([
-            l0 * (2 * l0 - 1), l1 * (2 * l1 - 1), l2 * (2 * l2 - 1),
-            4 * l0 * l1, 4 * l1 * l2, 4 * l2 * l0,
-        ], axis=1)
-    raise AssemblyError(f"unsupported polynomial degree {degree}")
-
-
-def shape_gradients(degree: int, pts: np.ndarray) -> np.ndarray:
-    """Reference gradients of the P1/P2 basis, (npts, nloc, 2)."""
-    x, y = pts[:, 0], pts[:, 1]
-    one = np.ones_like(x)
-    zero = np.zeros_like(x)
-    if degree == 1:
-        g = np.empty((len(x), 3, 2))
-        g[:, 0, 0], g[:, 0, 1] = -one, -one
-        g[:, 1, 0], g[:, 1, 1] = one, zero
-        g[:, 2, 0], g[:, 2, 1] = zero, one
-        return g
-    if degree == 2:
-        l0 = 1.0 - x - y
-        g = np.empty((len(x), 6, 2))
-        g[:, 0, 0] = g[:, 0, 1] = 1.0 - 4.0 * l0
-        g[:, 1, 0], g[:, 1, 1] = 4.0 * x - 1.0, zero
-        g[:, 2, 0], g[:, 2, 1] = zero, 4.0 * y - 1.0
-        g[:, 3, 0], g[:, 3, 1] = 4.0 * (l0 - x), -4.0 * x
-        g[:, 4, 0], g[:, 4, 1] = 4.0 * y, 4.0 * x
-        g[:, 5, 0], g[:, 5, 1] = -4.0 * y, 4.0 * (l0 - y)
-        return g
-    raise AssemblyError(f"unsupported polynomial degree {degree}")
+        table = [[l0, x, y], [-one, one, zero], [-one, zero, one]]
+    elif degree == 2:
+        table = [
+            [l0 * (2 * l0 - 1), x * (2 * x - 1), y * (2 * y - 1),
+             4 * l0 * x, 4 * x * y, 4 * y * l0],
+            [1 - 4 * l0, 4 * x - 1, zero, 4 * (l0 - x), 4 * y, -4 * y],
+            [1 - 4 * l0, zero, 4 * y - 1, -4 * x, 4 * x, 4 * (l0 - y)],
+        ]
+    else:
+        raise AssemblyError(f"unsupported polynomial degree {degree}")
+    return np.moveaxis(np.array(table), -1, 0)
 
 
 DEGREES = (1, 2)
@@ -174,19 +160,20 @@ def build_dofmap(mesh: Mesh, degree: int, formulation: str) -> DofMap:
 
 
 def _element_geometry(mesh: Mesh):
-    p = mesh.points
-    t = mesh.triangles
-    j11 = p[t[:, 1], 0] - p[t[:, 0], 0]
-    j21 = p[t[:, 1], 1] - p[t[:, 0], 1]
-    j12 = p[t[:, 2], 0] - p[t[:, 0], 0]
-    j22 = p[t[:, 2], 1] - p[t[:, 0], 1]
+    """det J = 2 area, (nt,), and G = diag(1, J^-T), (nt, 3, 3)."""
+    p = mesh.points[mesh.triangles]
+    (j11, j21), (j12, j22) = (p[:, 1] - p[:, 0]).T, (p[:, 2] - p[:, 0]).T
     det = j11 * j22 - j12 * j21
-    inv_t = np.empty((len(t), 2, 2))
-    inv_t[:, 0, 0] = j22 / det
-    inv_t[:, 0, 1] = -j21 / det
-    inv_t[:, 1, 0] = -j12 / det
-    inv_t[:, 1, 1] = j11 / det
-    return det, inv_t  # det = 2*area, inv_t = J^{-T}
+    geo = np.zeros((len(det), 3, 3))
+    geo[:, 0, 0] = 1.0
+    geo[:, 1, 1], geo[:, 1, 2] = j22 / det, -j21 / det
+    geo[:, 2, 1], geo[:, 2, 2] = -j12 / det, j11 / det
+    return det, geo
+
+
+# kernel name -> (row, column) of the basis rows (value, d/dx, d/dy)
+KERNEL_ROWS = {"mass": (0, 0), "kxx": (1, 1), "kxy": (1, 2), "kyy": (2, 2),
+               "gx": (0, 1), "gy": (0, 2)}
 
 
 def scalar_kernels(dofmap: DofMap) -> dict:
@@ -197,25 +184,11 @@ def scalar_kernels(dofmap: DofMap) -> dict:
     They depend on the nodal points only, not on the dofmap's fields.
     """
     rule = make_quadrature()
-    shp = shape_functions(dofmap.degree, rule.points)          # (nq, nloc)
-    ref_grads = shape_gradients(dofmap.degree, rule.points)    # (nq, nloc, 2)
-    det, inv_t = _element_geometry(dofmap.mesh)
-    # the mass only scales with the element: det times the reference mass
-    mass_el = det[:, None, None] * np.einsum("q,qa,qb->ab", rule.weights,
-                                             shp, shp)
-    nt, nloc = len(det), shp.shape[1]
-    kxx_el, kxy_el, kyy_el, gx_el, gy_el = np.zeros((5, nt, nloc, nloc))
-    # one quadrature point at a time: physical gradients g[t, d, a]
-    for q in range(len(rule.weights)):
-        g = inv_t @ ref_grads[q].T
-        wdet = rule.weights[q] * det[:, None]   # weights sum to 1/2
-        wgx, wgy = wdet * g[:, 0], wdet * g[:, 1]
-        kxx_el += wgx[:, :, None] * g[:, None, 0]
-        kxy_el += wgx[:, :, None] * g[:, None, 1]
-        kyy_el += wgy[:, :, None] * g[:, None, 1]
-        wshp = wdet * shp[q]
-        gx_el += wshp[:, :, None] * g[:, None, 0]
-        gy_el += wshp[:, :, None] * g[:, None, 1]
+    psi = reference_basis(dofmap.degree, rule.points)   # (nq, 3, nloc)
+    nloc = psi.shape[2]
+    # R[c, d] = integral of psi_c psi_d' over the reference triangle
+    ref = np.einsum("q,qca,qdb->cdab", rule.weights, psi, psi).reshape(9, -1)
+    det, geo = _element_geometry(dofmap.mesh)
 
     # one CSR pattern for all six: slot[k] is where element entry k lands
     nodes = dofmap.element_nodes
@@ -226,8 +199,9 @@ def scalar_kernels(dofmap: DofMap) -> dict:
     indices = entries % n
     indptr = np.searchsorted(entries, np.arange(n + 1) * n)
     out = {}
-    for name, el in (("mass", mass_el), ("kxx", kxx_el), ("kxy", kxy_el),
-                     ("kyy", kyy_el), ("gx", gx_el), ("gy", gy_el)):
-        data = np.bincount(slot, weights=el.ravel())
+    for name, (r, s) in KERNEL_ROWS.items():
+        # element block det * sum_cd G[r, c] G[s, d] R[c, d]
+        coef = det[:, None, None] * geo[:, r, :, None] * geo[:, s, None, :]
+        data = np.bincount(slot, weights=(coef.reshape(-1, 9) @ ref).ravel())
         out[name] = sp.csr_matrix((data, indices, indptr), shape=(n, n))
     return out

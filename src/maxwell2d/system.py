@@ -150,16 +150,20 @@ def assemble_form(formulation: str, kernels: dict, tau_p: float = 0.0,
     mass, gx, gy = kernels["mass"], kernels["gx"], kernels["gy"]
     kxx, kxy, kyy = kernels["kxx"], kernels["kxy"], kernels["kyy"]
     rp, ru = np.sqrt(tau_p), np.sqrt(tau_u)
+    # one row per field, formed only if the formulation keeps that field
     table = [
-        [kyy + tau_u * kxx, -kxy.T + tau_u * kxy, gx, None, None, -ru * gx.T],
-        [-kxy + tau_u * kxy.T, kxx + tau_u * kyy, gy, None, None, -ru * gy.T],
-        [gx.T, gy.T, -tau_p * (kxx + kyy), rp * gx.T, rp * gy.T, None],
-        [None, None, rp * gx, -mass, None, None],
-        [None, None, rp * gy, None, -mass, None],
-        [-ru * gx, -ru * gy, None, None, None, mass],
+        lambda: [kyy + tau_u * kxx, -kxy.T + tau_u * kxy, gx, None, None,
+                 -ru * gx.T],
+        lambda: [-kxy + tau_u * kxy.T, kxx + tau_u * kyy, gy, None, None,
+                 -ru * gy.T],
+        lambda: [gx.T, gy.T, -tau_p * (kxx + kyy), rp * gx.T, rp * gy.T,
+                 None],
+        lambda: [None, None, rp * gx, -mass, None, None],
+        lambda: [None, None, rp * gy, None, -mass, None],
+        lambda: [-ru * gx, -ru * gy, None, None, None, mass],
     ]
     k = len(FORMULATION_FIELDS[formulation])
-    A = sp.bmat([row[:k] for row in table[:k]], format="csr")
+    A = sp.bmat([row()[:k] for row in table[:k]], format="csr")
     null = sp.csr_matrix(((k - 2) * mass.shape[0],) * 2)
     M = sp.block_diag([mass, mass, null], format="csr")
     return A, M

@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 import maxwell2d
-from maxwell2d import SQUARE_PI, StudyConfig, cli, cli_main, \
-    compute_eigenfunction, export_eigenfunction, run_study, study
+from maxwell2d import SQUARE_PI, EigenSolveError, StudyConfig, cli, \
+    cli_main, compute_eigenfunction, export_eigenfunction, run_study, study
 
 ROOT = Path(__file__).resolve().parents[1]
 SPANS_PATH = ROOT / "perfbench" / "spans.py"
@@ -341,3 +341,25 @@ def test_export_reuses_finest_solve(tmp_path, monkeypatch, capsys):
                          expected)
     exported = tmp_path / "t.csv.mode1.txt"
     assert exported.read_bytes() == expected.read_bytes()
+
+
+def test_runtime_failure_exits_one(monkeypatch, capsys):
+    # a module error past the config checks is named and exits 1
+    def failing(*args, **kwargs):
+        raise EigenSolveError("no convergence")
+
+    monkeypatch.setattr(study, "solve_generalized", failing)
+    code = cli_main(["--domain", "square", "--mesh", "cc",
+                     "--formulation", "sg", "--N", "2", "--nev", "3"])
+    assert code == 1
+    assert capsys.readouterr().err == "error: EigenSolveError: no convergence\n"
+
+
+def test_unreadable_text_exits_two(tmp_path, capsys):
+    assert cli_main(["--nev", "abc"]) == 2
+    assert "error: invalid value 'abc' for 'nev'" in capsys.readouterr().err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("domain = square\nnev 5\n")
+    assert cli_main(["--config", str(cfg)]) == 2
+    assert f"error: {cfg}:2: expected 'key = value'" in \
+        capsys.readouterr().err

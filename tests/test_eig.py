@@ -478,3 +478,40 @@ def test_arpack_failure_is_not_a_shift_collision(monkeypatch):
                                               "-9999"):
         solve_generalized(system, SolverConfig(nev=2, shift=0.5))
     assert calls == [0.5]
+
+
+def test_three_failed_factorizations_end_the_solve(monkeypatch):
+    shifts = []
+
+    def failing(matrix, **kwargs):
+        shifts.append(1.0 - matrix.diagonal()[0])   # A[0, 0] = 1
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(eig, "node_ordering", lambda s: np.arange(s.n))
+    monkeypatch.setattr(spla, "splu", failing)
+    A = np.diag(np.arange(1.0, 41.0))
+    with pytest.raises(EigenSolveError, match="factorization failed near "
+                       "sigma=0.5: Factor is exactly singular"):
+        solve_generalized(toy_system(A, np.eye(40)),
+                          SolverConfig(nev=2, shift=0.5))
+    assert_allclose(shifts, [0.5, 0.4995, 0.4990005])
+
+
+def test_near_collision_retries_below(monkeypatch):
+    # 1e-13 above the shift the factor exists, but Lanczos converges onto
+    # the shift itself: _lanczos's collision check takes one retry
+    factors = []
+    splu = spla.splu
+
+    def counted(matrix, **kwargs):
+        lu = splu(matrix, **kwargs)
+        factors.append(kwargs["permc_spec"])
+        return lu
+
+    monkeypatch.setattr(spla, "splu", counted)
+    A = np.diag(np.concatenate(([0.5 + 1e-13], np.arange(1.0, 40.0))))
+    spec = solve_generalized(toy_system(A, np.eye(40)),
+                             SolverConfig(nev=2, shift=0.5))
+    assert factors == ["MMD_AT_PLUS_A", "NATURAL", "NATURAL"]
+    assert spec.shift_retries == 1 and spec.shift == pytest.approx(0.4995)
+    assert_allclose(spec.values[0], 0.5, atol=1e-10)

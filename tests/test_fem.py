@@ -7,10 +7,10 @@ import scipy.sparse as sp
 import scipy.linalg as la
 from numpy.testing import assert_allclose
 
-from maxwell2d import (CRACKED_SQUARE, SQUARE_PI, AssemblyError,
+from maxwell2d import (CRACKED_SQUARE, L_SHAPE, SQUARE_PI, AssemblyError,
                        assemble_form, build_criss_cross, build_dofmap,
-                       build_uniform, make_quadrature, shape_functions,
-                       shape_gradients)
+                       build_uniform, make_quadrature, powell_sabin_refine,
+                       reference_basis)
 from maxwell2d.fem import scalar_kernels
 from bare_mesh import bare_mesh
 from projection import l2_project
@@ -61,16 +61,16 @@ def test_quadrature_examples():
 @pytest.mark.parametrize("degree", [1, 2])
 def test_partition_of_unity(degree):
     rule = make_quadrature()
-    vals = shape_functions(degree, rule.points)
+    vals = reference_basis(degree, rule.points)[:, 0]
     assert_allclose(vals.sum(axis=1), 1.0, atol=1e-14)
-    grads = shape_gradients(degree, rule.points)
+    grads = reference_basis(degree, rule.points)[:, 1:].transpose(0, 2, 1)
     assert_allclose(grads.sum(axis=1), 0.0, atol=1e-14)
 
 
 @pytest.mark.parametrize("degree", [1, 2])
 def test_kronecker_property(degree):
     nodes = reference_nodes(degree)
-    vals = shape_functions(degree, nodes)
+    vals = reference_basis(degree, nodes)[:, 0]
     assert_allclose(vals, np.eye(len(nodes)), atol=1e-14)
 
 
@@ -152,6 +152,55 @@ def test_curl_curl_single_triangle_diagonal():
     # u2 dof of the node at (1, 0): integral of (d lambda_1 / dx)^2 = 1/2
     d = dofmap.dof("u2", 1)
     assert_allclose(kcc[d, d], 0.5, atol=1e-14)
+
+
+def loop_scalar_kernels(dofmap):
+    """The six kernels the long way, the reference for ``scalar_kernels``:
+    physical gradients at each quadrature point, J^-T from an inverted
+    Jacobian, summed per element and scattered through COO."""
+    rule = make_quadrature()
+    basis = reference_basis(dofmap.degree, rule.points)
+    shape, ref_grads = basis[:, 0], basis[:, 1:].transpose(0, 2, 1)
+    p = dofmap.mesh.points[dofmap.mesh.triangles]
+    jac = np.stack([p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]], axis=2)
+    det, inv = np.linalg.det(jac), np.linalg.inv(jac)
+    nt, nloc = len(det), shape.shape[1]
+    pairs = {"mass": (0, 0), "kxx": (1, 1), "kxy": (1, 2), "kyy": (2, 2),
+             "gx": (0, 1), "gy": (0, 2)}
+    el = {name: np.zeros((nt, nloc, nloc)) for name in pairs}
+    for q, w in enumerate(rule.weights):
+        g = ref_grads[q] @ inv   # (nt, nloc, 2): rows J^-T grad phi
+        rows = (np.broadcast_to(shape[q], (nt, nloc)), g[..., 0], g[..., 1])
+        for name, (r, s) in pairs.items():
+            el[name] += (w * det[:, None, None] * rows[r][:, :, None]
+                         * rows[s][:, None, :])
+    nodes = dofmap.element_nodes
+    i = np.repeat(nodes, nloc, axis=1).ravel()
+    j = np.tile(nodes, (1, nloc)).ravel()
+    n = dofmap.n_scalar
+    return {name: sp.coo_matrix((e.ravel(), (i, j)), shape=(n, n)).tocsr()
+            for name, e in el.items()}
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+@pytest.mark.parametrize("make_mesh", [
+    lambda: build_uniform(SQUARE_PI, 3),
+    lambda: build_criss_cross(L_SHAPE, 3),
+    lambda: powell_sabin_refine(build_uniform(L_SHAPE, 2)),
+    lambda: build_uniform(CRACKED_SQUARE, 2),     # two faces on one edge
+    lambda: powell_sabin_refine(build_uniform(CRACKED_SQUARE, 2)),
+], ids=["square-uniform", "lshape-cc", "lshape-ps", "crack-uniform",
+        "crack-ps"])
+def test_kernels_match_loop_reference(make_mesh, degree):
+    dofmap = build_dofmap(make_mesh(), degree, "sg")
+    kernels, ref = scalar_kernels(dofmap), loop_scalar_kernels(dofmap)
+    assert kernels.keys() == ref.keys()
+    for name, a in kernels.items():
+        b = ref[name]
+        assert np.array_equal(a.indptr, b.indptr), name
+        assert np.array_equal(a.indices, b.indices), name
+        scale = np.abs(b.data).max()
+        assert np.abs(a.data - b.data).max() <= 1e-14 * scale, name
 
 
 def assert_symmetric(a):
@@ -316,8 +365,8 @@ def test_l2_project_matches_dense_oracle():
 def quadrature_inner_product(mesh, dofmap, grad_coeff_a, xi_a, grad_coeff_b, xi_b):
     """Elementwise quadrature of (grad pa - xi_a) . (grad pb - xi_b)."""
     rule = make_quadrature()
-    shape = shape_functions(dofmap.degree, rule.points)
-    ref_grads = shape_gradients(dofmap.degree, rule.points)
+    basis = reference_basis(dofmap.degree, rule.points)
+    shape, ref_grads = basis[:, 0], basis[:, 1:].transpose(0, 2, 1)
     n = dofmap.n_scalar
     total = 0.0
     for t, nodes in enumerate(dofmap.element_nodes):

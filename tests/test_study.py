@@ -357,3 +357,8 @@ def test_finest_case_keeps_no_matrix():
     finest = run_study(cfg).finest
     assert not [obj for obj in reachable(finest) if sp.issparse(obj)]
     assert finest.constraints.fold is not None and "xi1" in finest.dofmap.fields
+
+
+def test_emit_rejects_unknown_format():
+    with pytest.raises(ValueError, match="unknown table format 'xml'"):
+        emit_table(make_table(), "xml")

@@ -500,3 +500,10 @@ def test_ag_osgs_spectra_strictly_positive():
         reduced = reduce_system(system, build_constraints(system.dofmap))
         w = dense_eigenvalues(reduced.A, reduced.M)
         assert np.all(w > 0)
+
+
+def test_reduce_rejects_mask_of_wrong_length():
+    system = build_sg(build_uniform(SQUARE_PI, 2), 1)
+    cons = ConstraintSet(np.ones(system.n - 1, dtype=bool))
+    with pytest.raises(ConstraintError, match="does not match system size"):
+        reduce_system(system, cons)
