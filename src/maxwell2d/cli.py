@@ -165,9 +165,3 @@ def cli_main(argv) -> int:
 
 def main() -> None:
     sys.exit(cli_main(sys.argv[1:]))
-
-
-# `python -m maxwell2d.cli` still runs, though runpy warns that the package
-# imported this module first; `python -m maxwell2d` runs without the warning
-if __name__ == "__main__":
-    main()

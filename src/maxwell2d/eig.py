@@ -30,17 +30,23 @@ implement the spectral transformation"); unpurified, the pressure band
 above 1/(c_p ell^2) fails the certificate on square OSGS/P2 CC N=4.  SG's
 M has none: there the step only amplifies kernel components.
 
-This is the one solver path at every size.  Lanczos needs a finite spectrum
-larger than its window of max(4 nev, nev + 20) vectors; the finite spectrum
-has at most rank M members, the reduced dofs with a nonzero M row, and
-fewer where A is singular on the M-null rows (OSGS P2).  Where rank M is no
-larger than the window, a dense QZ solve stands in, keeping only the values
-at or above the shift, so neither path reports a value below it.  Dense QZ
-is otherwise the oracle (method "dense"), returning every finite real pair,
+This is the one solver path at every size.  The finite spectrum has at
+most rank M members, the reduced dofs with a nonzero M row, and fewer where
+A is singular on the M-null rows (OSGS P2).  So the Lanczos window of
+max(4 nev, nev + 20) vectors stops at rank M, and ARPACK converges at most
+one pair fewer than its window: a small pencil gives at most rank M - 1
+pairs.  A window that reaches the bottom of such a spectrum also takes
+pairs below the shift; they are dropped before the certificate, so no
+value below the shift is reported.
+
+Dense QZ is the oracle (method "dense"), returning every finite real pair,
 zero modes included.  QZ is read in homogeneous form, dividing out only the
 finite values.  It may split a double value into a near-real pair a +- ib
 with vectors x +- iy; x and y span its eigenspace, so each half keeps one
-and no multiplicity is lost.
+and no multiplicity is lost.  A pencil whose A and M share a null vector is
+singular: A x = lambda M x for every lambda there, so QZ returns arbitrary
+pairs that pass the certificate.  Such a pair has both alpha and beta at
+round-off size against the norms of A and M, and the oracle refuses it.
 
 The factor is the largest object of a solve: only the reduced A and M, the
 node ordering and the factor live through Lanczos and purification.  The
@@ -73,9 +79,12 @@ ZERO_TOL = 1e-6        # filter_zeros drops |lambda| below this
 DIAG_PIVOT_THRESH = 0.0
 METHODS = ("shift-invert", "dense")
 # dense path only: a QZ value alpha/beta is infinite where |alpha| >=
-# FINITE_CUTOFF |beta|, and real where |Im| <= IMAG_TOL (1 + |Re|)
+# FINITE_CUTOFF |beta|, and real where |Im| <= IMAG_TOL (1 + |Re|); the
+# pencil is singular where |alpha| < SINGULAR_TOL ||A||_1 and |beta| <
+# SINGULAR_TOL ||M||_1 for some pair
 IMAG_TOL = 1e-8
 FINITE_CUTOFF = 1e12
+SINGULAR_TOL = 1e-10
 
 
 class EigenSolveError(Exception):
@@ -148,8 +157,11 @@ def _solve_dense(system: EvpSystem, config: SolverConfig) -> Spectrum:
     if system.n > DENSE_LIMIT:
         raise EigenSolveError(
             f"dense solve capped at {DENSE_LIMIT} dofs, got {system.n}")
-    (alpha, beta), v = la.eig(system.A.toarray(), system.M.toarray(),
-                              homogeneous_eigvals=True)
+    A, M = system.A.toarray(), system.M.toarray()
+    (alpha, beta), v = la.eig(A, M, homogeneous_eigvals=True)
+    if np.any((np.abs(alpha) < SINGULAR_TOL * la.norm(A, 1))
+              & (np.abs(beta) < SINGULAR_TOL * la.norm(M, 1))):
+        raise EigenSolveError("singular pencil: A and M share a null vector")
     finite = np.abs(alpha) < FINITE_CUTOFF * np.abs(beta)
     w, v = alpha[finite] / beta[finite], v[:, finite]
     real = np.abs(w.imag) <= IMAG_TOL * (1.0 + np.abs(w.real))
@@ -186,7 +198,8 @@ def node_ordering(system: EvpSystem) -> np.ndarray:
 
 
 def lanczos_window(nev: int) -> int:
-    """Lanczos basis size (ARPACK's ncv) for nev reported values."""
+    """Lanczos basis size (ARPACK's ncv) for nev reported values, before
+    the cap at rank M."""
     return max(4 * nev, nev + 20)
 
 
@@ -225,10 +238,12 @@ def _lanczos(system: EvpSystem, perm: np.ndarray, sigma: float, k: int,
 
 
 def _solve_shift_invert(system: EvpSystem, config: SolverConfig,
-                        purify: bool) -> Spectrum:
-    # rank M > the window, so the window fits in n and k fits in the window
-    k = config.nev + GUARD_PAIRS
-    ncv = lanczos_window(config.nev)
+                        rank: int) -> Spectrum:
+    if rank < 2:
+        raise EigenSolveError(
+            f"rank M is {rank}: too few finite eigenvalues for Lanczos")
+    ncv = min(lanczos_window(config.nev), rank)
+    k = min(config.nev + GUARD_PAIRS, ncv - 1)
     v0 = np.random.default_rng(config.seed).standard_normal(system.n)
     perm = node_ordering(system)
     sigma = config.shift
@@ -236,7 +251,7 @@ def _solve_shift_invert(system: EvpSystem, config: SolverConfig,
     for retries in range(3):
         try:
             w, v, lu_nnz, n_ops = _lanczos(system, perm, sigma, k, ncv, v0,
-                                          purify)
+                                          purify=rank < system.n)
             break
         except spla.ArpackError as exc:
             # a RuntimeError too, but no shift collision: non-convergence
@@ -250,6 +265,11 @@ def _solve_shift_invert(system: EvpSystem, config: SolverConfig,
     else:
         raise EigenSolveError(
             f"factorization failed near sigma={config.shift}: {last}")
+    below = w < sigma
+    if below.any():
+        # a window that reaches the bottom of a small spectrum also takes
+        # pairs below the shift, from its far end: they go uncertified
+        w, v = w[~below], v[:, ~below]
     return _certified(system, w, v, lu_nnz=lu_nnz, n_op_applications=n_ops,
                       shift=sigma, shift_retries=retries)
 
@@ -258,32 +278,24 @@ def solve_generalized(system: EvpSystem, config: SolverConfig) -> Spectrum:
     """Solve the reduced pencil for the eigenvalues above the shift.
 
     The default method is shift-invert Lanczos at every size; it returns
-    nev plus a guard of GUARD_PAIRS values, ascending from the shift.  A
-    pencil whose finite spectrum (rank M) fits in the Lanczos window is
-    solved by dense QZ instead, keeping the values at or above the shift.
-    method="dense" is the oracle: every finite real pair, below the shift
-    too, for at most DENSE_LIMIT dofs.  Every returned pair is certified
+    nev plus a guard of GUARD_PAIRS values, ascending from the shift.  Its
+    window stops at rank M, the size bound of the finite spectrum, so a
+    small pencil gives at most rank M - 1 values, and rank M below 2 is an
+    EigenSolveError.  method="dense" is the oracle: every finite real pair,
+    below the shift too, for at most DENSE_LIMIT dofs, and an
+    EigenSolveError on a singular pencil.  Every returned pair is certified
     against ||A x - lambda M x|| <= 1e-8 (1 + |lambda|) ||x||.
     """
     if config.method == "dense":
         return _solve_dense(system, config)
-    if (rank := mass_rank(system)) <= lanczos_window(config.nev):
-        # too few finite eigenvalues to fill the Lanczos window
-        spectrum = _solve_dense(system, config)
-        return _keep(spectrum, spectrum.values >= config.shift)
-    return _solve_shift_invert(system, config, purify=rank < system.n)
-
-
-def _keep(spectrum: Spectrum, mask: np.ndarray, **changes) -> Spectrum:
-    """The spectrum restricted to the pairs where ``mask`` holds."""
-    return replace(spectrum, values=spectrum.values[mask],
-                   vectors=spectrum.vectors[:, mask],
-                   residuals=spectrum.residuals[mask], **changes)
+    return _solve_shift_invert(system, config, mass_rank(system))
 
 
 def filter_zeros(spectrum: Spectrum) -> Spectrum:
     """Drop the near-zero modes (|lambda| < ZERO_TOL), counting them."""
     keep = np.abs(spectrum.values) >= ZERO_TOL
     dropped = int(np.count_nonzero(~keep))
-    return _keep(spectrum, keep,
-                 n_zero_filtered=spectrum.n_zero_filtered + dropped)
+    return replace(spectrum, values=spectrum.values[keep],
+                   vectors=spectrum.vectors[:, keep],
+                   residuals=spectrum.residuals[keep],
+                   n_zero_filtered=spectrum.n_zero_filtered + dropped)

@@ -23,7 +23,7 @@ from .meshgen import EdgeTag, Mesh
 
 
 class AssemblyError(Exception):
-    """Raised on invalid element/field combinations or singular mass solves."""
+    """Raised on an unknown formulation or polynomial degree."""
 
 
 @dataclass(frozen=True)

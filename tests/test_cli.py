@@ -146,8 +146,7 @@ def test_inconsistent_combinations(tmp_path, monkeypatch, capsys):
     assert cli_main(["--N", ","]) == 2
     assert "N list needs at least one positive value" in \
         capsys.readouterr().err
-    # a negative seed: numpy refuses it only after meshing, and the rank-M
-    # dense fallback never reads it
+    # a negative seed: numpy would refuse it only after meshing
     assert cli_main(["--domain", "square", "--mesh", "cc", "--formulation",
                      "osgs", "--N", "8", "--nev", "3", "--seed", "-1"]) == 2
     assert "seed must be nonnegative" in capsys.readouterr().err
@@ -353,6 +352,28 @@ def test_runtime_failure_exits_one(monkeypatch, capsys):
                      "--formulation", "sg", "--N", "2", "--nev", "3"])
     assert code == 1
     assert capsys.readouterr().err == "error: EigenSolveError: no convergence\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    # 10 table rows on rank M = 10: Lanczos returns at most rank M - 1 values
+    (["--mesh", "ps", "--formulation", "sg", "--N", "1", "--nev", "10"],
+     "RuntimeError: solver returned 9 values, need 10 (N=1)"),
+    # every velocity node lies on the boundary: rank M = 0
+    (["--mesh", "uniform", "--formulation", "osgs", "--N", "1"],
+     "EigenSolveError: rank M is 0: too few finite eigenvalues for Lanczos"),
+], ids=["too-few-values", "rank-M-zero"])
+def test_too_small_pencil_exits_one(argv, message, capsys):
+    assert cli_main(["--domain", "square", *argv]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_dense_singular_pencil_exits_one(capsys):
+    # --solver dense takes --cp 0, but on CC meshes A and M then share a
+    # null vector
+    assert cli_main(["--domain", "square", "--mesh", "cc", "--formulation",
+                     "ag", "--N", "4", "--cp", "0", "--solver", "dense",
+                     "--nev", "3"]) == 1
+    assert "EigenSolveError: singular pencil" in capsys.readouterr().err
 
 
 def test_unreadable_text_exits_two(tmp_path, capsys):

@@ -60,11 +60,11 @@ def reduced_stabilized(build, mesh, **kwargs):
 
 
 def test_shift_invert_matches_dense_oracle():
-    # the default method runs Lanczos on every case whose finite spectrum
-    # (rank M) exceeds the window, whatever its size: first nev nonzero
-    # eigenvalues to relative 1e-10.  P2 edge nodes and split crack-face
-    # nodes go through the node ordering; square SG/PS N=5 is the bench
-    # set-up solve, and crack N=2 has rank M = 45 against a window of 40.
+    # the default method runs Lanczos on every case, whatever its size:
+    # first nev nonzero eigenvalues to relative 1e-10.  P2 edge nodes and
+    # split crack-face nodes go through the node ordering; square SG/PS N=5
+    # is the bench set-up solve, and crack N=2 has rank M = 45, just above
+    # its window of 40.
     # Square OSGS/P2 CC N=4 at ell 0.2, c_u 0.1, c_p 1.0 ends its window in
     # two doubles just above 1/(c_p ell^2) = 25; ARPACK's M-norm test cannot
     # see their error on the p and xi rows, and only purified Ritz vectors
@@ -110,21 +110,25 @@ def test_shift_invert_matches_dense_oracle():
         assert lanczos.n_complex_rejected == 0
 
 
-def test_small_finite_spectrum_falls_back_to_dense():
+def test_small_finite_spectrum_caps_the_lanczos_window():
     # square OSGS/CC N=2: rank M = 14 is below the window of 23 for nev=3,
-    # where ARPACK cannot run; QZ stands in and keeps the values above
-    # the shift, as Lanczos would
+    # so Lanczos runs on a window of 14 vectors and reports 11 values, the
+    # oracle's lowest at or above the shift.  SG's pencil of the same mesh
+    # has three zero modes: its 13 pairs hold all 11 values above the shift
+    # and two zero modes, which go
     reduced = reduced_stabilized(build_osgs, build_criss_cross(SQUARE_PI, 2))
-    assert eig.mass_rank(reduced) == 14 < eig.lanczos_window(3)
-    spec = solve_generalized(reduced, SolverConfig(nev=3))
-    assert spec.lu_nnz == spec.n_op_applications == 0
-    assert np.all(spec.residuals <= 1e-8 * (1 + np.abs(spec.values)))
-    dense = solve_generalized(reduced, SolverConfig(nev=3, method="dense"))
-    assert_allclose(spec.values, dense.values[dense.values >= 0.5])
-    assert len(spec.values) >= 3 and np.all(spec.values >= 0.5)
-    sg = solve_generalized(reduced_sg(SQUARE_PI, build_criss_cross(
-        SQUARE_PI, 2)), SolverConfig(nev=3))
-    assert sg.lu_nnz == 0 and np.all(sg.values >= 0.5)  # no zero modes
+    sg = reduced_sg(SQUARE_PI, build_criss_cross(SQUARE_PI, 2))
+    assert eig.mass_rank(reduced) == eig.mass_rank(sg) == 14
+    assert eig.lanczos_window(3) == 23
+    for system, nev, reported in ((reduced, 3, 11), (sg, 17, 11)):
+        spec = solve_generalized(system, SolverConfig(nev=nev))
+        assert spec.lu_nnz > 0 and spec.n_op_applications > 0
+        assert np.all(spec.residuals <= 1e-8 * (1 + np.abs(spec.values)))
+        dense = solve_generalized(system, SolverConfig(nev=nev,
+                                                       method="dense"))
+        above = dense.values[dense.values >= 0.5]
+        assert len(spec.values) == reported
+        assert_allclose(spec.values, above[:reported], rtol=1e-8)
 
 
 def test_finite_spectrum_can_fall_short_of_mass_rank():
@@ -144,13 +148,20 @@ def test_finite_spectrum_can_fall_short_of_mass_rank():
 def test_double_eigenvalue_keeps_both_vectors(solver):
     # square AG/CC P2 N=2: QZ splits the double 5.2262 into a near-real
     # pair a +- ib; its two real vectors must span the eigenspace, not
-    # repeat one vector.  The default method takes the rank-M fallback here
+    # repeat one vector.  Rank M = 62 is below the window of 68, so the
+    # default method runs Lanczos on a window of 62 vectors
     config = StudyConfig(domain=SQUARE_PI, mesh="cc", formulation="ag",
                          degree=2, N_list=(2,), ell=0.2, c_u=0.1, c_p=1.0,
                          nev=17, solver=solver)
     table = run_study(config)
     spec = table.finest.spectrum
-    assert spec.lu_nnz == 0
+    if solver == "dense":
+        assert spec.lu_nnz == 0
+    else:
+        assert spec.lu_nnz > 0
+        dense = run_study(replace(config, solver="dense")).finest.spectrum
+        above = dense.values[dense.values >= 0.5]
+        assert_allclose(spec.values, above[:len(spec.values)], rtol=1e-8)
     double = np.flatnonzero(np.abs(spec.values - 5.2262) < 1e-4)
     assert list(double) == [5, 6]
     x, y = spec.vectors[:, double].T
@@ -158,6 +169,48 @@ def test_double_eigenvalue_keeps_both_vectors(solver):
     mode5, mode6 = (compute_eigenfunction(table, i) for i in (5, 6))
     assert not np.allclose(np.c_[mode5.u1, mode5.u2],
                            np.c_[mode6.u1, mode6.u2])
+
+
+# pencils whose rank M is at most the Lanczos window:
+# (domain, mesh, formulation, degree, N, nev)
+SMALL_PENCILS = {
+    "square-sg-cc-1": (SQUARE_PI, "cc", "sg", 1, 2, 3),   # 3 zero modes
+    "square-sg-uniform-1": (SQUARE_PI, "uniform", "sg", 1, 3, 5),
+    "lshape-sg-uniform-2": (L_SHAPE, "uniform", "sg", 2, 1, 5),
+    "crack-sg-cc-1": (CRACKED_SQUARE, "cc", "sg", 1, 2, 5),
+    "square-ag-cc-1-rank2": (SQUARE_PI, "cc", "ag", 1, 1, 1),
+    "square-ag-cc-2": (SQUARE_PI, "cc", "ag", 2, 2, 17),
+    "lshape-ag-cc-1": (L_SHAPE, "cc", "ag", 1, 1, 3),
+    "square-osgs-cc-1": (SQUARE_PI, "cc", "osgs", 1, 2, 3),
+    "square-osgs-ps-1": (SQUARE_PI, "ps", "osgs", 1, 1, 3),
+    "square-osgs-uniform-2": (SQUARE_PI, "uniform", "osgs", 2, 2, 17),
+    "square-osgs-cc-2": (SQUARE_PI, "cc", "osgs", 2, 2, 17),
+    "lshape-osgs-uniform-1": (L_SHAPE, "uniform", "osgs", 1, 2, 5),
+    "crack-osgs-uniform-1": (CRACKED_SQUARE, "uniform", "osgs", 1, 2, 5),
+}
+
+
+@pytest.mark.parametrize("seed", [1, 2, 1234])
+@pytest.mark.parametrize("case", SMALL_PENCILS)
+def test_small_pencil_matches_the_oracle_above_the_shift(case, seed):
+    # Lanczos caps its window at rank M and takes k = min(nev + 8,
+    # rank M - 1) pairs, less those below the shift: every value of the
+    # oracle at or above the shift, from the lowest, up to that count.  On
+    # OSGS P2 the finite spectrum falls short of rank M (square uniform
+    # N=2: 29 of 30, CC N=2: 59 of 62)
+    domain, mesh, formulation, degree, N, nev = SMALL_PENCILS[case]
+    reduced = reduced_case(StudyConfig(
+        domain=domain, mesh=mesh, formulation=formulation, degree=degree,
+        N_list=(N,)), N)
+    rank = eig.mass_rank(reduced)
+    assert 2 <= rank <= eig.lanczos_window(nev)
+    spec = solve_generalized(reduced, SolverConfig(nev=nev, seed=seed))
+    assert spec.lu_nnz > 0
+    dense = solve_generalized(reduced, SolverConfig(nev=nev, method="dense"))
+    above = dense.values[dense.values >= 0.5]
+    assert len(spec.values) == min(nev + eig.GUARD_PAIRS, rank - 1,
+                                   len(above))
+    assert_allclose(spec.values, above[:len(spec.values)], rtol=1e-8)
 
 
 def test_solver_methods():
@@ -338,6 +391,19 @@ def test_dense_cap():
         solve_generalized(system, SolverConfig(nev=2, method="dense"))
 
 
+@pytest.mark.parametrize("c_u", [0.0, 0.01])
+@pytest.mark.parametrize("build", [build_ag, build_osgs], ids=["ag", "osgs"])
+def test_dense_rejects_a_singular_pencil(build, c_u):
+    # square CC N=4 at c_p = 0: a pressure mode q with G q = 0 is a null
+    # vector of both A and M, so A x = lambda M x for every lambda, and
+    # QZ's arbitrary pairs would pass the certificate
+    mesh = build_criss_cross(SQUARE_PI, 4)
+    system = build(mesh, 1, StabilizationParams(0.1, c_u, 0.0), mesh.h)
+    reduced = reduce_system(system, build_constraints(system.dofmap))
+    with pytest.raises(EigenSolveError, match="singular pencil"):
+        solve_generalized(reduced, SolverConfig(method="dense"))
+
+
 def test_filter_zeros_examples():
     vecs = np.eye(3)
     spec = Spectrum(values=np.array([0.0, 0.0, 1.01]), vectors=vecs,
@@ -419,7 +485,7 @@ def test_shift_independence():
 
 
 def test_mass_rank_counted_once_per_solve(monkeypatch):
-    # the dense fallback and the purification both read one count of rank M
+    # the window cap and the purification both read one count of rank M
     counts = []
     mass_rank = eig.mass_rank
 
@@ -452,7 +518,6 @@ def test_shift_collision_retries(monkeypatch):
         return node_ordering(system)
 
     monkeypatch.setattr(eig, "node_ordering", counting_ordering)
-    # (n = 40: a smaller finite spectrum takes the dense fallback)
     A = np.diag(np.concatenate(([0.5], np.arange(1.0, 40.0))))
     system = toy_system(A, np.eye(40))
     spec = solve_generalized(system, SolverConfig(nev=2, shift=0.5))

@@ -94,6 +94,11 @@ def test_dofmap_rejects_unknown_formulation():
         assemble_form("galerkin", kernels)
 
 
+def test_reference_basis_rejects_unknown_degree():
+    with pytest.raises(AssemblyError, match="unsupported polynomial degree 3"):
+        reference_basis(3, np.array([[0.2, 0.3]]))
+
+
 def test_dofmap_p2_adds_edge_nodes():
     mesh = build_uniform(SQUARE_PI, 2)
     dofmap = build_dofmap(mesh, 2, "sg")

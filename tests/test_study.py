@@ -237,8 +237,15 @@ def test_emit_saturated_rate():
     rates = np.array([[np.nan, np.inf]])
     table = EigenTable(domain=SQUARE_PI, N_list=(5, 10), references=refs,
                        values=values, rates=rates)
-    assert "(—)" in emit_table(table, "md")
-    assert "inf" in emit_table(table, "csv")
+    assert "| 1.0000 | 1.0000 | 1.0000 (—) |" in \
+        emit_table(table, "md").splitlines()
+    text = emit_table(table, "csv")
+    header, row = (line.split(",") for line in text.splitlines())
+    cells = dict(zip(header, row))
+    assert cells["rate_N10"] == cells["rate_N10_full"] == "inf"
+    assert cells["rate_N5"] == cells["rate_N5_full"] == ""
+    values, rates = parse_csv_table(text)
+    assert np.isnan(rates[0, 0]) and rates[0, 1] == np.inf
 
 
 def test_csv_round_trip():
