@@ -2,15 +2,17 @@
 
 Every flag is declared once, in ``_FLAGS``: the StudyConfig field it sets,
 how its text is read, and the package declaration its choices come from.
-That one table builds the parser and ``--help`` and reads config files.
-Any flag may come from a plain ``key = value`` config file (# comments
-allowed); explicit command-line values win over file values.  A flag left
-out takes its StudyConfig default, and the consistency rules are
-StudyConfig's own.
+That one table builds the parser and ``--help``.  Any flag may come from a
+plain ``key = value`` config file (# comments allowed): its lines are read
+as ``--key=value`` arguments placed before the command line's, so argparse
+checks both alike and an explicit command-line value wins.  A flag left out
+takes its StudyConfig default, or emit_table's for ``--format``; the
+consistency rules are StudyConfig's own.
 """
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from enum import Enum
 from typing import Callable, NamedTuple
@@ -19,8 +21,7 @@ from .eig import METHODS
 from .fem import DEGREES
 from .meshgen import DomainKind
 from .study import FORMULATIONS, MESH_FAMILIES, TABLE_FORMATS, StudyConfig, \
-    compute_eigenfunction, emit_table, export_eigenfunction, \
-    reference_values, run_study
+    compute_eigenfunction, emit_table, export_eigenfunction, run_study
 from .system import CornerStrategy
 
 
@@ -32,17 +33,16 @@ class _Flag(NamedTuple):
     field: str | None          # StudyConfig field set; None for the CLI's own
     read: Callable = str       # flag text -> value
     choices: tuple | type = ()  # allowed values, or the Enum listing them
-    default: str | None = None  # for what StudyConfig leaves to the caller
     help: str | None = None
 
 
 _FLAGS = {
     "config": _Flag(None, help="key = value file supplying any flag"),
-    "domain": _Flag("domain", DomainKind, DomainKind, "square"),
-    "mesh": _Flag("mesh", choices=MESH_FAMILIES, default="cc"),
-    "formulation": _Flag("formulation", choices=FORMULATIONS, default="osgs"),
+    "domain": _Flag("domain", DomainKind, DomainKind),
+    "mesh": _Flag("mesh", choices=MESH_FAMILIES),
+    "formulation": _Flag("formulation", choices=FORMULATIONS),
     "degree": _Flag("degree", int, DEGREES),
-    "N": _Flag("N_list", _N_list, default="5,10,15,20,25",
+    "N": _Flag("N_list", _N_list,
                help="comma-separated division counts, e.g. 5,10,15"),
     "ell": _Flag("ell", float),
     "cu": _Flag("c_u", float),
@@ -53,7 +53,7 @@ _FLAGS = {
     "solver": _Flag("solver", choices=METHODS),
     "seed": _Flag("seed", int),
     "out": _Flag(None, help="write the table here instead of stdout"),
-    "format": _Flag(None, choices=TABLE_FORMATS, default="md"),
+    "format": _Flag(None, choices=TABLE_FORMATS),
     "export-mode": _Flag(None, int,
                          help="also export this eigenfunction index (0 <= k "
                               "< the table's row count) of the largest N"),
@@ -75,8 +75,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _read_config_file(path: str) -> dict:
-    values = {}
+def _read_config_file(path: str) -> list:
+    """The file's ``key = value`` lines as ``--key=value`` arguments."""
+    args = []
     with open(path) as f:
         for lineno, raw in enumerate(f, 1):
             line = raw.split("#", 1)[0].strip()
@@ -84,76 +85,74 @@ def _read_config_file(path: str) -> dict:
                 continue
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value'")
-            key, _, val = line.partition("=")
-            values[key.strip()] = val.strip()
-    return values
+            key, _, val = (part.strip() for part in line.partition("="))
+            if key not in _FLAGS or key == "config":
+                raise ValueError(f"unknown config key {key!r}")
+            args.append(f"--{key}={val}")
+    return args
 
 
 def _read(key: str, text: str):
-    flag = _FLAGS[key]
-    names = _names(flag)
-    if names and text not in names:
-        raise ValueError(f"invalid value {text!r} for {key!r}; choose from "
-                         f"{', '.join(names)}")
     try:
-        return flag.read(text)
+        return _FLAGS[key].read(text)
     except ValueError:
         raise ValueError(f"invalid value {text!r} for {key!r}") from None
 
 
-def _options(ns: argparse.Namespace, file_vals: dict) -> dict:
-    """Flag -> value for every flag given or defaulted by the CLI; the
-    command line overrides the file, the file the CLI defaults."""
-    texts = {key: flag.default for key, flag in _FLAGS.items()
-             if flag.default is not None}
-    for key, text in file_vals.items():
-        if key not in _FLAGS or key == "config":
-            raise ValueError(f"unknown config key {key!r}")
-        texts[key] = text
-    for key in _FLAGS:
-        text = getattr(ns, key.replace("-", "_"))
-        if text is not None:
-            texts[key] = text
-    return {key: _read(key, text) for key, text in texts.items()}
+def _parse(argv: list) -> dict:
+    """Flag -> value for every flag the config file or the command line
+    gives; argparse exits on an unknown flag or a bad choice in either."""
+    parser = _build_parser()
+    ns = parser.parse_args(argv)
+    if ns.config:
+        ns = parser.parse_args(_read_config_file(ns.config) + argv)
+    texts = {key: getattr(ns, key.replace("-", "_")) for key in _FLAGS}
+    return {key: _read(key, text) for key, text in texts.items()
+            if text is not None}
 
 
 def _validate(opts: dict, config: StudyConfig) -> None:
     """The checks only the CLI needs; StudyConfig checked the rest."""
-    mode = opts.get("export-mode")
+    out, mode = opts.get("out"), opts.get("export-mode")
     if mode is not None:
-        rows = len(reference_values(config.domain, config.nev_effective))
+        rows = len(config.references)
         if not 0 <= mode < rows:
             raise ValueError(f"--export-mode {mode} is not a table mode; "
                              f"need 0 <= k < {rows}, the table's row count")
+    if out and os.path.isdir(out):
+        raise ValueError(f"--out {out} is a directory")
+    if out or mode is not None:
+        # the export file sits beside --out, or in the working directory
+        folder = os.path.abspath(os.path.dirname(out or ""))
+        if not (os.path.isdir(folder) and os.access(folder, os.W_OK)):
+            raise ValueError(f"cannot write to {folder}: not a writable "
+                             "directory")
 
 
 def cli_main(argv) -> int:
-    parser = _build_parser()
     try:
-        ns = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
-        opts = _options(ns, _read_config_file(ns.config) if ns.config else {})
+        opts = _parse(list(argv))
         config = StudyConfig(**{_FLAGS[key].field: value
                                 for key, value in opts.items()
                                 if _FLAGS[key].field})
         _validate(opts, config)
         table = run_study(config)
-        text = emit_table(table, opts["format"])
-        if opts.get("out"):
-            with open(opts["out"], "w") as f:
+        text = emit_table(table, opts["format"]) if "format" in opts \
+            else emit_table(table)
+        out, mode = opts.get("out"), opts.get("export-mode")
+        if out:
+            with open(out, "w") as f:
                 f.write(text)
-            print(f"table written to {opts['out']}")
+            print(f"table written to {out}")
         else:
             sys.stdout.write(text)
-        mode = opts.get("export-mode")
         if mode is not None:
-            fld = compute_eigenfunction(table, mode)
-            path = (f"{opts['out']}.mode{mode}.txt" if opts.get("out")
+            path = (f"{out}.mode{mode}.txt" if out
                     else f"eigenfunction_mode{mode}.txt")
-            export_eigenfunction(fld, path)
+            export_eigenfunction(compute_eigenfunction(table, mode), path)
             print(f"eigenfunction {mode} written to {path}")
+    except SystemExit as exc:  # argparse: --help, or a bad flag or choice
+        return int(exc.code or 0)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -4,6 +4,8 @@ Campaign tables are computed once per session and shared across criteria.
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines as they complete.
 """
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -112,6 +114,15 @@ def test_criterion_01_square_osgs_cc(osgs_cc_square):
                   <= 0.15)
     report(1, "square OSGS/CC P1: 17 eigenvalues at N=5..25 within 2e-3 "
               "relative, printed rates within 0.15")
+
+
+def test_study_config_default_is_criterion_01():
+    # StudyConfig() is the paper's first table; nev=None is the square's 17
+    config = StudyConfig()
+    assert config.nev is None and config.nev_effective == 17
+    assert replace(config, nev=17) == StudyConfig(
+        domain=SQUARE_PI, mesh="cc", formulation="osgs", degree=1,
+        N_list=bench.SQUARE_N, nev=17, **SQ)
 
 
 def test_criterion_02_square_ag_cc(ag_cc_square):

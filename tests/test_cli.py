@@ -91,6 +91,12 @@ def test_config_file_unknown_key(tmp_path, capsys):
     cfg.write_text("meshes = cc\n")
     assert cli_main(["--config", str(cfg)]) == 2
     assert "unknown config key" in capsys.readouterr().err
+    # a config file names no further config file
+    inner = tmp_path / "inner.cfg"
+    inner.write_text("nev = 3\n")
+    cfg.write_text(f"config = {inner}\n")
+    assert cli_main(["--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == "error: unknown config key 'config'\n"
 
 
 def test_inconsistent_combinations(tmp_path, monkeypatch, capsys):
@@ -101,8 +107,7 @@ def test_inconsistent_combinations(tmp_path, monkeypatch, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("solver = auto\n")
     assert cli_main(["--config", str(cfg)]) == 2
-    assert ("invalid value 'auto' for 'solver'; choose from shift-invert, "
-            "dense") in capsys.readouterr().err
+    assert "invalid choice: 'auto'" in capsys.readouterr().err
     # any corner setting off the L-shape, the free one included
     for domain in ("square", "crack"):
         for corner in ("bisector", "free"):
@@ -194,9 +199,60 @@ def test_defaults_come_from_study_config(monkeypatch, capsys):
     configs = stop_before_solving(monkeypatch)
     assert cli_main([]) == 2
     [config] = configs
-    assert config == StudyConfig(domain=SQUARE_PI, mesh="cc",
-                                 formulation="osgs",
-                                 N_list=(5, 10, 15, 20, 25))
+    assert config == StudyConfig()
+
+
+def test_file_and_command_line_build_equal_configs(monkeypatch, tmp_path,
+                                                   capsys):
+    configs = stop_before_solving(monkeypatch)
+    settings = {"domain": "crack", "mesh": "cc-graded", "formulation": "ag",
+                "degree": "2", "N": "2,4", "ell": "0.5", "cu": "2",
+                "cp": "1", "nev": "4", "shift": "0.25",
+                "solver": "dense", "seed": "7"}
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("".join(f"{key} = {text}\n"
+                           for key, text in settings.items()))
+    assert cli_main(["--config", str(cfg)]) == 2
+    argv = [arg for key, text in settings.items()
+            for arg in (f"--{key}", text)]
+    assert cli_main(argv) == 2
+    assert "stopped before solving" in capsys.readouterr().err
+    assert configs[0] == configs[1] != StudyConfig()
+
+
+def test_file_choice_error_matches_command_line(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    for key, text in (("solver", "auto"), ("domain", "disk"),
+                      ("mesh", "hex"), ("degree", "3"), ("format", "txt"),
+                      ("corner", "both-zero")):
+        assert cli_main([f"--{key}", text]) == 2
+        from_argv = capsys.readouterr().err
+        assert f"invalid choice: {text!r}" in from_argv
+        cfg.write_text(f"{key} = {text}\n")
+        assert cli_main(["--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == from_argv
+
+
+def test_unwritable_output_rejected_before_solving(tmp_path, monkeypatch,
+                                                   capsys):
+    calls = count_solves(monkeypatch)
+    small = ["--domain", "square", "--mesh", "cc", "--formulation", "sg",
+             "--N", "2", "--nev", "2"]
+    missing = tmp_path / "missing" / "t.md"
+    assert cli_main(small + ["--out", str(tmp_path)]) == 2
+    assert f"--out {tmp_path} is a directory" in capsys.readouterr().err
+    for extra in ([], ["--export-mode", "0"]):
+        assert cli_main(small + ["--out", str(missing)] + extra) == 2
+        assert (f"cannot write to {missing.parent}: not a writable "
+                "directory") in capsys.readouterr().err
+    # without --out the export file goes to the working directory, here
+    # one that denies writing
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(os, "access", lambda path, mode: False)
+    assert cli_main(small + ["--export-mode", "0"]) == 2
+    assert f"cannot write to {os.getcwd()}: not a writable directory" in \
+        capsys.readouterr().err
+    assert calls == []
 
 
 def test_flags_and_fields_match():
