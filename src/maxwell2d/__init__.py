@@ -5,8 +5,8 @@ uniform, criss-cross and Powell-Sabin triangulations of three benchmark
 domains (square, flipped L-shape, cracked square).
 """
 
-from .meshgen import (CRACKED_SQUARE, L_SHAPE, SQUARE_PI, DomainKind,
-                      EdgeTag, Mesh, MeshError, build_criss_cross,
+from .meshgen import (CRACKED_SQUARE, L_SHAPE, SQUARE_PI, DomainKind, Mesh,
+                      MeshError, boundary_axes, build_criss_cross,
                       build_uniform, classify_boundary, dump_mesh,
                       powell_sabin_refine)
 from .fem import (AssemblyError, DofMap, build_dofmap, make_quadrature,

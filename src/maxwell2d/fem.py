@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .meshgen import EdgeTag, Mesh
+from .meshgen import Mesh, boundary_axes
 
 
 class AssemblyError(Exception):
@@ -94,8 +94,9 @@ class DofMap:
     one node per mesh edge for P2, crack edges per face copy); dof indices
     are contiguous per field in declaration order.  on_h and on_v mark the
     nodal points on horizontal (crack faces included) and vertical
-    boundary edges, as the mesh tagged them; P2 edge nodes follow their
-    edge.  The singular node is the mesh's: P2 keeps the vertex numbering.
+    boundary lines, by ``meshgen.boundary_axes`` of their coordinates: P1
+    keeps the mesh's masks.  The singular node is the mesh's: P2 keeps the
+    vertex numbering.
     """
 
     mesh: Mesh
@@ -143,18 +144,14 @@ def build_dofmap(mesh: Mesh, degree: int, formulation: str) -> DofMap:
     order = np.lexsort(keys.T[::-1])
     node_of = np.empty_like(order)
     node_of[order] = nv + np.arange(order.size)
-    ne = len(keys)
-    n_scalar = nv + ne
-
     lo, hi = keys[order, 0], keys[order, 1]
     coords = np.vstack([mesh.points, 0.5 * (mesh.points[lo] + mesh.points[hi])])
-    on_h = np.concatenate([mesh.on_h, np.zeros(ne, dtype=bool)])
-    on_v = np.concatenate([mesh.on_v, np.zeros(ne, dtype=bool)])
-    on_h[node_of[mesh.edge_tags == EdgeTag.HORIZONTAL]] = True
-    on_v[node_of[mesh.edge_tags == EdgeTag.VERTICAL]] = True
+    mid_h, mid_v = boundary_axes(coords[nv:], mesh.domain)
+    on_h = np.concatenate([mesh.on_h, mid_h])
+    on_v = np.concatenate([mesh.on_v, mid_v])
 
     element_nodes = np.hstack([mesh.triangles, node_of[mesh.edge_ids]])
-    return DofMap(mesh=mesh, degree=2, fields=fields, n_scalar=n_scalar,
+    return DofMap(mesh=mesh, degree=2, fields=fields, n_scalar=len(coords),
                   element_nodes=element_nodes, coords=coords, on_h=on_h,
                   on_v=on_v)
 

@@ -14,19 +14,19 @@ node shared by both faces.  Edge bookkeeping is side-aware so that the two
 geometrically coincident crack faces are kept distinct everywhere.
 
 ``classify_boundary`` builds every ``Mesh``.  It takes one edge census per
-mesh from ``edge_table``, tags each boundary edge by the axis it lies on
-(crack faces are horizontal; the ``side`` column of an edge's key tells
-the faces apart) and stores the census, the tags, the boundary node masks
-and the singular node (re-entrant corner or crack tip) on the mesh.  The
-Powell-Sabin split numbers its midpoints from the base mesh's census, and
-the P2 dofmap places its edge nodes and reads their orientation from it;
-neither recounts the edges.  Nothing here loops over triangles, edges or
-nodes in Python.
+mesh from ``edge_table`` (the ``side`` column of a key tells the crack
+faces apart), checks its one-owner edges against ``boundary_axes``, the
+one rule for the axis of a boundary node (crack faces are horizontal),
+and stores the census, those node masks and the singular node
+(re-entrant corner or crack tip) on the mesh.  The Powell-Sabin split
+numbers its midpoints from the base mesh's census, and the P2 dofmap
+places its edge nodes from it; neither recounts the edges.  Nothing here
+loops over triangles, edges or nodes in Python.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum, IntEnum
+from enum import Enum
 
 import numpy as np
 
@@ -66,15 +66,10 @@ L_SHAPE = DomainKind.L_SHAPE
 CRACKED_SQUARE = DomainKind.CRACKED_SQUARE
 
 
-class EdgeTag(IntEnum):
-    HORIZONTAL = 0
-    VERTICAL = 1
-
-
 @dataclass(frozen=True)
 class Mesh:
-    """Immutable triangulation with its edge census and boundary
-    classification; ``classify_boundary`` builds it.
+    """Immutable triangulation with its edge census and boundary node
+    masks; ``classify_boundary`` builds it.
 
     Attributes
     ----------
@@ -91,12 +86,10 @@ class Mesh:
         coincides.
     edge_ids : (t, 3) int array
         Row of ``edges`` of each triangle's local edges (0,1), (1,2), (2,0).
-    edge_tags : (E,) int array
-        EdgeTag of each boundary edge (crack faces are HORIZONTAL), -1 for
-        an interior edge.
     on_h, on_v : (n,) bool arrays
-        Nodes on a horizontal boundary edge (crack faces included) and on
-        a vertical one; their union is the boundary.
+        ``boundary_axes`` of the points: nodes on a horizontal boundary
+        line (crack faces included) and on a vertical one; their union is
+        the set of nodes on a boundary edge.
     singular_node : int
         The node at the origin, where the field is singular: the
         re-entrant corner of the L-shape or the crack tip.  -1 on the
@@ -110,7 +103,6 @@ class Mesh:
     grid_step: float
     edges: np.ndarray
     edge_ids: np.ndarray
-    edge_tags: np.ndarray
     on_h: np.ndarray
     on_v: np.ndarray
     singular_node: int
@@ -201,7 +193,7 @@ def _axis_coords(domain: DomainKind, N: int, graded: bool):
         return np.linspace(-1.0, 1.0, 2 * N + 1)
     # cracked square: the crack line y=0 and the tip x=0 must be grid lines
     if N % 2 != 0:
-        raise MeshError("cracked square requires an even division count")
+        raise ValueError("cracked square requires an even division count")
     if graded:
         return _graded_axis(N, GRADING_EXPONENT)
     return np.linspace(-1.0, 1.0, N + 1)
@@ -304,55 +296,45 @@ def powell_sabin_refine(base: Mesh) -> Mesh:
                              base.grid_step / 2.0)
 
 
-def _on_domain_boundary(points, domain):
+def boundary_axes(points, domain: DomainKind):
+    """``(on_h, on_v)``: the points on a horizontal boundary line (crack
+    included) and on a vertical one, where n x u = 0 fixes u1 and u2
+    respectively (tolerance 1e-10)."""
     x, y = points[:, 0], points[:, 1]
-    t = GEOM_TOL
-    if domain is DomainKind.SQUARE_PI:
-        return (np.abs(x) < t) | (np.abs(x - np.pi) < t) | \
-               (np.abs(y) < t) | (np.abs(y - np.pi) < t)
-    outer = (np.abs(x + 1) < t) | (np.abs(x - 1) < t) | \
-            (np.abs(y + 1) < t) | (np.abs(y - 1) < t)
+    a, b = (0.0, np.pi) if domain is DomainKind.SQUARE_PI else (-1.0, 1.0)
+    on_h = (np.abs(y - a) < GEOM_TOL) | (np.abs(y - b) < GEOM_TOL)
+    on_v = (np.abs(x - a) < GEOM_TOL) | (np.abs(x - b) < GEOM_TOL)
     if domain is DomainKind.L_SHAPE:
-        notch = ((np.abs(x) < t) & (y < t)) | ((np.abs(y) < t) & (x > -t))
-        return outer | notch
-    return outer | crack_closure_mask(points, domain)
+        # the notch: y = 0 right of the corner and x = 0 below it
+        on_h |= (np.abs(y) < GEOM_TOL) & (x > -GEOM_TOL)
+        on_v |= (np.abs(x) < GEOM_TOL) & (y < GEOM_TOL)
+    return on_h | crack_closure_mask(points, domain), on_v
 
 
 def classify_boundary(points, triangles, domain: DomainKind,
                       grid_step: float) -> Mesh:
-    """Build the Mesh: edge census, boundary edge tags and node masks, the
+    """Build the Mesh: edge census, ``boundary_axes`` node masks, the
     singular node and the mesh size h.
 
-    Boundary edges are the edges owned by exactly one triangle; their tag
-    follows the axis they lie on, so crack faces are horizontal.  Raises
+    Boundary edges are the edges owned by exactly one triangle.  Raises
     MeshError on a non-CCW or degenerate triangle, an edge with more than
     two owners, a boundary edge off both axes, or a node on the geometric
     boundary but on no boundary edge, or the reverse (tolerance 1e-10).
     """
-    n = points.shape[0]
     if np.any(_signed_areas(points, triangles) <= 0.0):
         raise MeshError("mesh contains a non-CCW or degenerate triangle")
 
     edges, edge_ids, counts = edge_table(points, triangles, domain)
-    boundary = counts == 1
-    lo, hi = edges[boundary, 0], edges[boundary, 1]
+    lo, hi = edges[counts == 1, 0], edges[counts == 1, 1]
     dx, dy = np.abs(points[hi] - points[lo]).T
-    tag = np.select([dx < GEOM_TOL, dy < GEOM_TOL],
-                    [EdgeTag.VERTICAL, EdgeTag.HORIZONTAL], -1)
-    if np.any(tag < 0):
-        k = int(np.argmax(tag < 0))
+    slanted = (dx >= GEOM_TOL) & (dy >= GEOM_TOL)
+    if np.any(slanted):
+        k = int(np.argmax(slanted))
         raise MeshError(f"boundary edge ({lo[k]}, {hi[k]}) is not axis-aligned")
-    edge_tags = np.full(len(edges), -1, dtype=np.int8)
-    edge_tags[boundary] = tag
-
-    def touched(axis):
-        hit = np.zeros(n, dtype=bool)
-        hit[edges[edge_tags == axis, :2]] = True
-        return hit
-
-    on_h, on_v = touched(EdgeTag.HORIZONTAL), touched(EdgeTag.VERTICAL)
-    geom = _on_domain_boundary(points, domain)
-    mismatch = np.flatnonzero(geom != (on_h | on_v))
+    on_edge = np.bincount(np.r_[lo, hi], minlength=len(points)) > 0
+    on_h, on_v = boundary_axes(points, domain)
+    geom = on_h | on_v
+    mismatch = np.flatnonzero(geom != on_edge)
     if mismatch.size:
         i = int(mismatch[0])
         where = "on the geometric boundary but on no boundary edge" \
@@ -368,8 +350,7 @@ def classify_boundary(points, triangles, domain: DomainKind,
     h = float(lengths.max()) if len(edges) else 0.0
     return Mesh(points=points, triangles=triangles, domain=domain, h=h,
                 grid_step=grid_step, edges=edges, edge_ids=edge_ids,
-                edge_tags=edge_tags, on_h=on_h, on_v=on_v,
-                singular_node=singular_node)
+                on_h=on_h, on_v=on_v, singular_node=singular_node)
 
 
 def dump_mesh(mesh: Mesh, path) -> None:

@@ -106,6 +106,8 @@ class StudyConfig:
             if value not in allowed:
                 raise ValueError(f"unknown {name} {value!r}; choose from "
                                  f"{', '.join(map(str, allowed))}")
+        if not isinstance(self.N_list, tuple):
+            raise ValueError(f"N_list must be a tuple, not {self.N_list!r}")
         if not all(map(is_integer, (self.degree, *self.N_list))):
             raise ValueError("degree and each N must be integers")
         if not self.N_list or min(self.N_list) < 1:

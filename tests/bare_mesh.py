@@ -14,5 +14,4 @@ def bare_mesh(points, triangles):
     none = np.zeros(len(points), dtype=bool)
     return Mesh(points=points, triangles=triangles, domain=SQUARE_PI,
                 h=0.0, grid_step=1.0, edges=edges, edge_ids=edge_ids,
-                edge_tags=np.full(len(edges), -1, dtype=np.int8),
                 on_h=none, on_v=none, singular_node=-1)

@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from maxwell2d import (CRACKED_SQUARE, L_SHAPE, SQUARE_PI, MeshError,
-                       EdgeTag, build_criss_cross,
+                       boundary_axes, build_criss_cross,
                        build_dofmap, build_uniform, dump_mesh,
                        powell_sabin_refine)
 from maxwell2d import fem, meshgen
@@ -81,7 +81,7 @@ def test_rejects_invalid_division_counts():
         build_uniform(SQUARE_PI, 0)
     with pytest.raises(ValueError):
         build_criss_cross(SQUARE_PI, 0)
-    with pytest.raises(MeshError):
+    with pytest.raises(ValueError, match="even division count"):
         build_uniform(CRACKED_SQUARE, 3)
 
 
@@ -150,7 +150,16 @@ def test_orientation_and_area(name, mesh):
 def test_edge_manifoldness(name, mesh):
     owners = np.bincount(mesh.edge_ids.ravel(), minlength=len(mesh.edges))
     assert set(owners.tolist()) <= {1, 2}
-    assert np.array_equal(owners == 1, mesh.edge_tags >= 0)
+    # the nodes of the one-owner edges are exactly the marked nodes
+    on_edge = np.zeros(mesh.n_points, dtype=bool)
+    on_edge[boundary_edges(mesh)[:, :2]] = True
+    assert np.array_equal(on_edge, mesh.on_h | mesh.on_v)
+
+
+def boundary_edges(mesh):
+    """The keys of the edges that the census counts once."""
+    _, _, counts = edge_table(mesh.points, mesh.triangles, mesh.domain)
+    return mesh.edges[counts == 1]
 
 
 def loop_edge_census(points, triangles, domain):
@@ -250,7 +259,10 @@ def test_minimal_crack_mesh_is_pinched_but_valid():
     mesh = build_uniform(CRACKED_SQUARE, 2)
     crack = mesh.edges[:, 2] != 0
     assert sorted(mesh.edges[crack, 2].tolist()) == [-1, 1]
-    assert np.all(mesh.edge_tags[crack] == EdgeTag.HORIZONTAL)
+    # both faces are boundary edges, and their nodes are on the h axis
+    boundary = boundary_edges(mesh)
+    assert sorted(boundary[boundary[:, 2] != 0, 2].tolist()) == [-1, 1]
+    assert np.all(mesh.on_h[mesh.edges[crack, :2]])
     ps = powell_sabin_refine(mesh)
     # the PS split must give each face its own midpoint at (1/2, 0)
     pts = np.round(ps.points, 12)
@@ -259,20 +271,39 @@ def test_minimal_crack_mesh_is_pinched_but_valid():
     assert at_mid.size == 2
     assert np.all(ps.on_h[at_mid]) and not np.any(ps.on_v[at_mid])
     # each midpoint closes the boundary edges of its own face
-    sides = {int(side) for lo, hi, side in ps.edges[ps.edge_tags >= 0]
+    sides = {int(side) for lo, hi, side in boundary_edges(ps)
              if lo in at_mid or hi in at_mid}
     assert sides == {-1, 1}
 
 
 @pytest.mark.parametrize("name,mesh", MESHES, ids=[n for n, _ in MESHES])
 def test_boundary_edges_axis_aligned(name, mesh):
-    boundary = mesh.edge_tags >= 0
-    i, j, _ = mesh.edges[boundary].T
+    i, j, _ = boundary_edges(mesh).T
     dx = np.abs(mesh.points[i, 0] - mesh.points[j, 0])
     dy = np.abs(mesh.points[i, 1] - mesh.points[j, 1])
-    vertical = mesh.edge_tags[boundary] == EdgeTag.VERTICAL
-    assert np.all(dx[vertical] < 1e-12)
-    assert np.all(dy[~vertical] < 1e-12)
+    horizontal, vertical = dy < 1e-12, dx < 1e-12
+    assert np.all(horizontal | vertical)
+    # each end of a horizontal edge is on_h, each end of a vertical one on_v
+    assert np.all(mesh.on_h[i[horizontal]] & mesh.on_h[j[horizontal]])
+    assert np.all(mesh.on_v[i[vertical]] & mesh.on_v[j[vertical]])
+
+
+# (domain, points, axes): "b" on both axes, "h" or "v" on one, "-" inside
+HAND_PICKED = [
+    (SQUARE_PI, [[0, 0], [np.pi, 0], [np.pi, np.pi], [0, np.pi],
+                 [np.pi / 2, 0], [np.pi, np.pi / 2], [np.pi / 2, np.pi],
+                 [0, np.pi / 2], [np.pi / 2, np.pi / 2]], "bbbbhvhv-"),
+    (L_SHAPE, [[0, 0], [0.5, 0], [0, -0.5], [-0.5, 0], [0, 0.5]], "bhv--"),
+    (CRACKED_SQUARE, [[0, 0], [0.5, 0], [1, 0], [-0.5, 0]], "hhb-"),
+]
+
+
+@pytest.mark.parametrize("domain,points,axes", HAND_PICKED,
+                         ids=[d.value for d, _, _ in HAND_PICKED])
+def test_boundary_axes_at_hand_picked_points(domain, points, axes):
+    on_h, on_v = boundary_axes(np.array(points, dtype=float), domain)
+    assert on_h.tolist() == [a in "bh" for a in axes]
+    assert on_v.tolist() == [a in "bv" for a in axes]
 
 
 def test_classify_rejects_clockwise_triangle():

@@ -81,6 +81,10 @@ def test_study_config_rejects_inconsistent_combinations():
         dict(domain=SQUARE_PI, formulation="sg", shift=0.0),
         dict(domain=SQUARE_PI, N_list=()),
         dict(domain=SQUARE_PI, N_list=(0, 4)),
+        # N_list is a tuple: an integer is none, and a list would leave
+        # the frozen config unhashable
+        dict(domain=SQUARE_PI, N_list=5),
+        dict(domain=SQUARE_PI, N_list=[4]),
         dict(domain=SQUARE_PI, nev=0),
         dict(domain=SQUARE_PI, seed=-1),
         dict(domain=SQUARE_PI, degree=3),
