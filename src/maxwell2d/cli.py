@@ -111,6 +111,14 @@ def _parse(argv: list) -> dict:
             if text is not None}
 
 
+def _export_path(opts: dict) -> str | None:
+    """The --export-mode file, beside --out or in the working directory."""
+    out, mode = opts.get("out"), opts.get("export-mode")
+    if mode is not None:
+        return (f"{out}.mode{mode}.txt" if out
+                else f"eigenfunction_mode{mode}.txt")
+
+
 def _validate(opts: dict, config: StudyConfig) -> None:
     """The checks only the CLI needs; StudyConfig checked the rest."""
     out, mode = opts.get("out"), opts.get("export-mode")
@@ -119,11 +127,12 @@ def _validate(opts: dict, config: StudyConfig) -> None:
         if not 0 <= mode < rows:
             raise ValueError(f"--export-mode {mode} is not a table mode; "
                              f"need 0 <= k < {rows}, the table's row count")
-    if out and os.path.isdir(out):
-        raise ValueError(f"--out {out} is a directory")
-    if out or mode is not None:
-        # the export file sits beside --out, or in the working directory
-        folder = os.path.abspath(os.path.dirname(out or ""))
+    for flag, path in (("--out", out), ("--export-mode", _export_path(opts))):
+        if not path:
+            continue
+        if os.path.isdir(path):
+            raise ValueError(f"{flag} {path} is a directory")
+        folder = os.path.abspath(os.path.dirname(path))
         if not (os.path.isdir(folder) and os.access(folder, os.W_OK)):
             raise ValueError(f"cannot write to {folder}: not a writable "
                              "directory")
@@ -147,8 +156,7 @@ def cli_main(argv) -> int:
         else:
             sys.stdout.write(text)
         if mode is not None:
-            path = (f"{out}.mode{mode}.txt" if out
-                    else f"eigenfunction_mode{mode}.txt")
+            path = _export_path(opts)
             export_eigenfunction(compute_eigenfunction(table, mode), path)
             print(f"eigenfunction {mode} written to {path}")
     except SystemExit as exc:  # argparse: --help, or a bad flag or choice

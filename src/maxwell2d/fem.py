@@ -94,9 +94,9 @@ class DofMap:
     one node per mesh edge for P2, crack edges per face copy); dof indices
     are contiguous per field in declaration order.  on_h and on_v mark the
     nodal points on horizontal (crack faces included) and vertical
-    boundary lines, by ``meshgen.boundary_axes`` of their coordinates: P1
-    keeps the mesh's masks.  The singular node is the mesh's: P2 keeps the
-    vertex numbering.
+    boundary lines, by ``meshgen.boundary_axes`` of their coordinates for
+    both degrees.  P1 shares the mesh's points and triangles.  The singular
+    node is the mesh's: P2 keeps the vertex numbering.
     """
 
     mesh: Mesh
@@ -130,30 +130,19 @@ def build_dofmap(mesh: Mesh, degree: int, formulation: str) -> DofMap:
         raise AssemblyError(f"unknown formulation tag {formulation!r}")
     if degree not in DEGREES:
         raise AssemblyError(f"unsupported polynomial degree {degree}")
-    fields = FORMULATION_FIELDS[formulation]
-    nv = mesh.n_points
-
-    if degree == 1:
-        return DofMap(mesh=mesh, degree=1, fields=fields, n_scalar=nv,
-                      element_nodes=mesh.triangles.copy(),
-                      coords=mesh.points.copy(), on_h=mesh.on_h,
-                      on_v=mesh.on_v)
-
-    keys = mesh.edges
-    # edge nodes follow the sorted (lo, hi, side) keys
-    order = np.lexsort(keys.T[::-1])
-    node_of = np.empty_like(order)
-    node_of[order] = nv + np.arange(order.size)
-    lo, hi = keys[order, 0], keys[order, 1]
-    coords = np.vstack([mesh.points, 0.5 * (mesh.points[lo] + mesh.points[hi])])
-    mid_h, mid_v = boundary_axes(coords[nv:], mesh.domain)
-    on_h = np.concatenate([mesh.on_h, mid_h])
-    on_v = np.concatenate([mesh.on_v, mid_v])
-
-    element_nodes = np.hstack([mesh.triangles, node_of[mesh.edge_ids]])
-    return DofMap(mesh=mesh, degree=2, fields=fields, n_scalar=len(coords),
-                  element_nodes=element_nodes, coords=coords, on_h=on_h,
-                  on_v=on_v)
+    coords, element_nodes = mesh.points, mesh.triangles
+    if degree == 2:
+        # edge nodes follow the sorted (lo, hi, side) keys
+        keys, rank = np.unique(mesh.edges, axis=0, return_inverse=True)
+        mids = 0.5 * (mesh.points[keys[:, 0]] + mesh.points[keys[:, 1]])
+        coords = np.vstack([coords, mids])
+        node_of = mesh.n_points + rank.reshape(-1)  # (E, 1) on NumPy 2.0.0
+        element_nodes = np.hstack([element_nodes, node_of[mesh.edge_ids]])
+    on_h, on_v = boundary_axes(coords, mesh.domain)
+    return DofMap(mesh=mesh, degree=degree,
+                  fields=FORMULATION_FIELDS[formulation],
+                  n_scalar=len(coords), element_nodes=element_nodes,
+                  coords=coords, on_h=on_h, on_v=on_v)
 
 
 def _element_geometry(mesh: Mesh):

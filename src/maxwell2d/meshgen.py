@@ -8,10 +8,12 @@ meshes (optionally graded toward the crack by the fixed power law of
 mesh.  A ``DomainKind`` member names each domain and knows its area and
 whether it has a crack or a re-entrant corner.
 
-The cracked domain is meshed by duplicating every grid node strictly
-between the crack tip (0, 0) and the mouth (1, 0); the tip stays a single
-node shared by both faces.  Edge bookkeeping is side-aware so that the two
-geometrically coincident crack faces are kept distinct everywhere.
+Both grid families come from one body: it checks N, lays the cells,
+splits the crack and classifies.  The crack is split by duplicating every
+node of ``crack_closure_mask`` strictly between the tip (0, 0) and the
+mouth (1, 0); the tip stays one node shared by both faces.  Edge
+bookkeeping is side-aware, so the two geometrically coincident crack faces
+are kept distinct everywhere.
 
 ``classify_boundary`` builds every ``Mesh``.  It takes one edge census per
 mesh from ``edge_table`` (the ``side`` column of a key tells the crack
@@ -20,8 +22,9 @@ one rule for the axis of a boundary node (crack faces are horizontal),
 and stores the census, those node masks and the singular node
 (re-entrant corner or crack tip) on the mesh.  The Powell-Sabin split
 numbers its midpoints from the base mesh's census, and the P2 dofmap
-places its edge nodes from it; neither recounts the edges.  Nothing here
-loops over triangles, edges or nodes in Python.
+places its edge nodes from it; neither recounts the edges.  The dofmap
+marks its nodal points, P1 and P2 alike, by the same ``boundary_axes``.
+Nothing here loops over triangles, edges or nodes in Python.
 """
 from __future__ import annotations
 
@@ -199,28 +202,14 @@ def _axis_coords(domain: DomainKind, N: int, graded: bool):
     return np.linspace(-1.0, 1.0, N + 1)
 
 
-def _split_crack(points, triangles, domain):
-    """Duplicate crack-interior nodes and remap the triangles below the slit."""
-    if not domain.has_crack:
-        return points, triangles
-    x, y = points[:, 0], points[:, 1]
-    interior = np.where((np.abs(y) < GEOM_TOL) &
-                        (x > GEOM_TOL) & (x < 1.0 - GEOM_TOL))[0]
-    if interior.size == 0:
-        return points, triangles
-    bottom = np.arange(points.shape[0])
-    bottom[interior] = points.shape[0] + np.arange(interior.size)
-    points = np.vstack([points, points[interior]])
-    triangles = triangles.copy()
-    below = points[triangles, 1].mean(axis=1) < 0.0
-    triangles[below] = bottom[triangles[below]]
-    return points, triangles
-
-
-def _grid_triangulation(domain, N, graded, criss_cross):
-    """Cells row by row; nodes are numbered as the cells first reach them:
-    lower-left, lower-right, upper-right, upper-left corner, then the
-    center of a criss-cross cell."""
+def _grid_mesh(domain, N, graded, criss_cross) -> Mesh:
+    """Either grid family.  Cells run row by row; nodes are numbered as
+    the cells first reach them: lower-left, lower-right, upper-right,
+    upper-left corner, then the center of a criss-cross cell."""
+    if N < 1:
+        raise ValueError("N must be a positive integer")
+    if graded and not domain.has_crack:
+        raise ValueError("grading is only meaningful for the cracked square")
     xs = _axis_coords(domain, N, graded)
     n = len(xs)
     j, i = np.divmod(np.arange((n - 1) ** 2), n - 1)
@@ -239,8 +228,17 @@ def _grid_triangulation(domain, N, graded, criss_cross):
     local = [[0, 1, 4], [1, 2, 4], [2, 3, 4], [3, 0, 4]] if criss_cross \
         else [[0, 1, 2], [0, 2, 3]]
     triangles = node.reshape(codes.shape)[:, local].reshape(-1, 3)
-    points, triangles = _split_crack(points, triangles, domain)
-    return points, triangles, np.diff(xs).max()
+    # copy the crack nodes strictly between the tip and the mouth and move
+    # the triangles below the slit onto the copies
+    x = points[:, 0]
+    copied = np.flatnonzero(crack_closure_mask(points, domain)
+                            & (x > GEOM_TOL) & (x < 1.0 - GEOM_TOL))
+    bottom = np.arange(len(points))
+    bottom[copied] = len(points) + np.arange(copied.size)
+    below = points[triangles, 1].mean(axis=1) < 0.0
+    triangles = np.where(below[:, None], bottom[triangles], triangles)
+    points = np.vstack([points, points[copied]])
+    return classify_boundary(points, triangles, domain, np.diff(xs).max())
 
 
 def build_uniform(domain: DomainKind, N: int) -> Mesh:
@@ -249,10 +247,7 @@ def build_uniform(domain: DomainKind, N: int) -> Mesh:
     N counts divisions per direction for the square domains and divisions
     of a short (unit) edge for the L-shape.
     """
-    if N < 1:
-        raise ValueError("N must be a positive integer")
-    points, triangles, step = _grid_triangulation(domain, N, False, False)
-    return classify_boundary(points, triangles, domain, step)
+    return _grid_mesh(domain, N, False, False)
 
 
 def build_criss_cross(domain: DomainKind, N: int,
@@ -264,12 +259,7 @@ def build_criss_cross(domain: DomainKind, N: int,
     nodes toward the crack line y = 0 and the tip abscissa x = 0 before
     the cells are built.
     """
-    if N < 1:
-        raise ValueError("N must be a positive integer")
-    if graded and not domain.has_crack:
-        raise ValueError("grading is only meaningful for the cracked square")
-    points, triangles, step = _grid_triangulation(domain, N, graded, True)
-    return classify_boundary(points, triangles, domain, step)
+    return _grid_mesh(domain, N, graded, True)
 
 
 def powell_sabin_refine(base: Mesh) -> Mesh:

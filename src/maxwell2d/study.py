@@ -275,13 +275,11 @@ def run_study(config: StudyConfig) -> EigenTable:
                       finest=finest)
 
 
-def _cell(value: float, rate: float, markdown: bool) -> str:
+def _cell(value: float, rate: float) -> str:
+    """A Markdown cell: the value, then its rate, or a dash when saturated."""
     txt = f"{value:.4f}"
     if not np.isnan(rate):
-        if np.isinf(rate):
-            txt += " (—)" if markdown else " (inf)"
-        else:
-            txt += f" ({rate:.1f})"
+        txt += " (—)" if np.isinf(rate) else f" ({rate:.1f})"
     return txt
 
 
@@ -294,7 +292,7 @@ def emit_table(table: EigenTable, fmt: str = "md") -> str:
                  "|" + "|".join([" --- "] * len(header)) + "|"]
         for i in range(table.n_rows):
             cells = [f"{table.references[i]:.4f}"]
-            cells += [_cell(table.values[i, j], table.rates[i, j], True)
+            cells += [_cell(table.values[i, j], table.rates[i, j])
                       for j in range(len(table.N_list))]
             lines.append("| " + " | ".join(cells) + " |")
         return "\n".join(lines) + "\n"

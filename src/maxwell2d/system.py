@@ -169,31 +169,31 @@ def assemble_form(formulation: str, kernels: dict, tau_p: float = 0.0,
     return A, M
 
 
+def _build_pencil(formulation: str, mesh: Mesh, degree: int,
+                  *taus: float) -> EvpSystem:
+    """Dofmap, kernels and pencil of a formulation; taus (tau_p, tau_u)."""
+    dofmap = build_dofmap(mesh, degree, formulation)
+    A, M = assemble_form(formulation, scalar_kernels(dofmap), *taus)
+    return EvpSystem(A=A, M=M, dofmap=dofmap)
+
+
 def build_sg(mesh: Mesh, degree: int) -> EvpSystem:
     """Standard Galerkin curl-curl system over (u1, u2)."""
-    dofmap = build_dofmap(mesh, degree, "sg")
-    A, M = assemble_form("sg", scalar_kernels(dofmap))
-    return EvpSystem(A=A, M=M, dofmap=dofmap)
+    return _build_pencil("sg", mesh, degree)
 
 
 def build_ag(mesh: Mesh, degree: int, params: StabilizationParams,
              h: float) -> EvpSystem:
     """Augmented system over (u1, u2, p) at mesh size h; tau_p = tau_u = 0
     degenerates to the plain mixed Galerkin matrix."""
-    dofmap = build_dofmap(mesh, degree, "ag")
-    A, M = assemble_form("ag", scalar_kernels(dofmap), params.tau_p,
-                         params.tau_u(h))
-    return EvpSystem(A=A, M=M, dofmap=dofmap)
+    return _build_pencil("ag", mesh, degree, params.tau_p, params.tau_u(h))
 
 
 def build_osgs(mesh: Mesh, degree: int, params: StabilizationParams,
                h: float) -> EvpSystem:
     """Orthogonal-subgrid-scale system over (u1, u2, p, xi1', xi2', eta')
     at mesh size h."""
-    dofmap = build_dofmap(mesh, degree, "osgs")
-    A, M = assemble_form("osgs", scalar_kernels(dofmap), params.tau_p,
-                         params.tau_u(h))
-    return EvpSystem(A=A, M=M, dofmap=dofmap)
+    return _build_pencil("osgs", mesh, degree, params.tau_p, params.tau_u(h))
 
 
 def build_constraints(dofmap: DofMap,

@@ -255,6 +255,25 @@ def test_unwritable_output_rejected_before_solving(tmp_path, monkeypatch,
     assert calls == []
 
 
+def test_export_target_directory_rejected_before_solving(tmp_path,
+                                                         monkeypatch, capsys):
+    configs = stop_before_solving(monkeypatch)
+    small = ["--N", "2", "--nev", "2", "--export-mode", "0"]
+    out = tmp_path / "t.md"
+    (tmp_path / "t.md.mode0.txt").mkdir()
+    assert cli_main(small + ["--out", str(out)]) == 2
+    assert f"--export-mode {out}.mode0.txt is a directory" in \
+        capsys.readouterr().err
+    assert not out.exists()
+    # without --out the export file goes to the working directory
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "eigenfunction_mode0.txt").mkdir()
+    assert cli_main(small) == 2
+    assert "--export-mode eigenfunction_mode0.txt is a directory" in \
+        capsys.readouterr().err
+    assert configs == []
+
+
 def test_flags_and_fields_match():
     # each StudyConfig field but the bench-only tip has exactly one flag,
     # and each flag's field is a StudyConfig field
