@@ -22,13 +22,19 @@ large machine-zero cluster of the standard Galerkin operator
 (theta = -1/sigma < 0), so only genuinely nonzero eigenvalues come back
 from SG solves.
 
-ARPACK tests convergence in the M-norm, blind to the p, xi and eta rows
-where M vanishes.  Where M has such rows, one block solve with the factor
-purifies the Ritz vectors, x <- (lambda - sigma) (A - sigma M)^-1 M x,
-keeping lambda (Nour-Omid, Parlett, Ericsson and Jensen (1987), "How to
-implement the spectral transformation"); unpurified, the pressure band
-above 1/(c_p ell^2) fails the certificate on square OSGS/P2 CC N=4.  SG's
-M has none: there the step only amplifies kernel components.
+The finite spectrum lives on the support of M, the reduced dofs with a
+nonzero M row: the u rows, where the p, xi and eta rows of AG and OSGS
+carry none.  ARPACK runs on that support only, with the factor's solve read
+there as its operator and M's support block, definite, as its M, so it
+converges in a true norm on u.  Where M has null rows, one block solve with
+the factor lifts the Ritz vectors to every dof, x = (lambda - sigma)
+(A - sigma M)^-1 M x, keeping lambda (Ericsson and Ruhe (1980), "The
+spectral transformation Lanczos method"; Nour-Omid, Parlett, Ericsson and
+Jensen (1987), "How to implement the spectral transformation").  SG's
+support is every dof: its operator is the plain solve and nothing is
+lifted.  Run on every dof, with M semidefinite, ARPACK's vectors would be
+three times longer on OSGS P1, and a window near rank M breaks down there
+with ARPACK error -9999.
 
 This is the one solver path at every size.  The finite spectrum has at
 most rank M members, the reduced dofs with a nonzero M row, and fewer where
@@ -49,9 +55,10 @@ pairs that pass the certificate.  Such a pair has both alpha and beta at
 round-off size against the norms of A and M, and the oracle refuses it.
 
 The factor is the largest object of a solve: only the reduced A and M, the
-node ordering and the factor live through Lanczos and purification.  The
-permuted P (A - sigma M) P' dies inside each factorization call, and the
-factor before the certificate.
+node ordering and the factor live through Lanczos and the lift; M's support
+block shares M's arrays, and the lift frees each of its temporaries before
+the next.  The permuted P (A - sigma M) P' dies inside each factorization
+call, and the factor before the certificate.
 
 Grimes, Lewis and Simon (1994), "A shifted block Lanczos algorithm for
 solving sparse symmetric generalized eigenproblems".
@@ -133,7 +140,7 @@ class Spectrum:
     n_zero_filtered: int = 0
     n_complex_rejected: int = 0
     lu_nnz: int = 0                # fill of the shift-invert factor
-    n_op_applications: int = 0     # solves with that factor
+    n_op_applications: int = 0     # factor solves, one per column, lift too
     shift: float = 0.0             # the shift the factor used
     shift_retries: int = 0         # shifts abandoned before that one
 
@@ -203,42 +210,72 @@ def lanczos_window(nev: int) -> int:
     return max(4 * nev, nev + 20)
 
 
-def mass_rank(system: EvpSystem) -> int:
-    """Reduced dofs with a nonzero M row: an upper bound on the size of the
-    finite spectrum, reached unless A is singular on the M-null rows."""
-    return int(np.count_nonzero(abs(system.M).sum(axis=1)))
+def mass_support(system: EvpSystem) -> np.ndarray:
+    """The reduced dofs with a nonzero M row, ascending.  Their count, rank
+    M, bounds the size of the finite spectrum, reached unless A is singular
+    on the M-null rows."""
+    return np.flatnonzero(abs(system.M).sum(axis=1))
 
 
-def _lanczos(system: EvpSystem, perm: np.ndarray, sigma: float, k: int,
-             ncv: int, v0: np.ndarray, purify: bool):
-    """Factor P (A - sigma M) P', run ARPACK on it and purify if asked.
-    The permuted matrix dies inside splu's call and the factor on return."""
-    n = system.n
+def _mass_block(M: sp.csr_matrix, support: np.ndarray) -> sp.csr_matrix:
+    """M on its support.  The u rows lead the reduced numbering, so there
+    the block is M's leading rows and shares M's arrays; any other support,
+    of a pencil assembled elsewhere, takes a copy."""
+    r = support.size
+    end = M.indptr[r]
+    if support[-1] == r - 1 and np.all(M.indices[:end] < r):
+        return sp.csr_matrix((M.data[:end], M.indices[:end],
+                              M.indptr[:r + 1]), shape=(r, r))
+    return M[support][:, support]
+
+
+def _lanczos(system: EvpSystem, perm: np.ndarray, support: np.ndarray,
+             sigma: float, k: int, ncv: int, v0: np.ndarray):
+    """Factor P (A - sigma M) P', run ARPACK on the support of M and lift.
+
+    ARPACK's operator is (A - sigma M)^-1 read on the support and its M
+    that of the support, definite there.  Where M has null rows, the one
+    block solve x = (lambda - sigma) (A - sigma M)^-1 M x lifts each Ritz
+    vector to every dof.  The permuted matrix dies inside splu's call and
+    the factor on return."""
+    n, r = system.n, support.size
     lu = spla.splu((system.A - sigma * system.M)[perm][:, perm].tocsc(),
                    permc_spec="NATURAL", diag_pivot_thresh=DIAG_PIVOT_THRESH,
                    options=dict(SymmetricMode=True))
+    position = np.empty(n, dtype=np.intp)  # of each dof in the factor
+    position[perm] = np.arange(n)
+    slots = position[support]
     n_ops = 0
 
     def solve(b):
+        """(A - sigma M)^-1 b for b on the support, in the factor's order."""
         nonlocal n_ops
-        n_ops += b.size // n   # one per column
-        x = np.empty_like(b)
-        x[perm] = lu.solve(b[perm])
-        return x
+        n_ops += b.size // r   # one per column
+        y = np.zeros((n,) + b.shape[1:])
+        y[slots] = b
+        return lu.solve(y)
 
-    w, v = spla.eigsh(system.A, k=k, M=system.M, sigma=sigma, which="LA",
-                      v0=v0, ncv=ncv, maxiter=MAX_RESTARTS, tol=ARPACK_TOL,
-                      OPinv=spla.LinearOperator((n, n), matvec=solve,
-                                                dtype=float))
+    op = spla.LinearOperator((r, r), matvec=lambda b: solve(b)[slots],
+                             dtype=float)
+    M = _mass_block(system.M, support)
+    # in mode 3 eigsh reads its A only for the shape and dtype
+    w, v = spla.eigsh(op, k=k, M=M, sigma=sigma, which="LA",
+                      v0=v0[support], ncv=ncv, maxiter=MAX_RESTARTS,
+                      tol=ARPACK_TOL, OPinv=op)
     if np.min(np.abs(w - sigma)) < 1e-12:
         raise RuntimeError("shift collides with a converged eigenvalue")
-    if purify:
-        v = (w - sigma) * solve(system.M @ v)
+    if r < n:
+        x = solve(M @ v)
+        del v
+        v = x[position]
+        del x
+        v *= w - sigma
     return w, v, int(lu.nnz), n_ops
 
 
 def _solve_shift_invert(system: EvpSystem, config: SolverConfig,
-                        rank: int) -> Spectrum:
+                        support: np.ndarray) -> Spectrum:
+    rank = support.size
     if rank < 2:
         raise EigenSolveError(
             f"rank M is {rank}: too few finite eigenvalues for Lanczos")
@@ -250,8 +287,8 @@ def _solve_shift_invert(system: EvpSystem, config: SolverConfig,
     last = None
     for retries in range(3):
         try:
-            w, v, lu_nnz, n_ops = _lanczos(system, perm, sigma, k, ncv, v0,
-                                          purify=rank < system.n)
+            w, v, lu_nnz, n_ops = _lanczos(system, perm, support, sigma, k,
+                                           ncv, v0)
             break
         except spla.ArpackError as exc:
             # a RuntimeError too, but no shift collision: non-convergence
@@ -288,7 +325,7 @@ def solve_generalized(system: EvpSystem, config: SolverConfig) -> Spectrum:
     """
     if config.method == "dense":
         return _solve_dense(system, config)
-    return _solve_shift_invert(system, config, mass_rank(system))
+    return _solve_shift_invert(system, config, mass_support(system))
 
 
 def filter_zeros(spectrum: Spectrum) -> Spectrum:

@@ -373,7 +373,7 @@ def test_traced_runs_feed_every_hook(monkeypatch, tmp_path, capsys):
 @pytest.mark.parametrize("seed", ["1", "2", "1234"])
 def test_pressure_band_run_exits_zero(seed, capsys):
     # square OSGS/P2 CC N=4 failed the residual certificate at these seeds
-    # before the Lanczos vectors were purified
+    # before the Ritz vectors were lifted by one block solve
     assert cli_main(["--domain", "square", "--mesh", "cc",
                      "--formulation", "osgs", "--degree", "2", "--N", "4",
                      "--ell", "0.2", "--cu", "0.1", "--cp", "1.0",

@@ -66,9 +66,9 @@ def test_shift_invert_matches_dense_oracle():
     # is the bench set-up solve, and crack N=2 has rank M = 45, just above
     # its window of 40.
     # Square OSGS/P2 CC N=4 at ell 0.2, c_u 0.1, c_p 1.0 ends its window in
-    # two doubles just above 1/(c_p ell^2) = 25; ARPACK's M-norm test cannot
-    # see their error on the p and xi rows, and only purified Ritz vectors
-    # pass the certificate there
+    # two doubles just above 1/(c_p ell^2) = 25; ARPACK converges on the u
+    # rows only, and only Ritz vectors lifted to the p and xi rows by the
+    # block solve pass the certificate there
     square = build_criss_cross(SQUARE_PI, 5)
     lshape = build_criss_cross(L_SHAPE, 3)
     p2_square = build_criss_cross(SQUARE_PI, 3)
@@ -97,7 +97,8 @@ def test_shift_invert_matches_dense_oracle():
              (reduce_system(crack_system, build_constraints(
                  crack_system.dofmap)), 10)]
     assert [r.n for r, _ in cases[-2:]] == [298, 162]
-    assert eig.mass_rank(cases[-1][0]) == 45 > eig.lanczos_window(10) == 40
+    rank = eig.mass_support(cases[-1][0]).size
+    assert rank == 45 > eig.lanczos_window(10) == 40
     for reduced, nev in cases:
         dense = filter_zeros(solve_generalized(
             reduced, SolverConfig(nev=nev, method="dense")))
@@ -118,7 +119,7 @@ def test_small_finite_spectrum_caps_the_lanczos_window():
     # and two zero modes, which go
     reduced = reduced_stabilized(build_osgs, build_criss_cross(SQUARE_PI, 2))
     sg = reduced_sg(SQUARE_PI, build_criss_cross(SQUARE_PI, 2))
-    assert eig.mass_rank(reduced) == eig.mass_rank(sg) == 14
+    assert eig.mass_support(reduced).size == eig.mass_support(sg).size == 14
     assert eig.lanczos_window(3) == 23
     for system, nev, reported in ((reduced, 3, 11), (sg, 17, 11)):
         spec = solve_generalized(system, SolverConfig(nev=nev))
@@ -141,7 +142,7 @@ def test_finite_spectrum_can_fall_short_of_mass_rank():
     assert reduced.n == 114
     dense = solve_generalized(reduced, SolverConfig(nev=3, method="dense"))
     assert dense.n_complex_rejected == 0
-    assert len(dense.values) == 29 < eig.mass_rank(reduced) == 30
+    assert len(dense.values) == 29 < eig.mass_support(reduced).size == 30
 
 
 @pytest.mark.parametrize("solver", ["dense", "shift-invert"])
@@ -202,7 +203,7 @@ def test_small_pencil_matches_the_oracle_above_the_shift(case, seed):
     reduced = reduced_case(StudyConfig(
         domain=domain, mesh=mesh, formulation=formulation, degree=degree,
         N_list=(N,)), N)
-    rank = eig.mass_rank(reduced)
+    rank = eig.mass_support(reduced).size
     assert 2 <= rank <= eig.lanczos_window(nev)
     spec = solve_generalized(reduced, SolverConfig(nev=nev, seed=seed))
     assert spec.lu_nnz > 0
@@ -318,28 +319,45 @@ def test_node_ordering_reads_only_mesh_and_constraints(change):
 
 
 def test_solve_holds_one_pencil(monkeypatch):
-    # live traced memory when ARPACK starts: the reduced A and M, the mesh,
-    # dofmap and ordering; the unreduced system, D A and the permuted copies
-    # are gone (4.5x the reduced pencil when they were kept)
-    entry = []
-    eigsh = spla.eigsh
+    # live traced memory when ARPACK starts, against the solved system's
+    # reduced A and M: beside them the mesh, dofmap and ordering; the
+    # unreduced system, D A and the permuted copies are gone (4.5x the
+    # reduced pencil when they were kept), and M's support block shares
+    # M's arrays.  ARPACK runs on the support of M: rank M dofs on OSGS,
+    # every dof on SG
+    entry, solved = [], []
+    eigsh, solve = spla.eigsh, eig._solve_shift_invert
 
     def spy(A, *args, **kwargs):
-        M = kwargs["M"]
-        pencil = sum(X.data.nbytes + X.indices.nbytes + X.indptr.nbytes
-                     for X in (A, M))
-        entry.append(tracemalloc.get_traced_memory()[0] / pencil)
+        entry.append((tracemalloc.get_traced_memory()[0], A.shape,
+                      kwargs["M"]))
         return eigsh(A, *args, **kwargs)
 
+    def held(system, *args):
+        solved.append(system)
+        return solve(system, *args)
+
     monkeypatch.setattr(spla, "eigsh", spy)
-    config = StudyConfig(domain=CRACKED_SQUARE, mesh="ps", formulation="osgs",
-                         N_list=(8,), solver="shift-invert")
+    monkeypatch.setattr(eig, "_solve_shift_invert", held)
     tracemalloc.start()
     try:
-        run_case(config, 8)
+        run_case(StudyConfig(domain=CRACKED_SQUARE, mesh="ps",
+                             formulation="osgs", N_list=(8,),
+                             solver="shift-invert"), 8)
     finally:
         tracemalloc.stop()
-    assert len(entry) == 1 and entry[0] <= 1.5
+    run_case(StudyConfig(domain=SQUARE_PI, mesh="ps", formulation="sg",
+                         N_list=(8,)), 8)
+    (osgs, sg), ((live, *osgs_arpack), (_, *sg_arpack)) = solved, entry
+    pencil = sum(X.data.nbytes + X.indices.nbytes + X.indptr.nbytes
+                 for X in (osgs.A, osgs.M))
+    assert live / pencil <= 1.5
+    rank = eig.mass_support(osgs).size
+    assert rank < osgs.n
+    for system, (shape, M), dim in ((osgs, osgs_arpack, rank),
+                                    (sg, sg_arpack, sg.n)):
+        assert shape == M.shape == (dim, dim)
+        assert np.shares_memory(M.data, system.M.data)
 
 
 def test_shift_invert_releases_factor(monkeypatch):
@@ -485,15 +503,15 @@ def test_shift_independence():
 
 
 def test_mass_rank_counted_once_per_solve(monkeypatch):
-    # the window cap and the purification both read one count of rank M
+    # the window cap, ARPACK's support and the lift all read one support
     counts = []
-    mass_rank = eig.mass_rank
+    mass_support = eig.mass_support
 
     def counted(system):
         counts.append(system)
-        return mass_rank(system)
+        return mass_support(system)
 
-    monkeypatch.setattr(eig, "mass_rank", counted)
+    monkeypatch.setattr(eig, "mass_support", counted)
     mesh = powell_sabin_refine(build_uniform(CRACKED_SQUARE, 4))
     osgs = reduced_stabilized(build_osgs, mesh)
     sg = reduced_sg(SQUARE_PI, build_criss_cross(SQUARE_PI, 4))
@@ -507,6 +525,37 @@ def test_mass_rank_counted_once_per_solve(monkeypatch):
     spec = solve_generalized(toy_system(A, np.eye(40)),
                              SolverConfig(nev=2, shift=0.5))
     assert spec.shift_retries >= 1 and len(counts) == 1
+
+
+def test_mass_support_need_not_lead():
+    # M's null rows sit among its support rows: ARPACK runs on a copy of
+    # M's support block, and the lift rebuilds the M-null entries
+    B = np.random.default_rng(0).standard_normal((60, 60))
+    d = np.ones(60)
+    d[1::3] = 0.0
+    system = toy_system(B @ B.T / 60 + np.eye(60), np.diag(d))
+    assert eig.mass_support(system).size == 40
+    spec = solve_generalized(system, SolverConfig(nev=3, shift=0.0))
+    dense = solve_generalized(system, SolverConfig(nev=3, method="dense"))
+    assert len(spec.values) == 11
+    assert_allclose(spec.values, dense.values[:11], rtol=1e-10)
+
+
+def test_window_near_mass_rank_converges():
+    # square OSGS/CC N=16 at default settings, rank M 1,022 of 3,138 dofs:
+    # windows of 1,000 and 1,022 (nev 250, 300) broke down with ARPACK
+    # -9999 when Lanczos ran on every dof with a semidefinite M; on the
+    # support of M they converge and agree with nev 200's window of 800
+    config = StudyConfig(domain=SQUARE_PI, mesh="cc", formulation="osgs",
+                         N_list=(16,))
+    reduced = reduced_case(config, 16)
+    assert (reduced.n, eig.mass_support(reduced).size) == (3138, 1022)
+    base = solve_generalized(reduced, SolverConfig(nev=200)).values
+    assert len(base) == 208
+    for nev in (250, 300):
+        values = solve_generalized(reduced, SolverConfig(nev=nev)).values
+        assert len(values) == nev + eig.GUARD_PAIRS
+        assert_allclose(values[:208], base, rtol=1e-10)
 
 
 def test_shift_collision_retries(monkeypatch):
