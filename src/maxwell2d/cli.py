@@ -17,7 +17,6 @@ import sys
 from enum import Enum
 from typing import Callable, NamedTuple
 
-from .eig import METHODS
 from .fem import DEGREES
 from .meshgen import DomainKind
 from .study import FORMULATIONS, MESH_FAMILIES, TABLE_FORMATS, StudyConfig, \
@@ -50,7 +49,6 @@ _FLAGS = {
     "corner": _Flag("corner", CornerStrategy, CornerStrategy),
     "nev": _Flag("nev", int),
     "shift": _Flag("shift", float),
-    "solver": _Flag("solver", choices=METHODS),
     "seed": _Flag("seed", int),
     "out": _Flag(None, help="write the table here instead of stdout"),
     "format": _Flag(None, choices=TABLE_FORMATS),

@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import meshgen
-from .eig import SolverConfig, Spectrum, filter_zeros, is_integer, \
-    solve_generalized
+from .eig import ZERO_TOL, SolverConfig, Spectrum, filter_zeros, \
+    is_integer, solve_generalized
 from .fem import DEGREES, FORMULATION_FIELDS, DofMap
 from .meshgen import DomainKind, Mesh
 from .system import ConstraintSet, CornerStrategy, StabilizationParams, \
@@ -78,8 +78,8 @@ class StudyConfig:
     whose length is the table's row count.  The cc-graded exponent is the
     constant meshgen.GRADING_EXPONENT.  corner=None, like nev=None, is the
     domain's own rule: u2 folds onto -u1 at the L-shape's corner unless
-    corner is FREE.  Nothing reads tip and no flag sets it; benchmark
-    scripts pass it."""
+    corner is FREE.  tip and solver each hold one value, which no flag sets
+    and no solve reads; benchmark scripts pass them."""
 
     domain: DomainKind = DomainKind.SQUARE_PI
     mesh: str = "cc"
@@ -123,14 +123,13 @@ class StudyConfig:
             raise ValueError("the cracked square needs even N values: its "
                              "crack line must be a grid line")
         self.stabilization  # StabilizationParams owns the ell and c rules
-        if self.solver == "shift-invert":
-            if self.formulation == "sg" and self.shift <= 0.0:
-                raise ValueError("SG shift-invert needs a positive shift: "
-                                 "the curl-curl kernel sits at 0")
-            if self.formulation != "sg" and self.c_p <= 0.0:
-                raise ValueError("AG and OSGS shift-invert need a positive "
-                                 "c_p: the pivot-free factor has no pivot "
-                                 "on a zero p block")
+        if self.formulation == "sg" and self.shift < ZERO_TOL:
+            raise ValueError(f"SG shift-invert needs a shift of at least "
+                             f"{ZERO_TOL:g}: the curl-curl kernel sits at 0")
+        if self.formulation != "sg" and self.c_p <= 0.0:
+            raise ValueError("AG and OSGS shift-invert need a positive c_p: "
+                             "the pivot-free factor has no pivot on a zero "
+                             "p block")
 
     @property
     def nev_effective(self) -> int:

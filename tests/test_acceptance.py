@@ -11,6 +11,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import benchmark_tables as bench
+from dense_oracle import solve_dense
 from maxwell2d import (CRACKED_SQUARE, L_SHAPE, SQUARE_PI, CornerStrategy,
                        SolverConfig, StabilizationParams, StudyConfig,
                        build_constraints, build_criss_cross,
@@ -310,17 +311,15 @@ def test_criterion_10_property_suite(osgs_cc_square, ag_cc_square,
     sg = build_sg(mesh, 1)
     red = reduce_system(sg, build_constraints(sg.dofmap))
     assert red.n <= 600
-    dense = filter_zeros(solve_generalized(red, SolverConfig(
-        nev=10, method="dense")))
-    arnoldi = filter_zeros(solve_generalized(red, SolverConfig(
-        nev=10, method="shift-invert")))
+    dense = filter_zeros(solve_dense(red))
+    arnoldi = filter_zeros(solve_generalized(red, SolverConfig(nev=10)))
     assert_allclose(arnoldi.values[:10], dense.values[:10], rtol=1e-8)
     assert np.all(arnoldi.residuals <= 1e-8 * (1 + np.abs(arnoldi.values)))
 
     # SG zero filtering: only |lambda| < 1e-6 removed
     kept = dense.values
     assert np.all(np.abs(kept) >= 1e-6)
-    total = solve_generalized(red, SolverConfig(nev=10, method="dense"))
+    total = solve_dense(red)
     removed = len(total.values) - len(kept)
     assert removed == np.count_nonzero(np.abs(total.values) < 1e-6)
 

@@ -101,13 +101,15 @@ def test_config_file_unknown_key(tmp_path, capsys):
 
 def test_inconsistent_combinations(tmp_path, monkeypatch, capsys):
     calls = count_solves(monkeypatch)
-    # "auto" is no solver method: shift-invert runs at every size
-    assert cli_main(["--solver", "auto"]) == 2
-    assert "invalid choice: 'auto'" in capsys.readouterr().err
+    # shift-invert is the one solver, so no flag chooses one
+    for solver in ("auto", "dense"):
+        assert cli_main(["--solver", solver]) == 2
+        assert f"unrecognized arguments: --solver {solver}" in \
+            capsys.readouterr().err
     cfg = tmp_path / "run.cfg"
     cfg.write_text("solver = auto\n")
     assert cli_main(["--config", str(cfg)]) == 2
-    assert "invalid choice: 'auto'" in capsys.readouterr().err
+    assert "unknown config key 'solver'" in capsys.readouterr().err
     # any corner setting off the L-shape, the free one included
     for domain in ("square", "crack"):
         for corner in ("bisector", "free"):
@@ -137,8 +139,12 @@ def test_inconsistent_combinations(tmp_path, monkeypatch, capsys):
     for mu in ("0", "-1"):
         assert cli_main(sg + ["--mu", mu]) == 2
         assert f"unrecognized arguments: --mu {mu}" in capsys.readouterr().err
-    # SG shift-invert, below its kernel at 0, needs a positive shift
-    assert cli_main(sg + ["--shift", "0"]) == 2
+    # SG shift-invert needs a shift of at least 1e-6, the package's zero:
+    # its kernel sits at 0
+    for shift in ("0", "1e-9"):
+        assert cli_main(sg + ["--shift", shift]) == 2
+        assert "SG shift-invert needs a shift of at least 1e-06" in \
+            capsys.readouterr().err
     assert cli_main(["--formulation", "osgs", "--ell", "0"]) == 2
     assert "ell must be positive" in capsys.readouterr().err
     # the pivot-free shift-invert factor has no pivot on a zero p block
@@ -207,8 +213,7 @@ def test_file_and_command_line_build_equal_configs(monkeypatch, tmp_path,
     configs = stop_before_solving(monkeypatch)
     settings = {"domain": "crack", "mesh": "cc-graded", "formulation": "ag",
                 "degree": "2", "N": "2,4", "ell": "0.5", "cu": "2",
-                "cp": "1", "nev": "4", "shift": "0.25",
-                "solver": "dense", "seed": "7"}
+                "cp": "1", "nev": "4", "shift": "0.25", "seed": "7"}
     cfg = tmp_path / "run.cfg"
     cfg.write_text("".join(f"{key} = {text}\n"
                            for key, text in settings.items()))
@@ -222,7 +227,7 @@ def test_file_and_command_line_build_equal_configs(monkeypatch, tmp_path,
 
 def test_file_choice_error_matches_command_line(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
-    for key, text in (("solver", "auto"), ("domain", "disk"),
+    for key, text in (("domain", "disk"),
                       ("mesh", "hex"), ("degree", "3"), ("format", "txt"),
                       ("corner", "both-zero")):
         assert cli_main([f"--{key}", text]) == 2
@@ -275,11 +280,11 @@ def test_export_target_directory_rejected_before_solving(tmp_path,
 
 
 def test_flags_and_fields_match():
-    # each StudyConfig field but the bench-only tip has exactly one flag,
-    # and each flag's field is a StudyConfig field
+    # each StudyConfig field but the bench-only tip and solver has exactly
+    # one flag, and each flag's field is a StudyConfig field
     fields = [flag.field for flag in cli._FLAGS.values() if flag.field]
     assert sorted(fields) == sorted(set(StudyConfig.__dataclass_fields__)
-                                    - {"tip"})
+                                    - {"tip", "solver"})
 
 
 def test_readme_lists_every_flag():
@@ -351,10 +356,8 @@ def test_traced_runs_feed_every_hook(monkeypatch, tmp_path, capsys):
     tracer = spans.Tracer("smoke")
     tracer.install(maxwell2d)
     try:
-        # the dense oracle keeps SG's zero modes, so they get filtered
         study.run_study(StudyConfig(domain=SQUARE_PI, mesh="ps",
-                                    formulation="sg", N_list=(2,), nev=3,
-                                    solver="dense"))
+                                    formulation="sg", N_list=(2,), nev=3))
         assert cli.cli_main(["--domain", "square", "--mesh", "cc",
                              "--formulation", "osgs", "--N", "2",
                              "--nev", "3", "--out", str(tmp_path / "t.md"),
@@ -365,8 +368,10 @@ def test_traced_runs_feed_every_hook(monkeypatch, tmp_path, capsys):
             for module, attr, *_ in spans.HOOKS] == originals
     assert {s.name for s in tracer.spans} == \
         {name for _m, _a, name, *_ in spans.HOOKS}
-    # no pencil this small has a complex pair for QZ to reject
-    produced = set(spans.COUNTERS) - {"eig.complex_rejected"}
+    # shift-invert runs no dense solve, filters no zero mode and rejects no
+    # complex pair: those counters are 0 by construction
+    produced = set(spans.COUNTERS) - {"eig.dense_calls", "eig.zero_filtered",
+                                      "eig.complex_rejected"}
     assert {c for c in produced if tracer.counters[c] > 0} == produced
 
 
@@ -403,12 +408,12 @@ def test_export_reuses_finest_solve(tmp_path, monkeypatch, capsys):
     out = tmp_path / "t.csv"
     code = cli_main(["--domain", "square", "--mesh", "cc",
                      "--formulation", "osgs", "--N", "3,6", "--nev", "3",
-                     "--solver", "shift-invert", "--seed", "7",
+                     "--seed", "7",
                      "--format", "csv", "--out", str(out),
                      "--export-mode", "1"])
     assert code == 0
     config = StudyConfig(domain=SQUARE_PI, mesh="cc", formulation="osgs",
-                         N_list=(3, 6), nev=3, solver="shift-invert", seed=7)
+                         N_list=(3, 6), nev=3, seed=7)
     assert calls == [config.solver_config] * 2
     expected = tmp_path / "expected.txt"
     export_eigenfunction(compute_eigenfunction(run_study(config), 1),
@@ -440,15 +445,6 @@ def test_runtime_failure_exits_one(monkeypatch, capsys):
 def test_too_small_pencil_exits_one(argv, message, capsys):
     assert cli_main(["--domain", "square", *argv]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
-
-
-def test_dense_singular_pencil_exits_one(capsys):
-    # --solver dense takes --cp 0, but on CC meshes A and M then share a
-    # null vector
-    assert cli_main(["--domain", "square", "--mesh", "cc", "--formulation",
-                     "ag", "--N", "4", "--cp", "0", "--solver", "dense",
-                     "--nev", "3"]) == 1
-    assert "EigenSolveError: singular pencil" in capsys.readouterr().err
 
 
 def test_unreadable_text_exits_two(tmp_path, capsys):

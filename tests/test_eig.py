@@ -16,10 +16,11 @@ from maxwell2d import (CRACKED_SQUARE, L_SHAPE, SQUARE_PI, CornerStrategy,
                        build_uniform, filter_zeros, powell_sabin_refine,
                        reduce_system, run_case, run_study,
                        solve_generalized)
-from maxwell2d import eig
+from maxwell2d import eig, study
 from maxwell2d.eig import node_ordering
 from maxwell2d.study import (build_mesh, compute_eigenfunction,
                              stabilization_length)
+from dense_oracle import solve_dense
 
 
 def reduced_sg(domain, mesh, **kwargs):
@@ -37,17 +38,15 @@ def toy_system(A, M):
 def test_identity_pencil():
     n = 40
     system = toy_system(np.eye(n), np.eye(n))
-    spec = solve_generalized(system, SolverConfig(nev=5, method="dense"))
+    spec = solve_dense(system)
     assert_allclose(spec.values, np.ones(n), rtol=1e-12)
 
 
 def test_sg_square_first_nonzero_both_methods():
     mesh = build_criss_cross(SQUARE_PI, 5)
     reduced = reduced_sg(SQUARE_PI, mesh)
-    dense = filter_zeros(solve_generalized(
-        reduced, SolverConfig(nev=17, method="dense")))
-    arnoldi = filter_zeros(solve_generalized(
-        reduced, SolverConfig(nev=17, method="shift-invert")))
+    dense = filter_zeros(solve_dense(reduced))
+    arnoldi = filter_zeros(solve_generalized(reduced, SolverConfig(nev=17)))
     assert_allclose(dense.values[0], 1.0109, atol=5e-5)
     assert_allclose(arnoldi.values[0], 1.0109, atol=5e-5)
     assert dense.n_zero_filtered > 0
@@ -100,8 +99,7 @@ def test_shift_invert_matches_dense_oracle():
     rank = eig.mass_support(cases[-1][0]).size
     assert rank == 45 > eig.lanczos_window(10) == 40
     for reduced, nev in cases:
-        dense = filter_zeros(solve_generalized(
-            reduced, SolverConfig(nev=nev, method="dense")))
+        dense = filter_zeros(solve_dense(reduced))
         lanczos = filter_zeros(solve_generalized(reduced,
                                                  SolverConfig(nev=nev)))
         assert lanczos.lu_nnz > 0
@@ -125,8 +123,7 @@ def test_small_finite_spectrum_caps_the_lanczos_window():
         spec = solve_generalized(system, SolverConfig(nev=nev))
         assert spec.lu_nnz > 0 and spec.n_op_applications > 0
         assert np.all(spec.residuals <= 1e-8 * (1 + np.abs(spec.values)))
-        dense = solve_generalized(system, SolverConfig(nev=nev,
-                                                       method="dense"))
+        dense = solve_dense(system)
         above = dense.values[dense.values >= 0.5]
         assert len(spec.values) == reported
         assert_allclose(spec.values, above[:reported], rtol=1e-8)
@@ -140,7 +137,7 @@ def test_finite_spectrum_can_fall_short_of_mass_rank():
     system = build_osgs(mesh, 2, params, mesh.h)
     reduced = reduce_system(system, build_constraints(system.dofmap))
     assert reduced.n == 114
-    dense = solve_generalized(reduced, SolverConfig(nev=3, method="dense"))
+    dense = solve_dense(reduced)
     assert dense.n_complex_rejected == 0
     assert len(dense.values) == 29 < eig.mass_support(reduced).size == 30
 
@@ -149,18 +146,20 @@ def test_finite_spectrum_can_fall_short_of_mass_rank():
 def test_double_eigenvalue_keeps_both_vectors(solver):
     # square AG/CC P2 N=2: QZ splits the double 5.2262 into a near-real
     # pair a +- ib; its two real vectors must span the eigenspace, not
-    # repeat one vector.  Rank M = 62 is below the window of 68, so the
-    # default method runs Lanczos on a window of 62 vectors
+    # repeat one vector.  Rank M = 62 is below the window of 68, so
+    # Lanczos runs on a window of 62 vectors
     config = StudyConfig(domain=SQUARE_PI, mesh="cc", formulation="ag",
                          degree=2, N_list=(2,), ell=0.2, c_u=0.1, c_p=1.0,
-                         nev=17, solver=solver)
+                         nev=17)
     table = run_study(config)
+    dense = solve_dense(reduced_case(config, 2))
+    if solver == "dense":
+        table = replace(table, finest=replace(table.finest, spectrum=dense))
     spec = table.finest.spectrum
     if solver == "dense":
         assert spec.lu_nnz == 0
     else:
         assert spec.lu_nnz > 0
-        dense = run_study(replace(config, solver="dense")).finest.spectrum
         above = dense.values[dense.values >= 0.5]
         assert_allclose(spec.values, above[:len(spec.values)], rtol=1e-8)
     double = np.flatnonzero(np.abs(spec.values - 5.2262) < 1e-4)
@@ -207,7 +206,7 @@ def test_small_pencil_matches_the_oracle_above_the_shift(case, seed):
     assert 2 <= rank <= eig.lanczos_window(nev)
     spec = solve_generalized(reduced, SolverConfig(nev=nev, seed=seed))
     assert spec.lu_nnz > 0
-    dense = solve_generalized(reduced, SolverConfig(nev=nev, method="dense"))
+    dense = solve_dense(reduced)
     above = dense.values[dense.values >= 0.5]
     assert len(spec.values) == min(nev + eig.GUARD_PAIRS, rank - 1,
                                    len(above))
@@ -215,8 +214,9 @@ def test_small_pencil_matches_the_oracle_above_the_shift(case, seed):
 
 
 def test_solver_methods():
+    # shift-invert is the one method: dense QZ is only the tests' oracle
     assert SolverConfig().method == "shift-invert"
-    for method in ("auto", "arnoldi"):
+    for method in ("auto", "arnoldi", "dense"):
         with pytest.raises(ValueError, match="unknown solver method"):
             SolverConfig(method=method)
     with pytest.raises(ValueError, match="unknown solver"):
@@ -326,7 +326,7 @@ def test_solve_holds_one_pencil(monkeypatch):
     # M's arrays.  ARPACK runs on the support of M: rank M dofs on OSGS,
     # every dof on SG
     entry, solved = [], []
-    eigsh, solve = spla.eigsh, eig._solve_shift_invert
+    eigsh, solve = spla.eigsh, study.solve_generalized
 
     def spy(A, *args, **kwargs):
         entry.append((tracemalloc.get_traced_memory()[0], A.shape,
@@ -338,12 +338,11 @@ def test_solve_holds_one_pencil(monkeypatch):
         return solve(system, *args)
 
     monkeypatch.setattr(spla, "eigsh", spy)
-    monkeypatch.setattr(eig, "_solve_shift_invert", held)
+    monkeypatch.setattr(study, "solve_generalized", held)
     tracemalloc.start()
     try:
         run_case(StudyConfig(domain=CRACKED_SQUARE, mesh="ps",
-                             formulation="osgs", N_list=(8,),
-                             solver="shift-invert"), 8)
+                             formulation="osgs", N_list=(8,)), 8)
     finally:
         tracemalloc.stop()
     run_case(StudyConfig(domain=SQUARE_PI, mesh="ps", formulation="sg",
@@ -405,8 +404,8 @@ def test_reduced_operator_symmetric():
 def test_dense_cap():
     n = 3001
     system = toy_system(sp.identity(n), sp.identity(n))
-    with pytest.raises(EigenSolveError):
-        solve_generalized(system, SolverConfig(nev=2, method="dense"))
+    with pytest.raises(EigenSolveError, match="dense solve capped at 3000"):
+        solve_dense(system)
 
 
 @pytest.mark.parametrize("c_u", [0.0, 0.01])
@@ -419,7 +418,7 @@ def test_dense_rejects_a_singular_pencil(build, c_u):
     system = build(mesh, 1, StabilizationParams(0.1, c_u, 0.0), mesh.h)
     reduced = reduce_system(system, build_constraints(system.dofmap))
     with pytest.raises(EigenSolveError, match="singular pencil"):
-        solve_generalized(reduced, SolverConfig(method="dense"))
+        solve_dense(reduced)
 
 
 def test_filter_zeros_examples():
@@ -441,10 +440,8 @@ def test_ag_osgs_spectra_pass_filter_untouched():
     params = StabilizationParams(0.1, 0.01, 0.6)
     system = build_osgs(mesh, 1, params, mesh.h)
     reduced = reduce_system(system, build_constraints(system.dofmap))
-    spec = solve_generalized(reduced, SolverConfig(nev=8, shift=0.7,
-                                                   method="dense"))
-    assert spec.lu_nnz == spec.n_op_applications == 0
-    assert spec.shift == 0.7 and spec.shift_retries == 0
+    spec = solve_dense(reduced)
+    assert spec.lu_nnz == spec.n_op_applications == spec.shift_retries == 0
     out = filter_zeros(spec)
     assert out.n_zero_filtered == 0
     assert np.all(out.values > 0)
@@ -536,7 +533,7 @@ def test_mass_support_need_not_lead():
     system = toy_system(B @ B.T / 60 + np.eye(60), np.diag(d))
     assert eig.mass_support(system).size == 40
     spec = solve_generalized(system, SolverConfig(nev=3, shift=0.0))
-    dense = solve_generalized(system, SolverConfig(nev=3, method="dense"))
+    dense = solve_dense(system)
     assert len(spec.values) == 11
     assert_allclose(spec.values, dense.values[:11], rtol=1e-10)
 

@@ -14,6 +14,7 @@ from maxwell2d import (CRACKED_SQUARE, L_SHAPE, SQUARE_PI, CornerStrategy,
                        emit_table, export_eigenfunction, parse_csv_table,
                        reference_values, run_case, run_study,
                        square_reference)
+from maxwell2d import eig
 from maxwell2d.study import stabilization_length
 
 
@@ -79,6 +80,7 @@ def test_study_config_rejects_inconsistent_combinations():
         dict(domain=CRACKED_SQUARE, tip="free"),
         dict(domain=CRACKED_SQUARE, N_list=(3,)),
         dict(domain=SQUARE_PI, formulation="sg", shift=0.0),
+        dict(domain=SQUARE_PI, formulation="sg", shift=1e-9),
         dict(domain=SQUARE_PI, N_list=()),
         dict(domain=SQUARE_PI, N_list=(0, 4)),
         # N_list is a tuple: an integer is none, and a list would leave
@@ -135,19 +137,25 @@ def test_study_config_rejects_inconsistent_combinations():
                        c_p=f(0.6))
     assert real.solver_config.shift == 0.5
     assert real.stabilization == StabilizationParams(0.1, 0.01, 0.6)
-    # the dense oracle keeps the SG kernel, so it takes any shift
-    StudyConfig(domain=SQUARE_PI, mesh="cc", formulation="sg", N_list=(4,),
-                shift=0.0, solver="dense")
-    # AG and OSGS degenerate to mixed Galerkin at zero tau, which the dense
-    # oracle solves and the pivot-free shift-invert factor cannot; a zero
-    # c_u alone leaves the p block to pivot on; SG has no ell
+    # a zero c_u alone leaves the p block to pivot on; SG has no ell
     for formulation in ("ag", "osgs"):
-        StudyConfig(domain=SQUARE_PI, mesh="cc", formulation=formulation,
-                    N_list=(4,), c_u=0.0, c_p=0.0, solver="dense")
         StudyConfig(domain=SQUARE_PI, mesh="cc", formulation=formulation,
                     N_list=(4,), c_u=0.0)
     assert StudyConfig(domain=SQUARE_PI, mesh="cc", formulation="sg",
                        N_list=(4,), ell=0.0).stabilization is None
+
+
+def test_sg_shift_floor_is_the_package_zero():
+    # SG's kernel sits at 0.  Below ZERO_TOL the residual certificate
+    # failed (square SG/CC N=6 at 1e-9), or a shift retry took the shift
+    # under the kernel and filter_zeros left no value (1e-15)
+    with pytest.raises(ValueError, match="shift of at least 1e-06"):
+        StudyConfig(formulation="sg", shift=1e-9)
+    config = StudyConfig(mesh="cc", formulation="sg", N_list=(4,), nev=4,
+                         shift=eig.ZERO_TOL)
+    case = run_case(config, 4)
+    assert case.spectrum.shift == eig.ZERO_TOL
+    assert_allclose(case.values, square_reference(4), rtol=0.1)
 
 
 def test_default_nev_per_domain():

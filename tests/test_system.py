@@ -17,6 +17,7 @@ from maxwell2d import (CRACKED_SQUARE, L_SHAPE, SQUARE_PI, ConstraintError,
 from maxwell2d.fem import scalar_kernels
 from maxwell2d.study import build_mesh, stabilization_length
 from clough_tocher import clough_tocher_split
+from dense_oracle import solve_dense
 from projection import l2_project
 
 
@@ -178,8 +179,7 @@ def test_osgs_zero_tau_decouples_projections():
     for build in (build_ag, build_osgs):
         system = build(mesh, 1, params, mesh.grid_step)
         reduced = reduce_system(system, build_constraints(system.dofmap))
-        spectrum = solve_generalized(reduced, SolverConfig(nev=4,
-                                                           method="dense"))
+        spectrum = solve_dense(reduced)
         assert_allclose(spectrum.values[:4],
                         [1.00798622, 1.02314585, 2.08342573, 3.39138878],
                         rtol=1e-8)
@@ -191,7 +191,7 @@ def test_osgs_zero_tau_decouples_projections():
     reduced = reduce_system(
         build_osgs(mesh, 1, config.stabilization, mesh.grid_step),
         case.constraints)
-    dense = solve_generalized(reduced, SolverConfig(nev=4, method="dense"))
+    dense = solve_dense(reduced)
     assert_allclose(case.values, dense.values[dense.values >= 0.5][:4],
                     rtol=1e-10)
 
