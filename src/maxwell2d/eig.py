@@ -3,54 +3,46 @@
 Shift-invert Lanczos is the one eigensolver, for SG, AG and OSGS; dense QZ
 is only the tests' oracle.  The assembly builds every pencil symmetric: A is
 symmetric (indefinite for the AG and OSGS saddle-point operators) and M
-symmetric positive semidefinite, and congruence reduction T' A T, T' M T
-keeps both so.
+symmetric positive semidefinite, and congruence reduction keeps both so.
 
 A - sigma M is factored once per shift by SuperLU in symmetric mode
 (diagonal pivots, one ordering for rows and columns).  The ordering is
-computed once per solve, on nodes rather than dofs: every field uses the
-same continuous Lagrangian interpolation, so all dofs of a nodal point
-couple to the same neighbours and the dof graph is the node graph with each
-vertex replaced by a small clique.  Two nodes couple when they share an
-element, so the graph is read from the mesh, not from A or M.  Minimum
-degree on it, expanded with each node's retained dofs kept consecutive,
-orders that structure on P1 Powell-Sabin and P2 meshes alike (crack
-OSGS/PS N=32: 5.2M stored entries against 18.7M under COLAMD on the dofs),
-and every shift retry reuses it.  ARPACK's symmetric Lanczos computes
-theta = 1/(lambda - sigma), requesting the largest algebraic values so the
-search walks the spectrum upward from the shift.  That ordering skips the
-large machine-zero cluster of the standard Galerkin operator
-(theta = -1/sigma < 0), so only genuinely nonzero eigenvalues come back
-from SG solves.
+computed once per solve on nodes, not dofs: every field uses the same
+continuous Lagrangian interpolation, so the dof graph is the node graph
+with each vertex replaced by a small clique, and two nodes couple when they
+share an element: the graph is read from the mesh, not from A or M.
+Minimum degree on it, each node's retained dofs kept consecutive, orders P1
+Powell-Sabin and P2 meshes alike (crack OSGS/PS N=32: 5.2M stored entries
+against 18.7M under COLAMD on the dofs).  ARPACK's symmetric Lanczos
+computes theta = 1/(lambda - sigma), requesting the largest algebraic
+values so the search walks the spectrum upward from the shift and skips the
+machine-zero cluster of the standard Galerkin operator (theta = -1/sigma).
 
 The finite spectrum lives on the support of M, the reduced dofs with a
 nonzero M row: the u rows, where the p, xi and eta rows of AG and OSGS
 carry none.  ARPACK runs on that support only, with the factor's solve read
 there as its operator and M's support block, definite, as its M, so it
-converges in a true norm on u.  Where M has null rows, one block solve with
-the factor lifts the Ritz vectors to every dof, x = (lambda - sigma)
+converges in a true norm on u.  Where M has null rows, one solve with the
+factor per vector lifts the Ritz vectors to every dof, x = (lambda - sigma)
 (A - sigma M)^-1 M x, keeping lambda (Ericsson and Ruhe (1980), "The
 spectral transformation Lanczos method"; Nour-Omid, Parlett, Ericsson and
 Jensen (1987), "How to implement the spectral transformation").  SG's
-support is every dof: its operator is the plain solve and nothing is
-lifted.  Run on every dof, with M semidefinite, ARPACK's vectors would be
-three times longer on OSGS P1, and a window near rank M breaks down there
-with ARPACK error -9999.
+support is every dof, so nothing is lifted.  Run on every dof, with M
+semidefinite, a window near rank M breaks down with ARPACK error -9999.
 
-This is the one solver path at every size.  The finite spectrum has at
-most rank M members, the reduced dofs with a nonzero M row, and fewer where
-A is singular on the M-null rows (OSGS P2).  So the Lanczos window of
-max(4 nev, nev + 20) vectors stops at rank M, and ARPACK converges at most
-one pair fewer than its window: a small pencil gives at most rank M - 1
-pairs.  A window that reaches the bottom of such a spectrum also takes
-pairs below the shift; they are dropped before the certificate, so no
-value below the shift is reported.
+The finite spectrum has at most rank M members, fewer where A is singular
+on the M-null rows (OSGS P2), so the Lanczos window of max(4 nev, nev + 20)
+vectors stops at rank M, and ARPACK converges at most one pair fewer than
+its window.  Such a window also takes pairs below the shift; they are
+dropped before the certificate, so no value below the shift is reported.
 
-The factor is the largest object of a solve: only the reduced A and M, the
-node ordering and the factor live through Lanczos and the lift; M's support
-block shares M's arrays, and the lift frees each of its temporaries before
-the next.  The permuted P (A - sigma M) P' dies inside each factorization
-call, and the factor before the certificate.
+The factor is the largest object of a solve.  Beside it live only M and
+K = P (A - sigma M) P' in node order, the CSC matrix splu reads without a
+copy: run_case hands that shifted pencil over and drops the reduced A
+before the factorization.  A shift retry adds a multiple of P M P' to K,
+and the certificate reads A x - lambda M x as K x - (lambda - sigma) M x,
+permuted.  M's support block shares M's arrays, the lift solves one column
+at a time into one n x k array, and the factor dies before the certificate.
 
 Grimes, Lewis and Simon (1994), "A shifted block Lanczos algorithm for
 solving sparse symmetric generalized eigenproblems".
@@ -130,12 +122,15 @@ class Spectrum:
     shift_retries: int = 0         # shifts abandoned before that one
 
 
-def _certified(system: EvpSystem, values, vectors, **record) -> Spectrum:
+def _certified(K, M, sigma, values, vectors, perm=slice(None),
+               **record) -> Spectrum:
     """The solve's finish, and the tests' dense oracle's: the pairs
-    ascending, certified against A."""
+    ascending, certified against A - sigma M.  K is P (A - sigma M) P',
+    perm[i] the dof at K's position i, so A x - lambda M x reads
+    K x[perm] - (lambda - sigma) (M x)[perm]; the oracle passes A, M, 0."""
     order = np.argsort(values)
     values, vectors = values[order], vectors[:, order]
-    R = system.A @ vectors - (system.M @ vectors) * values
+    R = K @ vectors[perm] - (M @ vectors)[perm] * (values - sigma)
     res = np.linalg.norm(R, axis=0) / np.linalg.norm(vectors, axis=0)
     failed = np.flatnonzero(res > RESIDUAL_TOL * (1.0 + np.abs(values)))
     if failed.size:
@@ -195,22 +190,40 @@ def _mass_block(M: sp.csr_matrix, support: np.ndarray) -> sp.csr_matrix:
     return M[support][:, support]
 
 
-def _lanczos(system: EvpSystem, perm: np.ndarray, support: np.ndarray,
-             sigma: float, k: int, ncv: int, v0: np.ndarray):
-    """Factor P (A - sigma M) P', run ARPACK on the support of M and lift.
+@dataclass
+class ShiftedPencil:
+    """All a shift-invert solve holds of a reduced system: K = P (A - sigma
+    M) P' in CSC, perm[i] being the dof at K's position i, and M with its
+    support.  A shift retry moves sigma down and K with it."""
+
+    K: sp.csc_matrix
+    M: sp.csr_matrix
+    perm: np.ndarray
+    support: np.ndarray
+    sigma: float
+
+
+def shifted_pencil(system: EvpSystem, sigma: float) -> ShiftedPencil:
+    """The pencil at shift sigma, ordered by node_ordering."""
+    perm = node_ordering(system)
+    return ShiftedPencil((system.A - sigma * system.M)[perm][:, perm].tocsc(),
+                         system.M, perm, mass_support(system), sigma)
+
+
+def _lanczos(pencil: ShiftedPencil, k: int, ncv: int, v0: np.ndarray):
+    """Factor K, run ARPACK on the support of M and lift.
 
     ARPACK's operator is (A - sigma M)^-1 read on the support and its M
-    that of the support, definite there.  Where M has null rows, the one
-    block solve x = (lambda - sigma) (A - sigma M)^-1 M x lifts each Ritz
-    vector to every dof.  The permuted matrix dies inside splu's call and
-    the factor on return."""
-    n, r = system.n, support.size
-    lu = spla.splu((system.A - sigma * system.M)[perm][:, perm].tocsc(),
-                   permc_spec="NATURAL", diag_pivot_thresh=DIAG_PIVOT_THRESH,
+    that of the support, definite there.  Where M has null rows, a solve
+    x = (lambda - sigma) (A - sigma M)^-1 M x lifts each Ritz vector to
+    every dof, column by column.  The factor dies on return."""
+    n, r, sigma = pencil.K.shape[0], pencil.support.size, pencil.sigma
+    lu = spla.splu(pencil.K, permc_spec="NATURAL",
+                   diag_pivot_thresh=DIAG_PIVOT_THRESH,
                    options=dict(SymmetricMode=True))
     position = np.empty(n, dtype=np.intp)  # of each dof in the factor
-    position[perm] = np.arange(n)
-    slots = position[support]
+    position[pencil.perm] = np.arange(n)
+    slots = position[pencil.support]
     n_ops = 0
 
     def solve(b):
@@ -223,46 +236,45 @@ def _lanczos(system: EvpSystem, perm: np.ndarray, support: np.ndarray,
 
     op = spla.LinearOperator((r, r), matvec=lambda b: solve(b)[slots],
                              dtype=float)
-    M = _mass_block(system.M, support)
+    M = _mass_block(pencil.M, pencil.support)
     # in mode 3 eigsh reads its A only for the shape and dtype
     w, v = spla.eigsh(op, k=k, M=M, sigma=sigma, which="LA",
-                      v0=v0[support], ncv=ncv, maxiter=MAX_RESTARTS,
+                      v0=v0[pencil.support], ncv=ncv, maxiter=MAX_RESTARTS,
                       tol=ARPACK_TOL, OPinv=op)
     if np.min(np.abs(w - sigma)) < 1e-12:
         raise RuntimeError("shift collides with a converged eigenvalue")
     if r < n:
-        x = solve(M @ v)
-        del v
-        v = x[position]
-        del x
-        v *= w - sigma
+        x = np.empty((n, w.size))
+        for j in range(w.size):
+            x[:, j] = solve(M @ v[:, j])[position] * (w[j] - sigma)
+        v = x
     return w, v, int(lu.nnz), n_ops
 
 
-def solve_generalized(system: EvpSystem, config: SolverConfig) -> Spectrum:
+def solve_generalized(pencil: ShiftedPencil | EvpSystem,
+                      config: SolverConfig) -> Spectrum:
     """Shift-invert Lanczos for the eigenvalues above the shift.
 
     It returns nev plus a guard of GUARD_PAIRS values, ascending from the
     shift.  Its window stops at rank M, the size bound of the finite
     spectrum, so a small pencil gives at most rank M - 1 values, and rank M
     below 2 is an EigenSolveError.  Every returned pair is certified against
-    ||A x - lambda M x|| <= 1e-8 (1 + |lambda|) ||x||.
+    ||A x - lambda M x|| <= 1e-8 (1 + |lambda|) ||x||, read from A - sigma M.
+    An EvpSystem is first made its ShiftedPencil at config.shift.
     """
-    support = mass_support(system)
-    rank = support.size
+    if not isinstance(pencil, ShiftedPencil):
+        pencil = shifted_pencil(pencil, config.shift)
+    rank = pencil.support.size
     if rank < 2:
         raise EigenSolveError(
             f"rank M is {rank}: too few finite eigenvalues for Lanczos")
     ncv = min(lanczos_window(config.nev), rank)
     k = min(config.nev + GUARD_PAIRS, ncv - 1)
-    v0 = np.random.default_rng(config.seed).standard_normal(system.n)
-    perm = node_ordering(system)
-    sigma = config.shift
+    v0 = np.random.default_rng(config.seed).standard_normal(pencil.K.shape[0])
     last = None
     for retries in range(3):
         try:
-            w, v, lu_nnz, n_ops = _lanczos(system, perm, support, sigma, k,
-                                           ncv, v0)
+            w, v, lu_nnz, n_ops = _lanczos(pencil, k, ncv, v0)
             break
         except spla.ArpackError as exc:
             # a RuntimeError too, but no shift collision: non-convergence
@@ -270,19 +282,22 @@ def solve_generalized(system: EvpSystem, config: SolverConfig) -> Spectrum:
             raise EigenSolveError(f"ARPACK failed: {exc}") from exc
         except RuntimeError as exc:  # splu's, or _lanczos's collision
             last = str(exc)  # not the exception: its traceback holds frames
-            # perturb downward: the LA ordering only reports values above
-            # sigma, so the colliding eigenvalue must stay in range
-            sigma -= max(1e-3 * abs(sigma), 1e-6)
+        # perturb downward, the failed factor gone: LA reports only values
+        # above sigma, so the colliding eigenvalue must stay in range
+        step = max(1e-3 * abs(pencil.sigma), 1e-6)
+        pencil.K = pencil.K + step * pencil.M[pencil.perm][:, pencil.perm]
+        pencil.sigma -= step
     else:
         raise EigenSolveError(
             f"factorization failed near sigma={config.shift}: {last}")
-    below = w < sigma
+    below = w < pencil.sigma
     if below.any():
         # a window that reaches the bottom of a small spectrum also takes
         # pairs below the shift, from its far end: they go uncertified
         w, v = w[~below], v[:, ~below]
-    return _certified(system, w, v, lu_nnz=lu_nnz, n_op_applications=n_ops,
-                      shift=sigma, shift_retries=retries)
+    return _certified(pencil.K, pencil.M, pencil.sigma, w, v, perm=pencil.perm,
+                      lu_nnz=lu_nnz, n_op_applications=n_ops,
+                      shift=pencil.sigma, shift_retries=retries)
 
 
 def filter_zeros(spectrum: Spectrum) -> Spectrum:

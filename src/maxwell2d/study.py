@@ -17,7 +17,7 @@ import numpy as np
 
 from . import meshgen
 from .eig import ZERO_TOL, SolverConfig, Spectrum, filter_zeros, \
-    is_integer, solve_generalized
+    is_integer, shifted_pencil, solve_generalized
 from .fem import DEGREES, FORMULATION_FIELDS, DofMap
 from .meshgen import DomainKind, Mesh
 from .system import ConstraintSet, CornerStrategy, StabilizationParams, \
@@ -192,8 +192,9 @@ class Case:
 
 
 def run_case(config: StudyConfig, N: int) -> Case:
-    """Mesh, assemble, constrain, reduce and solve the case at N.  Only the
-    reduced pencil is alive during the solve."""
+    """Mesh, assemble, constrain, reduce and solve the case at N.  The solve
+    holds only M and the shifted pencil: the reduced A is dropped before
+    the factorization."""
     mesh = build_mesh(config, N)
     if config.formulation == "sg":
         system = build_sg(mesh, config.degree)
@@ -204,11 +205,13 @@ def run_case(config: StudyConfig, N: int) -> Case:
     constraints = build_constraints(system.dofmap, corner=config.corner)
     reduced = reduce_system(system, constraints)
     del system
-    spectrum = solve_generalized(reduced, config.solver_config)
+    dofmap, pencil = reduced.dofmap, shifted_pencil(reduced, config.shift)
+    del reduced
+    spectrum = solve_generalized(pencil, config.solver_config)
     if config.formulation == "sg":
         spectrum = filter_zeros(spectrum)
-    return Case(spectrum.values[:config.nev_effective], spectrum,
-                reduced.dofmap, constraints)
+    return Case(spectrum.values[:config.nev_effective], spectrum, dofmap,
+                constraints)
 
 
 def convergence_rate(e_prev: float, e_curr: float,

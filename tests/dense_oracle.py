@@ -41,6 +41,6 @@ def solve_dense(system) -> Spectrum:
     real = np.abs(w.imag) <= IMAG_TOL * (1.0 + np.abs(w.real))
     # a near-real pair a +- ib keeps x for a + ib and -y for a - ib
     vectors = np.where(w.imag < 0, v.imag, v.real)[:, real]
-    return eig._certified(system, w[real].real,
+    return eig._certified(system.A, system.M, 0.0, w[real].real,
                           vectors / np.linalg.norm(vectors, axis=0),
                           n_complex_rejected=int(np.count_nonzero(~real)))

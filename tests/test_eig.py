@@ -319,12 +319,12 @@ def test_node_ordering_reads_only_mesh_and_constraints(change):
 
 
 def test_solve_holds_one_pencil(monkeypatch):
-    # live traced memory when ARPACK starts, against the solved system's
-    # reduced A and M: beside them the mesh, dofmap and ordering; the
-    # unreduced system, D A and the permuted copies are gone (4.5x the
-    # reduced pencil when they were kept), and M's support block shares
-    # M's arrays.  ARPACK runs on the support of M: rank M dofs on OSGS,
-    # every dof on SG
+    # live traced memory when ARPACK starts, against the pencil the solver
+    # holds, K = P (A - sigma M) P' and M: beside them the mesh, dofmap and
+    # ordering; the unreduced system, the reduced A and the temporaries of
+    # K are gone (2.2x the pencil when the reduced A was kept beside K),
+    # and M's support block shares M's arrays.  ARPACK runs on the support
+    # of M: rank M dofs on OSGS, every dof on SG
     entry, solved = [], []
     eigsh, solve = spla.eigsh, study.solve_generalized
 
@@ -333,9 +333,9 @@ def test_solve_holds_one_pencil(monkeypatch):
                       kwargs["M"]))
         return eigsh(A, *args, **kwargs)
 
-    def held(system, *args):
-        solved.append(system)
-        return solve(system, *args)
+    def held(pencil, *args):
+        solved.append(pencil)
+        return solve(pencil, *args)
 
     monkeypatch.setattr(spla, "eigsh", spy)
     monkeypatch.setattr(study, "solve_generalized", held)
@@ -348,15 +348,44 @@ def test_solve_holds_one_pencil(monkeypatch):
     run_case(StudyConfig(domain=SQUARE_PI, mesh="ps", formulation="sg",
                          N_list=(8,)), 8)
     (osgs, sg), ((live, *osgs_arpack), (_, *sg_arpack)) = solved, entry
-    pencil = sum(X.data.nbytes + X.indices.nbytes + X.indptr.nbytes
-                 for X in (osgs.A, osgs.M))
-    assert live / pencil <= 1.5
-    rank = eig.mass_support(osgs).size
-    assert rank < osgs.n
-    for system, (shape, M), dim in ((osgs, osgs_arpack, rank),
-                                    (sg, sg_arpack, sg.n)):
+    held_bytes = sum(X.data.nbytes + X.indices.nbytes + X.indptr.nbytes
+                     for X in (osgs.K, osgs.M))
+    assert live / held_bytes <= 1.5
+    rank = osgs.support.size
+    assert rank < osgs.K.shape[0]
+    for pencil, (shape, M), dim in ((osgs, osgs_arpack, rank),
+                                    (sg, sg_arpack, sg.K.shape[0])):
         assert shape == M.shape == (dim, dim)
-        assert np.shares_memory(M.data, system.M.data)
+        assert np.shares_memory(M.data, pencil.M.data)
+
+
+@pytest.mark.parametrize("config", [
+    StudyConfig(domain=CRACKED_SQUARE, mesh="ps", formulation="osgs",
+                N_list=(8,)),
+    StudyConfig(domain=SQUARE_PI, mesh="ps", formulation="sg", N_list=(8,)),
+], ids=["crack-osgs-ps", "square-sg-ps"])
+def test_reduced_A_released_before_factorization(monkeypatch, config):
+    # run_case hands the solve the shifted pencil and drops the reduced
+    # system, so no reference keeps the reduced A alive into the factor;
+    # a callee cannot drop it, as Python 3.10 keeps a caller's arguments
+    # alive through the call
+    refs, dead = [], []
+    reduce, splu = study.reduce_system, spla.splu
+
+    def reduced(*args):
+        system = reduce(*args)
+        refs.append(weakref.ref(system.A))
+        return system
+
+    def factor(*args, **kwargs):
+        if kwargs["permc_spec"] == "NATURAL":
+            dead.append([ref() is None for ref in refs])
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(study, "reduce_system", reduced)
+    monkeypatch.setattr(spla, "splu", factor)
+    run_case(config, 8)
+    assert dead == [[True]]
 
 
 def test_shift_invert_releases_factor(monkeypatch):
@@ -458,17 +487,27 @@ def test_residual_certificates():
 def test_certify_block_residuals():
     mesh = build_criss_cross(SQUARE_PI, 4)
     reduced = reduced_sg(SQUARE_PI, mesh)
-    spec = solve_generalized(reduced, SolverConfig(nev=6,
-                                                   method="shift-invert"))
-    per_pair = [np.linalg.norm(reduced.A @ x - lam * (reduced.M @ x))
+    config = SolverConfig(nev=6, method="shift-invert")
+    spec = solve_generalized(reduced, config)
+    # the certificate's own formula, from the pencil the solve held
+    pencil = eig.shifted_pencil(reduced, config.shift)
+    K, M, perm, sigma = pencil.K, pencil.M, pencil.perm, pencil.sigma
+    assert spec.shift == sigma
+    per_pair = [np.linalg.norm(K @ x[perm] - (lam - sigma) * (M @ x)[perm])
                 / np.linalg.norm(x)
                 for lam, x in zip(spec.values, spec.vectors.T)]
     assert_allclose(spec.residuals, per_pair, rtol=1e-10, atol=1e-18)
+    # the same residual as ||A x - lambda M x|| / ||x||, to round-off
+    direct = np.array([np.linalg.norm(reduced.A @ x - lam * (reduced.M @ x))
+                       / np.linalg.norm(x)
+                       for lam, x in zip(spec.values, spec.vectors.T)])
+    assert np.all(np.abs(spec.residuals - direct)
+                  <= 1e-14 * (1.0 + np.abs(spec.values)))
     values = spec.values.copy()
     values[2] *= 1.01
     with pytest.raises(EigenSolveError, match="eigenpair 2 .* fails the "
                        "residual certificate"):
-        eig._certified(reduced, values, spec.vectors)
+        eig._certified(K, M, sigma, values, spec.vectors, perm=perm)
 
 
 def test_determinism():
