@@ -264,6 +264,7 @@ def solve_generalized(pencil: ShiftedPencil | EvpSystem,
     """
     if not isinstance(pencil, ShiftedPencil):
         pencil = shifted_pencil(pencil, config.shift)
+    sigma = pencil.sigma   # a retry moves the pencil's
     rank = pencil.support.size
     if rank < 2:
         raise EigenSolveError(
@@ -289,7 +290,7 @@ def solve_generalized(pencil: ShiftedPencil | EvpSystem,
         pencil.sigma -= step
     else:
         raise EigenSolveError(
-            f"factorization failed near sigma={config.shift}: {last}")
+            f"factorization failed near sigma={sigma}: {last}")
     below = w < pencil.sigma
     if below.any():
         # a window that reaches the bottom of a small spectrum also takes

@@ -125,19 +125,18 @@ class DofMap:
 
 def build_dofmap(mesh: Mesh, degree: int, formulation: str) -> DofMap:
     """Nodal points, element connectivity and boundary masks of the
-    formulation's fields; P2 edge nodes come from the mesh's edges."""
+    formulation's fields; P2 puts census edge e's node V + e at its
+    midpoint, as the Powell-Sabin split does."""
     if formulation not in FORMULATION_FIELDS:
         raise AssemblyError(f"unknown formulation tag {formulation!r}")
     if degree not in DEGREES:
         raise AssemblyError(f"unsupported polynomial degree {degree}")
     coords, element_nodes = mesh.points, mesh.triangles
     if degree == 2:
-        # edge nodes follow the sorted (lo, hi, side) keys
-        keys, rank = np.unique(mesh.edges, axis=0, return_inverse=True)
-        mids = 0.5 * (mesh.points[keys[:, 0]] + mesh.points[keys[:, 1]])
-        coords = np.vstack([coords, mids])
-        node_of = mesh.n_points + rank.reshape(-1)  # (E, 1) on NumPy 2.0.0
-        element_nodes = np.hstack([element_nodes, node_of[mesh.edge_ids]])
+        lo, hi = mesh.edges[:, 0], mesh.edges[:, 1]
+        coords = np.vstack([coords, 0.5 * (mesh.points[lo] + mesh.points[hi])])
+        element_nodes = np.hstack([element_nodes,
+                                   mesh.n_points + mesh.edge_ids])
     on_h, on_v = boundary_axes(coords, mesh.domain)
     return DofMap(mesh=mesh, degree=degree,
                   fields=FORMULATION_FIELDS[formulation],

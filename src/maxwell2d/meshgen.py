@@ -16,14 +16,14 @@ bookkeeping is side-aware, so the two geometrically coincident crack faces
 are kept distinct everywhere.
 
 ``classify_boundary`` builds every ``Mesh``.  It takes one edge census per
-mesh from ``edge_table`` (the ``side`` column of a key tells the crack
-faces apart), checks its one-owner edges against ``boundary_axes``, the
-one rule for the axis of a boundary node (crack faces are horizontal),
-and stores the census, those node masks and the singular node
-(re-entrant corner or crack tip) on the mesh.  The Powell-Sabin split
-numbers its midpoints from the base mesh's census, and the P2 dofmap
-places its edge nodes from it; neither recounts the edges.  The dofmap
-marks its nodal points, P1 and P2 alike, by the same ``boundary_axes``.
+mesh from ``edge_table``, sorted by key (the ``side`` column of a key tells
+the crack faces apart), checks its one-owner edges against
+``boundary_axes``, the one rule for the axis of a boundary node (crack
+faces are horizontal), and stores the census, those node masks and the
+singular node (re-entrant corner or crack tip) on the mesh.  Census edge e
+is node V + e both in the Powell-Sabin split, at its midpoint, and in the
+P2 dofmap, as its edge node; neither recounts the edges.  The dofmap marks
+its nodal points, P1 and P2 alike, by the same ``boundary_axes``.
 Nothing here loops over triangles, edges or nodes in Python.
 """
 from __future__ import annotations
@@ -84,9 +84,8 @@ class Mesh:
         Spacing of the generating grid (halved by a Powell-Sabin split);
         the stabilization length of Powell-Sabin meshes off the crack.
     edges : (E, 3) int array
-        ``edge_table`` keys (lo, hi, side) in first-seen order; the two
-        faces of a crack edge are separate edges even when the node pair
-        coincides.
+        ``edge_table`` keys (lo, hi, side), sorted; the two faces of a
+        crack edge are separate edges even when the node pair coincides.
     edge_ids : (t, 3) int array
         Row of ``edges`` of each triangle's local edges (0,1), (1,2), (2,0).
     on_h, on_v : (n,) bool arrays
@@ -144,11 +143,10 @@ def edge_table(points, triangles, domain):
     crack faces never share a key even if they share a node pair.  Local
     edges are (0,1), (1,2), (2,0).
 
-    Returns ``(keys, edge_ids, counts)``: the (E, 3) keys in first-seen
-    order (triangle by triangle, local edge by local edge), the (T, 3)
-    index into ``keys`` of each triangle's edges and the (E,) number of
-    triangles owning each edge.  Raises MeshError when an edge has more
-    than two owners.
+    Returns ``(keys, edge_ids, counts)``: the (E, 3) keys sorted by (lo,
+    hi, side), the (T, 3) index into ``keys`` of each triangle's edges and
+    the (E,) number of triangles owning each edge.  Raises MeshError when
+    an edge has more than two owners.
     """
     start = np.asarray(triangles, dtype=np.int64)
     end = np.roll(start, -1, axis=1)
@@ -158,30 +156,15 @@ def edge_table(points, triangles, domain):
                     np.where(points[opposite, 1] > 0.0, 1, -1), 0).ravel()
     lo, hi = np.minimum(start, end).ravel(), np.maximum(start, end).ravel()
     # one integer per key, ordered like the (lo, hi, side) tuples
-    first, edge_ids, counts = _first_seen(
-        (lo * points.shape[0] + hi) * 3 + side + 1)
+    _, first, edge_ids, counts = np.unique(
+        (lo * points.shape[0] + hi) * 3 + side + 1, return_index=True,
+        return_inverse=True, return_counts=True)
     keys = np.stack([lo, hi, side], axis=1)[first]
     if np.any(counts > 2):
         k = int(np.argmax(counts > 2))
         raise MeshError(f"edge {tuple(keys[k].tolist())} shared by "
                         f"{counts[k]} triangles")
     return keys, edge_ids.reshape(start.shape), counts
-
-
-def _first_seen(codes):
-    """Number the distinct values of ``codes`` by first appearance.
-
-    Returns ``(first, number, counts)``: per value, in that order, the
-    position of its first appearance and its count; per entry of
-    ``codes``, the number of its value.
-    """
-    _, first, inverse, counts = np.unique(codes, return_index=True,
-                                          return_inverse=True,
-                                          return_counts=True)
-    order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(order.size)
-    return first[order], rank[inverse], counts[order]
 
 
 def _graded_axis(N: int, exponent: float) -> np.ndarray:
@@ -203,9 +186,9 @@ def _axis_coords(domain: DomainKind, N: int, graded: bool):
 
 
 def _grid_mesh(domain, N, graded, criss_cross) -> Mesh:
-    """Either grid family.  Cells run row by row; nodes are numbered as
-    the cells first reach them: lower-left, lower-right, upper-right,
-    upper-left corner, then the center of a criss-cross cell."""
+    """Either grid family.  Cells run row by row, and so do the nodes: the
+    grid nodes, then the centers of the criss-cross cells, then the copies
+    of the crack nodes."""
     if N < 1:
         raise ValueError("N must be a positive integer")
     if graded and not domain.has_crack:
@@ -221,10 +204,10 @@ def _grid_mesh(domain, N, graded, criss_cross) -> Mesh:
     if criss_cross:
         slots.append(n * n + np.flatnonzero(keep))
     codes = np.stack(slots, axis=1)
-    first, node, _ = _first_seen(codes.ravel())
+    used, node = np.unique(codes, return_inverse=True)
     coords = np.vstack([np.stack(np.meshgrid(xs, xs), axis=-1).reshape(-1, 2),
                         np.stack([xc, yc], axis=1)])
-    points = coords[codes.ravel()[first]]
+    points = coords[used]
     local = [[0, 1, 4], [1, 2, 4], [2, 3, 4], [3, 0, 4]] if criss_cross \
         else [[0, 1, 2], [0, 2, 3]]
     triangles = node.reshape(codes.shape)[:, local].reshape(-1, 3)
@@ -267,9 +250,8 @@ def powell_sabin_refine(base: Mesh) -> Mesh:
 
     Node count grows to V + E + T and the triangle count to 6 T, with
     crack-face edge midpoints duplicated per face copy.  New nodes are
-    numbered after the V base nodes: the E midpoints in the first-seen
-    order of the base mesh's ``edges``, then one barycenter per base
-    triangle.
+    numbered after the V base nodes: census edge e's midpoint is node V + e,
+    as a P2 dofmap's edge node is, then one barycenter per base triangle.
     """
     p, t = base.points, base.triangles
     keys = base.edges

@@ -647,6 +647,19 @@ def test_three_failed_factorizations_end_the_solve(monkeypatch):
     assert_allclose(shifts, [0.5, 0.4995, 0.4990005])
 
 
+def test_failed_factorization_names_the_pencils_shift(monkeypatch):
+    # a ShiftedPencil brings its own shift: the config's 0.5 is not it
+    def failing(matrix, **kwargs):
+        raise RuntimeError("Factor is exactly singular")
+
+    A = np.diag(np.arange(1.0, 41.0))
+    pencil = eig.shifted_pencil(toy_system(A, np.eye(40)), 0.3)
+    monkeypatch.setattr(spla, "splu", failing)
+    with pytest.raises(EigenSolveError, match="factorization failed near "
+                       "sigma=0.3: Factor is exactly singular"):
+        solve_generalized(pencil, SolverConfig(nev=2))
+
+
 def test_near_collision_retries_below(monkeypatch):
     # 1e-13 above the shift the factor exists, but Lanczos converges onto
     # the shift itself: _lanczos's collision check takes one retry

@@ -112,16 +112,17 @@ def test_dofmap_p2_adds_edge_nodes():
 
 
 def test_dofmap_p2_edge_node_numbering():
-    # edge nodes follow the sorted (lo, hi) vertex pairs: (0,1), (0,2),
-    # (0,3), (1,2), (2,3); the numbering feeds the fill-reducing ordering
+    # vertices (0,0), (pi,0), (0,pi), (pi,pi); edge nodes follow the sorted
+    # (lo, hi) vertex pairs: (0,1), (0,2), (0,3), (1,3), (2,3); the
+    # numbering feeds the fill-reducing ordering
     dofmap = build_dofmap(build_uniform(SQUARE_PI, 1), 2, "sg")
     h = np.pi / 2
-    assert_allclose(dofmap.coords[4:], [[h, 0], [h, h], [0, h], [np.pi, h],
+    assert_allclose(dofmap.coords[4:], [[h, 0], [0, h], [h, h], [np.pi, h],
                                         [h, np.pi]], atol=1e-15)
-    assert np.array_equal(dofmap.element_nodes, [[0, 1, 2, 4, 7, 5],
-                                                 [0, 2, 3, 5, 8, 6]])
+    assert np.array_equal(dofmap.element_nodes, [[0, 1, 3, 4, 7, 6],
+                                                 [0, 3, 2, 6, 8, 5]])
     assert dofmap.on_h[4:].tolist() == [True, False, False, False, True]
-    assert dofmap.on_v[4:].tolist() == [False, False, True, True, False]
+    assert dofmap.on_v[4:].tolist() == [False, True, False, True, False]
 
 
 def test_dofmap_p2_crack_edges_per_face():

@@ -120,18 +120,19 @@ def test_powell_sabin_small_counts():
 
 
 def test_powell_sabin_numbering():
-    # vertices, then edge midpoints in first-seen order, then barycenters;
-    # the numbering feeds the fill-reducing ordering of the eigensolve
+    # vertices row by row, then the midpoints of the sorted edge pairs
+    # (0,1), (0,2), (0,3), (1,3), (2,3), then barycenters; the numbering
+    # feeds the fill-reducing ordering of the eigensolve
     ps = powell_sabin_refine(build_uniform(SQUARE_PI, 1))
     h, t = np.pi / 2, np.pi / 3
     assert_allclose(ps.points, [
-        [0, 0], [np.pi, 0], [np.pi, np.pi], [0, np.pi],
-        [h, 0], [np.pi, h], [h, h], [h, np.pi], [0, h],
+        [0, 0], [np.pi, 0], [0, np.pi], [np.pi, np.pi],
+        [h, 0], [0, h], [h, h], [np.pi, h], [h, np.pi],
         [2 * t, t], [t, 2 * t]], atol=1e-15)
     assert np.array_equal(ps.triangles, [
-        [0, 4, 9], [4, 1, 9], [1, 5, 9], [5, 2, 9], [2, 6, 9], [6, 0, 9],
-        [0, 6, 10], [6, 2, 10], [2, 7, 10], [7, 3, 10], [3, 8, 10],
-        [8, 0, 10]])
+        [0, 4, 9], [4, 1, 9], [1, 7, 9], [7, 3, 9], [3, 6, 9], [6, 0, 9],
+        [0, 6, 10], [6, 3, 10], [3, 8, 10], [8, 2, 10], [2, 5, 10],
+        [5, 0, 10]])
 
 
 def test_powell_sabin_lshape_count():
@@ -163,8 +164,8 @@ def boundary_edges(mesh):
 
 
 def loop_edge_census(points, triangles, domain):
-    """Reference for edge_table: owners (t, local edge) per key, keys in
-    first-seen order, built one triangle at a time."""
+    """Reference for edge_table: owners (t, local edge) per key, built one
+    triangle at a time."""
     on_crack = crack_closure_mask(points, domain)
     owners = {}
     for t, (a, b, c) in enumerate(triangles.tolist()):
@@ -180,9 +181,10 @@ def loop_edge_census(points, triangles, domain):
 def test_edge_table_matches_loop_census(name, mesh):
     keys, edge_ids, counts = edge_table(mesh.points, mesh.triangles, mesh.domain)
     owners = loop_edge_census(mesh.points, mesh.triangles, mesh.domain)
-    assert list(map(tuple, keys.tolist())) == list(owners)
-    assert counts.tolist() == [len(v) for v in owners.values()]
-    for e, owned in enumerate(owners.values()):
+    census = sorted(owners.items())
+    assert list(map(tuple, keys.tolist())) == [key for key, _ in census]
+    assert counts.tolist() == [len(owned) for _, owned in census]
+    for e, (_, owned) in enumerate(census):
         assert all(edge_ids[t, loc] == e for t, loc in owned)
     # the census the mesh stores is the same one
     assert np.array_equal(mesh.edges, keys)
@@ -195,6 +197,14 @@ def test_powell_sabin_counting(name, mesh):
     ps = powell_sabin_refine(mesh)
     assert ps.n_points == mesh.n_points + len(mesh.edges) + mesh.n_triangles
     assert ps.n_triangles == 6 * mesh.n_triangles
+
+
+@pytest.mark.parametrize("name,mesh", MESHES, ids=[n for n, _ in MESHES])
+def test_p2_nodes_are_powell_sabin_nodes(name, mesh):
+    # one numbering rule: census edge e is node V + e in both
+    dofmap = build_dofmap(mesh, 2, "sg")
+    ps = powell_sabin_refine(mesh)
+    assert np.array_equal(dofmap.coords, ps.points[:dofmap.n_scalar])
 
 
 @pytest.mark.parametrize("name,mesh", MESHES, ids=[n for n, _ in MESHES])
@@ -330,8 +340,9 @@ def test_classify_rejects_boundary_mismatch():
         classify_boundary(points, square.triangles, L_SHAPE, 1.0)
     # one cell of the square: its upper-right corner closes two boundary
     # edges inside the domain
+    cell, local = np.unique(square.triangles[:2], return_inverse=True)
     with pytest.raises(MeshError, match="on a boundary edge but inside"):
-        classify_boundary(square.points[:4], square.triangles[:2],
+        classify_boundary(square.points[cell], local.reshape(2, 3),
                           SQUARE_PI, 1.0)
 
 
@@ -402,8 +413,8 @@ def test_mesh_dump(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == f"# nodes {mesh.n_points}"
     assert len(lines) == 2 + mesh.n_points + mesh.n_triangles
-    # nodes 0-3 are the corners of the first cell: (0, 0) is a domain
-    # corner, (pi/2, 0) on the bottom edge and (pi/2, pi/2) inside
+    # nodes run row by row: (0, 0) is a domain corner, (pi/2, 0) on the
+    # bottom edge and node 4, (pi/2, pi/2), inside
     assert lines[1] == "0 0.0 0.0 1 1"
     assert lines[2].split()[3:] == ["1", "0"]
-    assert lines[3].split()[3:] == ["0", "0"]
+    assert lines[5].split()[3:] == ["0", "0"]
