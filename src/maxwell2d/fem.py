@@ -26,20 +26,10 @@ class AssemblyError(Exception):
     """Raised on an unknown formulation or polynomial degree."""
 
 
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Symmetric rule on the reference triangle (0,0)-(1,0)-(0,1).
-
-    points are cartesian reference coordinates, weights sum to the
-    reference-triangle area 1/2.
-    """
-
-    points: np.ndarray
-    weights: np.ndarray
-
-
-def make_quadrature() -> QuadratureRule:
-    """Degree-5-exact 7-point rule."""
+def make_quadrature() -> tuple:
+    """Degree-5-exact 7-point rule, ``(points, weights)``, on the reference
+    triangle (0,0)-(1,0)-(0,1): cartesian reference points, and weights
+    that sum to its area 1/2."""
     s15 = np.sqrt(15.0)
     a1 = (6.0 + s15) / 21.0
     a2 = (6.0 - s15) / 21.0
@@ -54,8 +44,7 @@ def make_quadrature() -> QuadratureRule:
         weights += [w, w, w]
     bary = np.asarray(bary)
     weights = 0.5 * np.asarray(weights)
-    points = bary[:, 1:]
-    return QuadratureRule(points=points, weights=weights)
+    return bary[:, 1:], weights
 
 
 def reference_basis(degree: int, pts: np.ndarray) -> np.ndarray:
@@ -168,11 +157,11 @@ def scalar_kernels(dofmap: DofMap) -> dict:
     Kab integrates d_a(phi_i) d_b(phi_j); Ga integrates phi_i d_a(phi_j).
     They depend on the nodal points only, not on the dofmap's fields.
     """
-    rule = make_quadrature()
-    psi = reference_basis(dofmap.degree, rule.points)   # (nq, 3, nloc)
+    points, weights = make_quadrature()
+    psi = reference_basis(dofmap.degree, points)   # (nq, 3, nloc)
     nloc = psi.shape[2]
     # R[c, d] = integral of psi_c psi_d' over the reference triangle
-    ref = np.einsum("q,qca,qdb->cdab", rule.weights, psi, psi).reshape(9, -1)
+    ref = np.einsum("q,qca,qdb->cdab", weights, psi, psi).reshape(9, -1)
     det, geo = _element_geometry(dofmap.mesh)
 
     # one CSR pattern for all six: slot[k] is where element entry k lands

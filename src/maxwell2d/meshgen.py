@@ -8,12 +8,13 @@ meshes (optionally graded toward the crack by the fixed power law of
 mesh.  A ``DomainKind`` member names each domain and knows its area and
 whether it has a crack or a re-entrant corner.
 
-Both grid families come from one body: it checks N, lays the cells,
-splits the crack and classifies.  The crack is split by duplicating every
-node of ``crack_closure_mask`` strictly between the tip (0, 0) and the
-mouth (1, 0); the tip stays one node shared by both faces.  Edge
-bookkeeping is side-aware, so the two geometrically coincident crack faces
-are kept distinct everywhere.
+Both grid families come from one body: it reads its axis from
+``grid_axis``, the one owner of the grid rules for the builders and
+``StudyConfig`` alike, lays the cells, splits the crack and classifies.
+The crack is split by duplicating every node of ``crack_closure_mask``
+strictly between the tip (0, 0) and the mouth (1, 0); the tip stays one
+node shared by both faces.  Edge bookkeeping is side-aware, so the two
+geometrically coincident crack faces are kept distinct everywhere.
 
 ``classify_boundary`` builds every ``Mesh``.  It takes one edge census per
 mesh from ``edge_table``, sorted by key (the ``side`` column of a key tells
@@ -32,6 +33,8 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+
+from .eig import is_integer
 
 GEOM_TOL = 1e-10
 # exponent of the power law that clusters a cc-graded grid toward the
@@ -172,14 +175,22 @@ def _graded_axis(N: int, exponent: float) -> np.ndarray:
     return np.sign(u) * np.abs(u) ** exponent
 
 
-def _axis_coords(domain: DomainKind, N: int, graded: bool):
+def grid_axis(domain: DomainKind, N, graded: bool = False) -> np.ndarray:
+    """The 1D grid coordinates of either grid family, and the one owner of
+    the grid rules: N is a positive integer (no bool), grading is for the
+    cracked square only, and there N is even, so that the crack line y=0
+    and the tip abscissa x=0 are grid lines."""
+    if not is_integer(N) or N < 1:
+        raise ValueError(f"N must be a positive integer, not N={N!r}")
+    if graded and not domain.has_crack:
+        raise ValueError("grading is only meaningful for the cracked square")
+    if domain.has_crack and N % 2:
+        raise ValueError(f"the cracked square needs an even division count, "
+                         f"not N={N}: its crack line must be a grid line")
     if domain is DomainKind.SQUARE_PI:
         return np.linspace(0.0, np.pi, N + 1)
     if domain is DomainKind.L_SHAPE:
         return np.linspace(-1.0, 1.0, 2 * N + 1)
-    # cracked square: the crack line y=0 and the tip x=0 must be grid lines
-    if N % 2 != 0:
-        raise ValueError("cracked square requires an even division count")
     if graded:
         return _graded_axis(N, GRADING_EXPONENT)
     return np.linspace(-1.0, 1.0, N + 1)
@@ -189,11 +200,7 @@ def _grid_mesh(domain, N, graded, criss_cross) -> Mesh:
     """Either grid family.  Cells run row by row, and so do the nodes: the
     grid nodes, then the centers of the criss-cross cells, then the copies
     of the crack nodes."""
-    if N < 1:
-        raise ValueError("N must be a positive integer")
-    if graded and not domain.has_crack:
-        raise ValueError("grading is only meaningful for the cracked square")
-    xs = _axis_coords(domain, N, graded)
+    xs = grid_axis(domain, N, graded)
     n = len(xs)
     j, i = np.divmod(np.arange((n - 1) ** 2), n - 1)
     xc, yc = 0.5 * (xs[i] + xs[i + 1]), 0.5 * (xs[j] + xs[j + 1])

@@ -38,8 +38,8 @@ TABLE_FORMATS = ("csv", "md")
 
 DEFAULT_NEV = {
     DomainKind.SQUARE_PI: 17,
-    DomainKind.L_SHAPE: 5,
-    DomainKind.CRACKED_SQUARE: 10,
+    DomainKind.L_SHAPE: len(L_SHAPE_REFERENCE),
+    DomainKind.CRACKED_SQUARE: len(CRACK_REFERENCE),
 }
 
 
@@ -71,15 +71,18 @@ class StudyConfig:
     square's 17 modes.  The command line restates none of these defaults.
 
     An inconsistent setting raises ValueError on construction, before any
-    solve.  The properties ``solver_config`` and ``stabilization`` build,
-    anew on each read, the SolverConfig that owns the nev, seed, shift and
-    solver rules and the StabilizationParams that own ell, c_u and c_p;
-    construction reads both once.  ``references`` is the reference column
-    whose length is the table's row count.  The cc-graded exponent is the
-    constant meshgen.GRADING_EXPONENT.  corner=None, like nev=None, is the
-    domain's own rule: u2 folds onto -u1 at the L-shape's corner unless
-    corner is FREE.  tip and solver each hold one value, which no flag sets
-    and no solve reads; benchmark scripts pass them."""
+    solve.  StudyConfig states the N list's own rules (a non-empty,
+    strictly increasing tuple); ``meshgen.grid_axis``, which each N is
+    passed through, owns the rules of one N and of the grading.  The
+    properties ``solver_config`` and ``stabilization`` build, anew on each
+    read, the SolverConfig that owns the nev, seed and shift rules and the
+    StabilizationParams that own ell, c_u and c_p; construction reads both
+    once.  ``references`` is the reference column whose length is the
+    table's row count.  The cc-graded exponent is the constant
+    meshgen.GRADING_EXPONENT.  corner=None, like nev=None, is the domain's
+    own rule: u2 folds onto -u1 at the L-shape's corner unless corner is
+    FREE.  tip and solver each hold one value, which no flag sets and no
+    solve reads; benchmark scripts pass them."""
 
     domain: DomainKind = DomainKind.SQUARE_PI
     mesh: str = "cc"
@@ -100,7 +103,8 @@ class StudyConfig:
         choices = {"domain": tuple(DomainKind), "mesh": MESH_FAMILIES,
                    "formulation": FORMULATIONS, "degree": DEGREES,
                    "corner": (None, *CornerStrategy),
-                   "tip": tuple(TipStrategy)}
+                   "tip": tuple(TipStrategy),
+                   "solver": (SolverConfig.method,)}
         for name, allowed in choices.items():
             value = getattr(self, name)
             if value not in allowed:
@@ -108,20 +112,17 @@ class StudyConfig:
                                  f"{', '.join(map(str, allowed))}")
         if not isinstance(self.N_list, tuple):
             raise ValueError(f"N_list must be a tuple, not {self.N_list!r}")
-        if not all(map(is_integer, (self.degree, *self.N_list))):
-            raise ValueError("degree and each N must be integers")
-        if not self.N_list or min(self.N_list) < 1:
+        if not is_integer(self.degree):
+            raise ValueError("degree must be an integer")
+        if not self.N_list:
             raise ValueError("N list needs at least one positive value")
+        for N in self.N_list:  # meshgen owns the N and grading rules
+            meshgen.grid_axis(self.domain, N, self.mesh == "cc-graded")
         if list(self.N_list) != sorted(set(self.N_list)):
             raise ValueError("N list must be strictly increasing")
-        self.solver_config  # SolverConfig owns nev, seed and method
-        if self.mesh == "cc-graded" and not self.domain.has_crack:
-            raise ValueError("graded meshes are specific to the cracked square")
+        self.solver_config  # SolverConfig owns nev, seed and shift
         if self.corner is not None and not self.domain.has_reentrant_corner:
             raise ValueError("corner settings apply to the L-shape only")
-        if self.domain.has_crack and any(N % 2 for N in self.N_list):
-            raise ValueError("the cracked square needs even N values: its "
-                             "crack line must be a grid line")
         self.stabilization  # StabilizationParams owns the ell and c rules
         if self.formulation == "sg" and self.shift < ZERO_TOL:
             raise ValueError(f"SG shift-invert needs a shift of at least "
@@ -144,7 +145,7 @@ class StudyConfig:
     @property
     def solver_config(self) -> SolverConfig:
         return SolverConfig(nev=self.nev_effective, shift=self.shift,
-                            method=self.solver, seed=self.seed)
+                            seed=self.seed)
 
     @property
     def stabilization(self) -> StabilizationParams | None:

@@ -172,6 +172,27 @@ def test_inconsistent_combinations(tmp_path, monkeypatch, capsys):
     assert calls == []
 
 
+@pytest.mark.parametrize("domain,mesh,N", [
+    (maxwell2d.CRACKED_SQUARE, "uniform", 3),
+    (SQUARE_PI, "cc-graded", 4),
+    (SQUARE_PI, "cc", 0),
+])
+def test_grid_rules_have_one_message(domain, mesh, N, capsys):
+    # meshgen states the grid rules once: the builder, StudyConfig and the
+    # command line report a bad N or grading alike
+    with pytest.raises(ValueError) as built:
+        if mesh == "uniform":
+            maxwell2d.build_uniform(domain, N)
+        else:
+            maxwell2d.build_criss_cross(domain, N, mesh == "cc-graded")
+    with pytest.raises(ValueError) as configured:
+        StudyConfig(domain=domain, mesh=mesh, N_list=(N,))
+    assert str(configured.value) == str(built.value)
+    assert cli_main(["--domain", domain.value, "--mesh", mesh,
+                     "--N", str(N)]) == 2
+    assert capsys.readouterr().err == f"error: {built.value}\n"
+
+
 def test_export_mode_out_of_range_rejected_before_solving(monkeypatch, capsys):
     calls = count_solves(monkeypatch)
     small = ["--domain", "square", "--mesh", "cc", "--formulation", "sg",

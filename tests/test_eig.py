@@ -1,6 +1,6 @@
 import tracemalloc
 import weakref
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -214,11 +214,13 @@ def test_small_pencil_matches_the_oracle_above_the_shift(case, seed):
 
 
 def test_solver_methods():
-    # shift-invert is the one method: dense QZ is only the tests' oracle
-    assert SolverConfig().method == "shift-invert"
-    for method in ("auto", "arnoldi", "dense"):
-        with pytest.raises(ValueError, match="unknown solver method"):
-            SolverConfig(method=method)
+    # shift-invert is the one method, a constant and no setting: dense QZ
+    # is only the tests' oracle
+    assert SolverConfig.method == "shift-invert"
+    assert "method" not in {f.name for f in fields(SolverConfig)}
+    assert not hasattr(eig, "METHODS")
+    with pytest.raises(TypeError):
+        SolverConfig(method="dense")
     with pytest.raises(ValueError, match="unknown solver"):
         StudyConfig(domain=SQUARE_PI, mesh="cc", formulation="sg",
                     N_list=(2,), solver="auto")
@@ -243,7 +245,7 @@ def test_node_ordering_fill(case):
     node = cons.retained_dofs()[perm] % system.dofmap.n_scalar
     runs = 1 + np.count_nonzero(np.diff(node))
     assert runs == len(np.unique(node))  # one consecutive run per node
-    config = SolverConfig(nev=2, method="shift-invert")
+    config = SolverConfig(nev=2)
     spec = solve_generalized(reduced, config)
     colamd = spla.splu(
         (reduced.A - config.shift * reduced.M).tocsc(),
@@ -413,7 +415,7 @@ def test_shift_invert_releases_factor(monkeypatch):
     monkeypatch.setattr(eig, "_certified", check)
     mesh = build_criss_cross(SQUARE_PI, 4)
     solve_generalized(reduced_sg(SQUARE_PI, mesh),
-                      SolverConfig(nev=4, method="shift-invert"))
+                      SolverConfig(nev=4))
     assert alive == [[False, False]]  # the node-graph surrogate, the factor
 
 
@@ -479,15 +481,14 @@ def test_ag_osgs_spectra_pass_filter_untouched():
 def test_residual_certificates():
     mesh = build_criss_cross(SQUARE_PI, 4)
     reduced = reduced_sg(SQUARE_PI, mesh)
-    spec = solve_generalized(reduced, SolverConfig(nev=10,
-                                                   method="shift-invert"))
+    spec = solve_generalized(reduced, SolverConfig(nev=10))
     assert np.all(spec.residuals <= 1e-8 * (1 + np.abs(spec.values)))
 
 
 def test_certify_block_residuals():
     mesh = build_criss_cross(SQUARE_PI, 4)
     reduced = reduced_sg(SQUARE_PI, mesh)
-    config = SolverConfig(nev=6, method="shift-invert")
+    config = SolverConfig(nev=6)
     spec = solve_generalized(reduced, config)
     # the certificate's own formula, from the pencil the solve held
     pencil = eig.shifted_pencil(reduced, config.shift)
@@ -515,7 +516,7 @@ def test_determinism():
     params = StabilizationParams(0.1, 0.01, 0.6)
     system = build_osgs(mesh, 1, params, mesh.h)
     reduced = reduce_system(system, build_constraints(system.dofmap))
-    cfg = SolverConfig(nev=6, method="shift-invert", seed=77)
+    cfg = SolverConfig(nev=6, seed=77)
     a = solve_generalized(reduced, cfg)
     b = solve_generalized(reduced, cfg)
     assert np.array_equal(a.values, b.values)
@@ -532,7 +533,7 @@ def test_shift_independence():
     runs = []
     for sigma in (0.3, 0.5, 0.9):
         spec = filter_zeros(solve_generalized(
-            reduced, SolverConfig(nev=10, shift=sigma, method="shift-invert")))
+            reduced, SolverConfig(nev=10, shift=sigma)))
         runs.append(spec.values[:10])
     assert_allclose(runs[1], runs[0], rtol=1e-8)
     assert_allclose(runs[2], runs[0], rtol=1e-8)

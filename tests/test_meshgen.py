@@ -83,6 +83,11 @@ def test_rejects_invalid_division_counts():
         build_criss_cross(SQUARE_PI, 0)
     with pytest.raises(ValueError, match="even division count"):
         build_uniform(CRACKED_SQUARE, 3)
+    # N is an integer and no bool, as StudyConfig requires
+    with pytest.raises(ValueError, match="positive integer"):
+        build_uniform(SQUARE_PI, True)
+    with pytest.raises(ValueError, match="positive integer"):
+        build_criss_cross(CRACKED_SQUARE, 4.0)
 
 
 def test_grading_restricted_to_crack():

@@ -145,6 +145,14 @@ def test_study_config_rejects_inconsistent_combinations():
                        N_list=(4,), ell=0.0).stabilization is None
 
 
+def test_config_names_the_bad_division_count():
+    # the list holds a positive value: the error is about its N=0
+    with pytest.raises(ValueError, match="N=0"):
+        StudyConfig(N_list=(0, 5))
+    with pytest.raises(ValueError, match="N=-1"):
+        StudyConfig(N_list=(5, -1))
+
+
 def test_sg_shift_floor_is_the_package_zero():
     # SG's kernel sits at 0.  Below ZERO_TOL the residual certificate
     # failed (square SG/CC N=6 at 1e-9), or a shift retry took the shift
