@@ -1,3 +1,5 @@
+import platform
+import sys
 import tracemalloc
 import weakref
 from dataclasses import fields, replace
@@ -679,3 +681,89 @@ def test_near_collision_retries_below(monkeypatch):
     assert factors == ["MMD_AT_PLUS_A", "NATURAL", "NATURAL"]
     assert spec.shift_retries == 1 and spec.shift == pytest.approx(0.4995)
     assert_allclose(spec.values[0], 0.5, atol=1e-10)
+
+
+@pytest.mark.parametrize("seed", [1, 1234])
+def test_guard_keeps_both_partners_of_a_double(seed):
+    # the bench's set-up pencil, square SG/CC N=4 at nev 4, whose values
+    # nev and nev + 1 above the shift are the double 4.2647: with
+    # GUARD_PAIRS at 2 or 1 Lanczos loses its partner and reports 5.3971
+    # in its place.  A smaller guard must keep the first nev + 1 values
+    config = StudyConfig(domain=SQUARE_PI, mesh="cc", formulation="sg",
+                         N_list=(4,), nev=4, seed=seed)
+    reduced = reduced_case(config, 4)
+    spec = solve_generalized(reduced, config.solver_config)
+    dense = solve_dense(reduced)
+    above = dense.values[dense.values >= config.shift][:config.nev + 1]
+    assert_allclose(above, [1.0170, 1.0170, 2.0678, 4.2647, 4.2647],
+                    atol=5e-5)
+    assert_allclose(spec.values[:config.nev + 1], above, rtol=1e-10)
+
+
+def _vm_rss_mib() -> float:
+    with open("/proc/self/status") as status:
+        for line in status:
+            if line.startswith("VmRSS:"):
+                return int(line.split()[1]) / 1024
+    raise AssertionError("no VmRSS line in /proc/self/status")
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux")
+                    or platform.libc_ver()[0] != "glibc",
+                    reason="malloc_trim is glibc's")
+def test_freed_heap_goes_back_to_the_os():
+    # freeing a 16 MB array raises glibc's mmap threshold above 1 MB, so
+    # the 1 MB arrays that follow live on the heap; freed below a live
+    # array, their 24 MiB stay resident until the trim hands them back
+    assert eig._MALLOC_TRIM is not None
+    big = np.ones(2 * 2**20)
+    del big
+    chunks = [np.ones(2**17) for _ in range(24)]
+    tail = np.ones(16)
+    del chunks
+    before = _vm_rss_mib()
+    eig._release_freed_heap()
+    assert before - _vm_rss_mib() >= 16
+    assert tail.sum() == 16
+
+
+@pytest.mark.parametrize("shift_at_eigenvalue", [False, True],
+                         ids=["one-factor", "shift-retry"])
+def test_heap_released_before_each_factorization(monkeypatch,
+                                                 shift_at_eigenvalue):
+    # the trim runs right before every shift-invert factor, a shift
+    # retry's included; the node-ordering surrogate's LU is not one
+    events = []
+    release, splu = eig._release_freed_heap, spla.splu
+
+    def released():
+        events.append("release")
+        release()
+
+    def factor(*args, **kwargs):
+        events.append(kwargs["permc_spec"])
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(eig, "_release_freed_heap", released)
+    monkeypatch.setattr(eig.spla, "splu", factor)
+    head = 0.5 if shift_at_eigenvalue else 0.25
+    A = np.diag(np.concatenate(([head], np.arange(1.0, 40.0))))
+    spec = solve_generalized(toy_system(A, np.eye(40)),
+                             SolverConfig(nev=2, shift=0.5))
+    assert spec.shift_retries == int(shift_at_eigenvalue)
+    factors = 1 + spec.shift_retries
+    assert events == ["MMD_AT_PLUS_A"] + ["release", "NATURAL"] * factors
+
+
+def test_solve_without_malloc_trim_is_unchanged(monkeypatch):
+    # where the C library has no malloc_trim the release is a no-op, and
+    # the trim moves no value anyway
+    reduced = reduced_sg(SQUARE_PI, build_criss_cross(SQUARE_PI, 4))
+    trimmed = solve_generalized(reduced, SolverConfig(nev=4))
+    monkeypatch.setattr(eig, "_MALLOC_TRIM", None)
+    eig._release_freed_heap()
+    plain = solve_generalized(reduced, SolverConfig(nev=4))
+    assert np.array_equal(trimmed.values, plain.values)
+    assert np.array_equal(trimmed.vectors, plain.vectors)
+    assert (trimmed.lu_nnz, trimmed.n_op_applications) == \
+        (plain.lu_nnz, plain.n_op_applications)
