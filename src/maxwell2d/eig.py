@@ -7,7 +7,7 @@ symmetric positive semidefinite, and congruence reduction keeps both so.
 
 A - sigma M is factored once per shift by SuperLU in symmetric mode
 (diagonal pivots, one ordering for rows and columns).  The ordering is
-computed once per solve on nodes, not dofs: every field uses the same
+computed once per case on nodes, not dofs: every field uses the same
 continuous Lagrangian interpolation, so the dof graph is the node graph
 with each vertex replaced by a small clique, and two nodes couple when they
 share an element: the graph is read from the mesh, not from A or M.
@@ -36,13 +36,28 @@ vectors stops at rank M, and ARPACK converges at most one pair fewer than
 its window.  Such a window also takes pairs below the shift; they are
 dropped before the certificate, so no value below the shift is reported.
 
-The factor is the largest object of a solve.  Beside it live only M and
-K = P (A - sigma M) P' in node order, the CSC matrix splu reads without a
-copy: run_case hands that shifted pencil over and drops the reduced A
-before the factorization.  A shift retry adds a multiple of P M P' to K,
-and the certificate reads A x - lambda M x as K x - (lambda - sigma) M x,
-permuted.  M's support block shares M's arrays, the lift solves one column
-at a time into one n x k array, and the factor dies before the certificate.
+A mirror-symmetric cavity is solved by sectors.  The mesh mirror, read as
+a signed permutation S of the reduced dofs (``system.mirror_permutation``),
+commutes with A and M, so the pencil splits exactly into a symmetric and an
+antisymmetric block and its spectrum is the union of theirs (Bossavit
+(1986), "Symmetry, groups, and boundary value problems", CMAME 56).
+``mirror_sectors`` spans each sector by (e_i +- s e_j) / sqrt 2 over the
+mirror pairs plus the fixed dofs, and orders both on one node graph folded
+onto orbit representatives.  A sector is an ordinary ShiftedPencil with a
+factor of under half the whole pencil's entries (L-shape OSGS/P2 CC N=10:
+1,049,694 and 1,037,876 against 2,237,174), and run_case solves the two one
+after the other.  Each list is complete from the shift to its top value,
+so ``merge_sectors`` keeps the pairs up to the lower top.  The cracked
+square has no mirror and is its own one sector.
+
+The factor is the largest object of a solve.  Beside it live only the
+sectors' M and K = P (A - sigma M) P' in node order, the CSC matrix splu
+reads without a copy: run_case hands those shifted pencils over and drops
+the reduced A before the first factorization.  A shift retry adds a
+multiple of P M P' to K, and the certificate reads A x - lambda M x as
+K x - (lambda - sigma) M x, permuted.  M's support block shares M's
+arrays, the lift solves one column at a time into one n x k array, and
+the factor dies before the certificate.
 
 Each factorization starts on a trimmed heap.  glibc's dynamic mmap
 threshold puts the temporaries of assembly, reduction and the shifted
@@ -50,10 +65,16 @@ pencil on the heap, and it keeps their pages resident once freed;
 malloc_trim(0), called just before splu, hands them back to the OS (a no-op
 where the C library has no malloc_trim).  At crack OSGS/PS N=32 (x86-64
 Linux, glibc 2.36) the resident set on entry to splu falls from 104.4 to
-75.6 MiB, but the process peak only from 155.1 to 141.8-143.7 MiB:
-SuperLU's scratch, about 17 MiB, used to reuse those freed pages and now
-lands on fresh ones.  The next case faults the pages back in, a few
-percent of the wall time where the factor does not set the peak.
+75.6 MiB.  The next case faults the pages back in, a few percent of the
+wall time where the factor does not set the peak.
+
+SuperLU factors with single-column panels: its panel workspace is about
+n x panel doubles plus 2n x panel ints, and the update order it changes
+moves no value by more than round-off (lu_nnz is the same).  At crack
+OSGS/PS N=32 the high-water mark after splu falls from 141.6-141.7 to
+130.8-130.9 MiB.  The process peak then sits in eigsh, whose Lanczos basis
+and dseupd's output take 8.5-10 MiB above the factor, so it falls only
+from 143.4-143.5 to 139.4-140.8 MiB.
 
 Grimes, Lewis and Simon (1994), "A shifted block Lanczos algorithm for
 solving sparse symmetric generalized eigenproblems".
@@ -138,6 +159,9 @@ class Spectrum:
     # 0 by construction, eigsh's pairs being real; perfbench reads it, and
     # the tests' dense QZ oracle counts the complex pairs it drops here
     n_complex_rejected: int = 0
+    # merged over mirror sectors by merge_sectors: the largest sector's
+    # fill, as the factors never coexist; solves and retries summed; the
+    # lowest shift
     lu_nnz: int = 0                # fill of the shift-invert factor
     n_op_applications: int = 0     # factor solves, one per column, lift too
     shift: float = 0.0             # the shift the factor used
@@ -163,28 +187,33 @@ def _certified(K, M, sigma, values, vectors, perm=slice(None),
     return Spectrum(values=values, vectors=vectors, residuals=res, **record)
 
 
-def node_ordering(system: EvpSystem) -> np.ndarray:
-    """Fill-reducing order of the reduced dofs, blocked by nodal point.
+def node_ordering(elements: np.ndarray, *columns: np.ndarray) -> list:
+    """Fill-reducing orders of pencil columns, blocked by nodal point, one
+    per pencil; every pencil shares one node order.
 
-    Reduced dof i sits on node retained[i] % n_scalar.  The node graph is
-    the pattern of B B' + I: B is the node-element incidence of
-    element_nodes, with the rows of nodes that keep no dof left empty, and
-    no entry of A or M is read.  SuperLU's minimum degree on A'+A orders
-    that SPD surrogate; perm_c[i] is node i's new position.  The dofs are
-    then listed node by node: perm[k] is the reduced dof placed at
-    position k."""
-    dofs = system.constraints.retained_dofs() \
-        if system.constraints is not None else np.arange(system.n)
-    n_nodes = system.dofmap.n_scalar
-    node = dofs % n_nodes
-    elements = system.dofmap.element_nodes
-    live = np.isin(elements, node)   # the incidences of nodes with a dof
+    columns[s][i] is the node of column i of pencil s, and elements the
+    nodes of each element (on a mirror sector, both folded onto orbit
+    representatives).  The node graph is the pattern of B B' + I: B is the
+    node-element incidence of elements, with the rows of nodes that carry
+    no column left empty, and no entry of A or M is read.  SuperLU's
+    minimum degree on A'+A orders that SPD surrogate; perm_c[a] is node
+    a's new position.  Each pencil's columns are then listed node by node:
+    perm[k] is the column placed at position k."""
+    n_nodes = int(elements.max()) + 1
+    live = np.isin(elements, np.concatenate(columns))
     B = sp.csr_matrix((np.ones(np.count_nonzero(live)),
                        (elements[live], np.nonzero(live)[0])),
                       shape=(n_nodes, len(elements)))
     surrogate = (B @ B.T + sp.identity(n_nodes)).tocsc()
     position = spla.splu(surrogate, permc_spec="MMD_AT_PLUS_A").perm_c
-    return np.argsort(position[node], kind="stable")
+    return [np.argsort(position[node], kind="stable") for node in columns]
+
+
+def _retained_nodes(system: EvpSystem) -> np.ndarray:
+    """The node of each reduced dof."""
+    dofs = system.constraints.retained_dofs() \
+        if system.constraints is not None else np.arange(system.n)
+    return dofs % system.dofmap.n_scalar
 
 
 def lanczos_window(nev: int) -> int:
@@ -197,7 +226,11 @@ def mass_support(system: EvpSystem) -> np.ndarray:
     """The reduced dofs with a nonzero M row, ascending.  Their count, rank
     M, bounds the size of the finite spectrum, reached unless A is singular
     on the M-null rows."""
-    return np.flatnonzero(abs(system.M).sum(axis=1))
+    return _nonzero_rows(system.M)
+
+
+def _nonzero_rows(M: sp.spmatrix) -> np.ndarray:
+    return np.flatnonzero(abs(M).sum(axis=1))
 
 
 def _mass_block(M: sp.csr_matrix, support: np.ndarray) -> sp.csr_matrix:
@@ -226,10 +259,54 @@ class ShiftedPencil:
 
 
 def shifted_pencil(system: EvpSystem, sigma: float) -> ShiftedPencil:
-    """The pencil at shift sigma, ordered by node_ordering."""
-    perm = node_ordering(system)
+    """The whole pencil at shift sigma, ordered by node_ordering."""
+    perm, = node_ordering(system.dofmap.element_nodes,
+                          _retained_nodes(system))
     return ShiftedPencil((system.A - sigma * system.M)[perm][:, perm].tocsc(),
                          system.M, perm, mass_support(system), sigma)
+
+
+def mirror_sectors(system: EvpSystem, sigma: float, mirror) -> list:
+    """The pencil at shift sigma split by a mirror, one ``(Q, pencil)`` per
+    sector: the orthonormal basis Q of the sector and the ShiftedPencil of
+    Q' A Q and Q' M Q.  Without a mirror, the one sector is the whole
+    pencil and Q is None.
+
+    mirror is ``system.mirror_permutation``'s ``(image, sign)``.  Over
+    each pair of dofs i < j = image[i] the symmetric sector takes (e_i +
+    sign[i] e_j) / sqrt 2 and the antisymmetric one (e_i - sign[i] e_j) /
+    sqrt 2; a fixed dof e_i goes to the sector of its sign.  A sector's
+    columns follow their leading dof i, so its u columns lead as M's u rows
+    do.  One node order, on the node graph folded onto orbit
+    representatives, orders both sectors."""
+    if mirror is None:
+        return [(None, shifted_pencil(system, sigma))]
+    image, sign = mirror
+    node = _retained_nodes(system)
+    fold = np.arange(system.dofmap.n_scalar)   # node -> orbit representative
+    fold[node] = np.minimum(node, node[image])
+    lead = np.flatnonzero(image >= np.arange(system.n))
+    partner, paired = image[lead], image[lead] != lead
+    bases, heads = [], []
+    for parity in (1.0, -1.0):
+        cols = paired | (sign[lead] == parity)
+        head, pairs = lead[cols], np.flatnonzero(paired[cols])
+        rows = np.concatenate([head, partner[cols][pairs]])
+        vals = np.concatenate([np.where(paired[cols], np.sqrt(0.5), 1.0),
+                               parity * sign[head[pairs]] * np.sqrt(0.5)])
+        bases.append(sp.csc_matrix(
+            (vals, (rows, np.concatenate([np.arange(head.size), pairs]))),
+            shape=(system.n, head.size)))
+        heads.append(fold[node[head]])
+    perms = node_ordering(fold[system.dofmap.element_nodes], *heads)
+    sectors = []
+    for Q, perm in zip(bases, perms):
+        Qp = Q[:, perm]
+        M = (Q.T @ system.M @ Q).tocsr()
+        K = Qp.T @ system.A @ Qp - sigma * M[perm][:, perm]
+        sectors.append((Q, ShiftedPencil(K.tocsc(), M, perm,
+                                         _nonzero_rows(M), sigma)))
+    return sectors
 
 
 def _lanczos(pencil: ShiftedPencil, k: int, ncv: int, v0: np.ndarray):
@@ -242,7 +319,7 @@ def _lanczos(pencil: ShiftedPencil, k: int, ncv: int, v0: np.ndarray):
     n, r, sigma = pencil.K.shape[0], pencil.support.size, pencil.sigma
     _release_freed_heap()   # the factor starts on a heap with none kept
     lu = spla.splu(pencil.K, permc_spec="NATURAL",
-                   diag_pivot_thresh=DIAG_PIVOT_THRESH,
+                   diag_pivot_thresh=DIAG_PIVOT_THRESH, panel_size=1,
                    options=dict(SymmetricMode=True))
     position = np.empty(n, dtype=np.intp)  # of each dof in the factor
     position[pencil.perm] = np.arange(n)
@@ -322,6 +399,30 @@ def solve_generalized(pencil: ShiftedPencil | EvpSystem,
     return _certified(pencil.K, pencil.M, pencil.sigma, w, v, perm=pencil.perm,
                       lu_nnz=lu_nnz, n_op_applications=n_ops,
                       shift=pencil.sigma, shift_retries=retries)
+
+
+def merge_sectors(parts: list, count: int) -> Spectrum:
+    """One spectrum from the ``(Q, spectrum)`` of each mirror sector.
+
+    Each sector's list is complete from its shift to its top value, so the
+    merged one is complete up to the lowest top; the first count pairs up
+    to there are kept, ascending, and their vectors lifted by Q.  The
+    record reads the largest factor (they never coexist), the solves and
+    the shift retries summed over the sectors, and the lowest shift."""
+    top = min(s.values[-1] if s.values.size else -np.inf for _, s in parts)
+    kept = [(Q, s, s.values <= top) for Q, s in parts]
+    values = np.concatenate([s.values[k] for _, s, k in kept])
+    order = np.argsort(values, kind="stable")[:count]
+    vectors = np.hstack([s.vectors[:, k] if Q is None else Q @ s.vectors[:, k]
+                         for Q, s, k in kept])
+    spectra = [s for _, s in parts]
+    return Spectrum(
+        values=values[order], vectors=vectors[:, order],
+        residuals=np.concatenate([s.residuals[k] for _, s, k in kept])[order],
+        lu_nnz=max(s.lu_nnz for s in spectra),
+        n_op_applications=sum(s.n_op_applications for s in spectra),
+        shift=min(s.shift for s in spectra),
+        shift_retries=sum(s.shift_retries for s in spectra))
 
 
 def filter_zeros(spectrum: Spectrum) -> Spectrum:

@@ -25,6 +25,9 @@ singular node (re-entrant corner or crack tip) on the mesh.  Census edge e
 is node V + e both in the Powell-Sabin split, at its midpoint, and in the
 P2 dofmap, as its edge node; neither recounts the edges.  The dofmap marks
 its nodal points, P1 and P2 alike, by the same ``boundary_axes``.
+Each domain has at most one mirror, ``DomainKind.mirror``: y = x on the
+square and y = -x on the L-shape, which every mesh family here keeps.
+``node_mirror`` reads it on a dofmap's nodal points, P1 and P2 alike.
 Nothing here loops over triangles, edges or nodes in Python.
 """
 from __future__ import annotations
@@ -37,6 +40,9 @@ import numpy as np
 from .eig import is_integer
 
 GEOM_TOL = 1e-10
+# grid on which node_mirror matches reflected points to nodal points: far
+# above round-off and far below any node spacing
+MIRROR_SNAP = 1e-7
 # exponent of the power law that clusters a cc-graded grid toward the
 # crack line and the tip; the benchmark tables use 2
 GRADING_EXPONENT = 2.0
@@ -65,6 +71,17 @@ class DomainKind(Enum):
     @property
     def has_reentrant_corner(self) -> bool:
         return self is DomainKind.L_SHAPE
+
+    @property
+    def mirror(self) -> np.ndarray | None:
+        """The domain's one reflection x -> R x, as the 2 x 2 matrix R: the
+        square's y = x and the L-shape's y = -x.  None on the cracked
+        square, whose face copies share coordinates."""
+        if self is DomainKind.SQUARE_PI:
+            return np.array([[0.0, 1.0], [1.0, 0.0]])
+        if self is DomainKind.L_SHAPE:
+            return np.array([[0.0, -1.0], [-1.0, 0.0]])
+        return None
 
 
 SQUARE_PI = DomainKind.SQUARE_PI
@@ -330,6 +347,39 @@ def classify_boundary(points, triangles, domain: DomainKind,
     return Mesh(points=points, triangles=triangles, domain=domain, h=h,
                 grid_step=grid_step, edges=edges, edge_ids=edge_ids,
                 on_h=on_h, on_v=on_v, singular_node=singular_node)
+
+
+def node_mirror(dofmap) -> np.ndarray | None:
+    """The domain mirror on a dofmap's nodal points, P1 and P2 alike: node
+    i reflects onto node image[i], and image is an involution.  None where
+    the domain has no mirror, where a reflected point is no nodal point
+    (tolerance 1e-10), or where ``element_nodes`` does not map onto itself
+    as a set of triangles."""
+    R = dofmap.mesh.domain.mirror
+    if R is None:
+        return None
+    coords = dofmap.coords
+    n = len(coords)
+    # one integer per snapped point: its x and y grid indices, |.| < 2^31
+    key = np.round(np.vstack([coords, coords @ R.T]) / MIRROR_SNAP) \
+        .astype(np.int64) @ np.array([1 << 32, 1])
+    order = np.argsort(key[:n])
+    slot = np.minimum(np.searchsorted(key[:n], key[n:], sorter=order), n - 1)
+    image = order[slot]
+    if np.any(key[image] != key[n:]) or \
+            np.any(image[image] != np.arange(n)) or \
+            np.abs(coords[image] - coords @ R.T).max() > GEOM_TOL:
+        return None
+    if not np.array_equal(_row_set(dofmap.element_nodes),
+                          _row_set(image[dofmap.element_nodes])):
+        return None
+    return image
+
+
+def _row_set(rows: np.ndarray) -> np.ndarray:
+    """The rows as a set: each row sorted, the rows in lexicographic order."""
+    rows = np.sort(rows, axis=1)
+    return rows[np.lexsort(rows.T[::-1])]
 
 
 def dump_mesh(mesh: Mesh, path) -> None:

@@ -16,13 +16,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import meshgen
-from .eig import ZERO_TOL, SolverConfig, Spectrum, filter_zeros, \
-    is_integer, shifted_pencil, solve_generalized
+from .eig import GUARD_PAIRS, ZERO_TOL, SolverConfig, Spectrum, \
+    filter_zeros, is_integer, merge_sectors, mirror_sectors, \
+    solve_generalized
 from .fem import DEGREES, FORMULATION_FIELDS, DofMap
 from .meshgen import DomainKind, Mesh
 from .system import ConstraintSet, CornerStrategy, StabilizationParams, \
     TipStrategy, build_ag, build_constraints, build_osgs, build_sg, \
-    reduce_system
+    mirror_permutation, reduce_system
 
 # Benchmark reference spectra.  Modes inherited from the enclosing square
 # are analytically multiples of pi^2/4 and carried at full precision;
@@ -193,9 +194,13 @@ class Case:
 
 
 def run_case(config: StudyConfig, N: int) -> Case:
-    """Mesh, assemble, constrain, reduce and solve the case at N.  The solve
-    holds only M and the shifted pencil: the reduced A is dropped before
-    the factorization."""
+    """Mesh, assemble, constrain, reduce and solve the case at N.
+
+    The pencil is solved by mirror sectors, one solve each, and the merged
+    spectrum keeps the first nev + GUARD_PAIRS pairs; a mesh without a
+    mirror is the one sector.  The solves hold only the sectors' M and
+    shifted pencils: the reduced A is dropped before the first
+    factorization."""
     mesh = build_mesh(config, N)
     if config.formulation == "sg":
         system = build_sg(mesh, config.degree)
@@ -206,9 +211,13 @@ def run_case(config: StudyConfig, N: int) -> Case:
     constraints = build_constraints(system.dofmap, corner=config.corner)
     reduced = reduce_system(system, constraints)
     del system
-    dofmap, pencil = reduced.dofmap, shifted_pencil(reduced, config.shift)
+    dofmap, sectors = reduced.dofmap, mirror_sectors(
+        reduced, config.shift, mirror_permutation(reduced))
     del reduced
-    spectrum = solve_generalized(pencil, config.solver_config)
+    solver = config.solver_config
+    spectrum = merge_sectors(
+        [(Q, solve_generalized(pencil, solver)) for Q, pencil in sectors],
+        solver.nev + GUARD_PAIRS)
     if config.formulation == "sg":
         spectrum = filter_zeros(spectrum)
     return Case(spectrum.values[:config.nev_effective], spectrum, dofmap,

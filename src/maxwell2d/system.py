@@ -20,6 +20,12 @@ A_r = T' A T), never by penalties, so the reduced spectrum is exact.  A
 constraint set is a kept-dof mask plus at most one fold, the bisector
 rule u2 = -u1 at the L-shape's re-entrant corner.
 
+The square and the L-shape each have one mirror, and so do their meshes.
+``mirror_permutation`` reads it as a signed permutation of the reduced
+dofs that commutes with the reduced A and M: the vector fields (u1, u2)
+and (xi1', xi2') map as R u(R x), the scalars p and eta' as p(R x), and
+the bisector fold u2 = -u1 is invariant under the L-shape's y = -x.
+
 The permeability mu is 1 in every benchmark cavity and enters no form:
 tau_p = c_p ell^2 and tau_u = c_u h^2 / ell^2, where the mesh size h is
 known only once a mesh exists and so is passed to the builders.
@@ -35,7 +41,7 @@ import scipy.sparse as sp
 from .eig import is_real
 from .fem import FORMULATION_FIELDS, AssemblyError, DofMap, build_dofmap, \
     scalar_kernels
-from .meshgen import Mesh
+from .meshgen import Mesh, node_mirror
 
 
 @dataclass(frozen=True)
@@ -234,3 +240,48 @@ def reduce_system(system: EvpSystem, constraints: ConstraintSet) -> EvpSystem:
     A = (T.T @ system.A @ T).tocsr()
     M = (T.T @ system.M @ T).tocsr()
     return replace(system, A=A, M=M, constraints=constraints)
+
+
+# the fields that pair into vectors; the others are scalars
+VECTOR_FIELDS = (("u1", "u2"), ("xi1", "xi2"))
+
+
+def mirror_permutation(system: EvpSystem):
+    """The mesh mirror on the reduced dofs, or None without one.
+
+    Returns ``(image, sign)``: the mirror S maps x to (S x)[i] = sign[i]
+    x[image[i]], an involution that commutes with A and M.  A vector
+    field maps as R u(R x) and a scalar as p(R x).  The folded corner u1
+    is its own image with sign +1, its u2 being -u1.  Raises
+    ConstraintError when the constraints break the mirror."""
+    dofmap, constraints = system.dofmap, system.constraints
+    nodes = node_mirror(dofmap)
+    if nodes is None:
+        return None
+    R = dofmap.mesh.domain.mirror
+    image, sign = [], []
+    for field in dofmap.fields:   # contiguous, in declaration order
+        pair = next((p for p in VECTOR_FIELDS if field in p), None)
+        source, s = field, 1.0
+        if pair is not None:   # row a of R u(R x)
+            row = R[pair.index(field)]
+            k = int(np.argmax(np.abs(row)))
+            source, s = pair[k], row[k]
+        image.append(dofmap.offset(source) + nodes)
+        sign.append(np.full(len(nodes), s))
+    image, sign = np.concatenate(image), np.concatenate(sign)
+    if constraints is None:
+        return image, sign
+    # read S T on the retained rows: a dof mapped onto the fold's slave
+    # lands on its master with the sign flipped
+    kept = constraints.retained_dofs()
+    reduced = np.full(dofmap.ndof, -1, dtype=np.intp)
+    reduced[kept] = np.arange(len(kept))
+    if constraints.fold is not None:
+        slave, master = constraints.fold
+        reduced[slave] = reduced[master]
+        sign[image == slave] *= -1.0
+    image, sign = reduced[image[kept]], sign[kept]
+    if np.any(image < 0):
+        raise ConstraintError("the constraints break the mesh mirror")
+    return image, sign

@@ -435,7 +435,8 @@ def test_export_reuses_finest_solve(tmp_path, monkeypatch, capsys):
     assert code == 0
     config = StudyConfig(domain=SQUARE_PI, mesh="cc", formulation="osgs",
                          N_list=(3, 6), nev=3, seed=7)
-    assert calls == [config.solver_config] * 2
+    # one solve per mirror sector, two on the square, for each of two N
+    assert calls == [config.solver_config] * 4
     expected = tmp_path / "expected.txt"
     export_eigenfunction(compute_eigenfunction(run_study(config), 1),
                          expected)
@@ -456,9 +457,11 @@ def test_runtime_failure_exits_one(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("argv, message", [
-    # 10 table rows on rank M = 10: Lanczos returns at most rank M - 1 values
+    # 10 table rows on rank M = 10, split 5 + 5 by the mirror: Lanczos
+    # returns at most rank M - 1 values per sector, 4 each, and the merged
+    # list stops at the lower of the two top values
     (["--mesh", "ps", "--formulation", "sg", "--N", "1", "--nev", "10"],
-     "RuntimeError: solver returned 9 values, need 10 (N=1)"),
+     "RuntimeError: solver returned 7 values, need 10 (N=1)"),
     # every velocity node lies on the boundary: rank M = 0
     (["--mesh", "uniform", "--formulation", "osgs", "--N", "1"],
      "EigenSolveError: rank M is 0: too few finite eigenvalues for Lanczos"),

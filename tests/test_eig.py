@@ -25,6 +25,11 @@ from maxwell2d.study import (build_mesh, compute_eigenfunction,
 from dense_oracle import solve_dense
 
 
+def whole_ordering(system):
+    """node_ordering of the whole reduced pencil, as its solve reads it."""
+    return eig.shifted_pencil(system, 0.5).perm
+
+
 def reduced_sg(domain, mesh, **kwargs):
     system = build_sg(mesh, 1)
     cons = build_constraints(system.dofmap, **kwargs)
@@ -242,7 +247,7 @@ def test_node_ordering_fill(case):
         cons = build_constraints(system.dofmap,
                                  corner=CornerStrategy.BISECTOR_NORMAL)
     reduced = reduce_system(system, cons)
-    perm = node_ordering(reduced)
+    perm = whole_ordering(reduced)
     assert np.array_equal(np.sort(perm), np.arange(reduced.n))
     node = cons.retained_dofs()[perm] % system.dofmap.n_scalar
     runs = 1 + np.count_nonzero(np.diff(node))
@@ -304,7 +309,7 @@ def test_node_ordering_matches_float_fold(config, N):
     # the value-based graph and the element incidence agree wherever every
     # element-adjacent node pair has a stored nonzero in A or M
     reduced = reduced_case(config, N)
-    assert np.array_equal(node_ordering(reduced),
+    assert np.array_equal(whole_ordering(reduced),
                           float_fold_ordering(reduced))
 
 
@@ -319,16 +324,18 @@ def test_node_ordering_reads_only_mesh_and_constraints(change):
         other = replace(reduced, A=(reduced.A + coupling).tocsr())
     else:
         other = replace(reduced, A=2.0 * reduced.A, M=3.0 * reduced.M)
-    assert np.array_equal(node_ordering(other), node_ordering(reduced))
+    assert np.array_equal(whole_ordering(other), whole_ordering(reduced))
 
 
 def test_solve_holds_one_pencil(monkeypatch):
-    # live traced memory when ARPACK starts, against the pencil the solver
-    # holds, K = P (A - sigma M) P' and M: beside them the mesh, dofmap and
-    # ordering; the unreduced system, the reduced A and the temporaries of
-    # K are gone (2.2x the pencil when the reduced A was kept beside K),
-    # and M's support block shares M's arrays.  ARPACK runs on the support
-    # of M: rank M dofs on OSGS, every dof on SG
+    # live traced memory at each ARPACK start, against what the solve
+    # holds: each mirror sector's K = P (A - sigma M) P' and M, and the
+    # pairs of the sectors already solved; beside them the mesh, dofmap,
+    # sector bases and ordering.  The unreduced system, the reduced A and
+    # the temporaries of K are gone (2.2x the pencil when the reduced A was
+    # kept beside K), and M's support block shares M's arrays.  ARPACK runs
+    # on the support of M: rank M dofs on OSGS, every dof on SG.  The crack
+    # has no mirror and one sector, the L-shape and the square two
     entry, solved = [], []
     eigsh, solve = spla.eigsh, study.solve_generalized
 
@@ -338,41 +345,54 @@ def test_solve_holds_one_pencil(monkeypatch):
         return eigsh(A, *args, **kwargs)
 
     def held(pencil, *args):
-        solved.append(pencil)
-        return solve(pencil, *args)
+        spectrum = solve(pencil, *args)
+        solved.append((pencil, spectrum))
+        return spectrum
 
     monkeypatch.setattr(spla, "eigsh", spy)
     monkeypatch.setattr(study, "solve_generalized", held)
-    tracemalloc.start()
-    try:
-        run_case(StudyConfig(domain=CRACKED_SQUARE, mesh="ps",
-                             formulation="osgs", N_list=(8,)), 8)
-    finally:
-        tracemalloc.stop()
+    for domain, sectors in ((CRACKED_SQUARE, 1), (L_SHAPE, 2)):
+        entry.clear()
+        solved.clear()
+        tracemalloc.start()
+        try:
+            run_case(StudyConfig(domain=domain, mesh="ps",
+                                 formulation="osgs", N_list=(8,)), 8)
+        finally:
+            tracemalloc.stop()
+        assert len(entry) == len(solved) == sectors
+        held_bytes = sum(X.data.nbytes + X.indices.nbytes + X.indptr.nbytes
+                         for pencil, _ in solved for X in (pencil.K, pencil.M))
+        for k, ((live, shape, M), (pencil, _)) in enumerate(zip(entry,
+                                                               solved)):
+            done = sum(spectrum.vectors.nbytes for _, spectrum in solved[:k])
+            assert live / (held_bytes + done) <= 1.5
+            rank = pencil.support.size
+            assert rank < pencil.K.shape[0]
+            assert shape == M.shape == (rank, rank)
+            assert np.shares_memory(M.data, pencil.M.data)
+    entry.clear()
+    solved.clear()
     run_case(StudyConfig(domain=SQUARE_PI, mesh="ps", formulation="sg",
                          N_list=(8,)), 8)
-    (osgs, sg), ((live, *osgs_arpack), (_, *sg_arpack)) = solved, entry
-    held_bytes = sum(X.data.nbytes + X.indices.nbytes + X.indptr.nbytes
-                     for X in (osgs.K, osgs.M))
-    assert live / held_bytes <= 1.5
-    rank = osgs.support.size
-    assert rank < osgs.K.shape[0]
-    for pencil, (shape, M), dim in ((osgs, osgs_arpack, rank),
-                                    (sg, sg_arpack, sg.K.shape[0])):
-        assert shape == M.shape == (dim, dim)
+    assert len(solved) == 2
+    for (_, shape, M), (pencil, _) in zip(entry, solved):
+        assert shape == M.shape == pencil.K.shape
         assert np.shares_memory(M.data, pencil.M.data)
 
 
-@pytest.mark.parametrize("config", [
-    StudyConfig(domain=CRACKED_SQUARE, mesh="ps", formulation="osgs",
-                N_list=(8,)),
-    StudyConfig(domain=SQUARE_PI, mesh="ps", formulation="sg", N_list=(8,)),
+@pytest.mark.parametrize("config, sectors", [
+    (StudyConfig(domain=CRACKED_SQUARE, mesh="ps", formulation="osgs",
+                 N_list=(8,)), 1),
+    (StudyConfig(domain=SQUARE_PI, mesh="ps", formulation="sg",
+                 N_list=(8,)), 2),
 ], ids=["crack-osgs-ps", "square-sg-ps"])
-def test_reduced_A_released_before_factorization(monkeypatch, config):
-    # run_case hands the solve the shifted pencil and drops the reduced
-    # system, so no reference keeps the reduced A alive into the factor;
-    # a callee cannot drop it, as Python 3.10 keeps a caller's arguments
-    # alive through the call
+def test_reduced_A_released_before_factorization(monkeypatch, config,
+                                                 sectors):
+    # run_case hands the solves the shifted sector pencils and drops the
+    # reduced system, so no reference keeps the reduced A alive into any
+    # sector's factor; a callee cannot drop it, as Python 3.10 keeps a
+    # caller's arguments alive through the call
     refs, dead = [], []
     reduce, splu = study.reduce_system, spla.splu
 
@@ -389,7 +409,7 @@ def test_reduced_A_released_before_factorization(monkeypatch, config):
     monkeypatch.setattr(study, "reduce_system", reduced)
     monkeypatch.setattr(spla, "splu", factor)
     run_case(config, 8)
-    assert dead == [[True]]
+    assert dead == [[True]] * sectors
 
 
 def test_shift_invert_releases_factor(monkeypatch):
@@ -601,9 +621,9 @@ def test_shift_collision_retries(monkeypatch):
     # pencil with an eigenvalue exactly at the default shift
     orderings = []
 
-    def counting_ordering(system):
-        orderings.append(system)
-        return node_ordering(system)
+    def counting_ordering(*args):
+        orderings.append(args)
+        return node_ordering(*args)
 
     monkeypatch.setattr(eig, "node_ordering", counting_ordering)
     A = np.diag(np.concatenate(([0.5], np.arange(1.0, 40.0))))
@@ -640,7 +660,8 @@ def test_three_failed_factorizations_end_the_solve(monkeypatch):
         shifts.append(1.0 - matrix.diagonal()[0])   # A[0, 0] = 1
         raise RuntimeError("Factor is exactly singular")
 
-    monkeypatch.setattr(eig, "node_ordering", lambda s: np.arange(s.n))
+    monkeypatch.setattr(eig, "node_ordering", lambda elements, *columns:
+                        [np.arange(c.size) for c in columns])
     monkeypatch.setattr(spla, "splu", failing)
     A = np.diag(np.arange(1.0, 41.0))
     with pytest.raises(EigenSolveError, match="factorization failed near "
