@@ -46,9 +46,14 @@ mirror pairs plus the fixed dofs, and orders both on one node graph folded
 onto orbit representatives.  A sector is an ordinary ShiftedPencil with a
 factor of under half the whole pencil's entries (L-shape OSGS/P2 CC N=10:
 1,049,694 and 1,037,876 against 2,237,174), and run_case solves the two one
-after the other.  Each list is complete from the shift to its top value,
-so ``merge_sectors`` keeps the pairs up to the lower top.  The cracked
-square has no mirror and is its own one sector.
+after the other, each for its share of the pairs, ceil(nev / 2) plus the
+full guard (square SG/PS N=25, nev 17: 136 factor solves against 186 when
+each converges nev + 8).  Each list is complete from the shift to its top
+value, so ``merge_sectors`` keeps the pairs up to the lower top.  Where
+that leaves fewer than nev + GUARD_PAIRS pairs, run_case solves every
+sector once more for all of nev and merges those lists instead.  The
+cracked square has no mirror and is its own one sector, its share all of
+nev.
 
 The factor is the largest object of a solve.  Beside it live only the
 sectors' M and K = P (A - sigma M) P' in node order, the CSC matrix splu
@@ -96,7 +101,8 @@ if TYPE_CHECKING:  # system imports is_real from here
 RESIDUAL_TOL = 1e-8
 MAX_RESTARTS = 300     # ARPACK restarts before a solve fails
 ARPACK_TOL = 1e-10     # ARPACK's convergence tolerance
-GUARD_PAIRS = 8        # Lanczos converges nev + 8 pairs, reports them all
+GUARD_PAIRS = 8        # a solve converges nev + 8 pairs, reports them all;
+                       # a mirror sector's nev is its share, the guard whole
 ZERO_TOL = 1e-6        # zero: filter_zeros' cut and SG's least shift
 DIAG_PIVOT_THRESH = 0.0
 
@@ -161,7 +167,8 @@ class Spectrum:
     n_complex_rejected: int = 0
     # merged over mirror sectors by merge_sectors: the largest sector's
     # fill, as the factors never coexist; solves and retries summed; the
-    # lowest shift
+    # lowest shift.  Where run_case re-solves a short share merge for all
+    # of nev, solves and retries also count the discarded share solves
     lu_nnz: int = 0                # fill of the shift-invert factor
     n_op_applications: int = 0     # factor solves, one per column, lift too
     shift: float = 0.0             # the shift the factor used

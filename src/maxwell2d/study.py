@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -196,11 +196,14 @@ class Case:
 def run_case(config: StudyConfig, N: int) -> Case:
     """Mesh, assemble, constrain, reduce and solve the case at N.
 
-    The pencil is solved by mirror sectors, one solve each, and the merged
-    spectrum keeps the first nev + GUARD_PAIRS pairs; a mesh without a
-    mirror is the one sector.  The solves hold only the sectors' M and
-    shifted pencils: the reduced A is dropped before the first
-    factorization."""
+    The pencil is solved by mirror sectors, and the merged spectrum keeps
+    the first nev + GUARD_PAIRS pairs; a mesh without a mirror is the one
+    sector.  Each sector converges its share, ceil(nev / sectors) plus the
+    guard.  A merge that falls short of nev + GUARD_PAIRS, where one
+    sector's list tops out below the pairs the other needs, re-solves every
+    sector once at the full nev, and its record counts the discarded share
+    solves too.  The solves hold only the sectors' M and shifted pencils:
+    the reduced A is dropped before the first factorization."""
     mesh = build_mesh(config, N)
     if config.formulation == "sg":
         system = build_sg(mesh, config.degree)
@@ -215,9 +218,20 @@ def run_case(config: StudyConfig, N: int) -> Case:
         reduced, config.shift, mirror_permutation(reduced))
     del reduced
     solver = config.solver_config
-    spectrum = merge_sectors(
-        [(Q, solve_generalized(pencil, solver)) for Q, pencil in sectors],
-        solver.nev + GUARD_PAIRS)
+    share = replace(solver, nev=math.ceil(solver.nev / len(sectors)))
+    count = solver.nev + GUARD_PAIRS
+
+    def solve(each):
+        return merge_sectors([(Q, solve_generalized(pencil, each))
+                              for Q, pencil in sectors], count)
+
+    spectrum = solve(share)
+    if share != solver and len(spectrum.values) < count:
+        spent = spectrum.n_op_applications, spectrum.shift_retries
+        spectrum = solve(solver)
+        spectrum = replace(
+            spectrum, n_op_applications=spectrum.n_op_applications + spent[0],
+            shift_retries=spectrum.shift_retries + spent[1])
     if config.formulation == "sg":
         spectrum = filter_zeros(spectrum)
     return Case(spectrum.values[:config.nev_effective], spectrum, dofmap,

@@ -4,6 +4,7 @@ import re
 import shlex
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -435,8 +436,10 @@ def test_export_reuses_finest_solve(tmp_path, monkeypatch, capsys):
     assert code == 0
     config = StudyConfig(domain=SQUARE_PI, mesh="cc", formulation="osgs",
                          N_list=(3, 6), nev=3, seed=7)
-    # one solve per mirror sector, two on the square, for each of two N
-    assert calls == [config.solver_config] * 4
+    # one solve per mirror sector, two on the square, for each of two N,
+    # each at its share of nev, ceil(3 / 2); the export re-solves nothing
+    share = replace(config.solver_config, nev=2)
+    assert calls == [share] * 4
     expected = tmp_path / "expected.txt"
     export_eigenfunction(compute_eigenfunction(run_study(config), 1),
                          expected)

@@ -4,8 +4,10 @@ The square's y = x and the L-shape's y = -x map every uniform, criss-cross
 and Powell-Sabin mesh onto itself, P1 and P2 nodal points alike; the
 cracked square has no mirror.  Read as a signed permutation of the reduced
 dofs the mirror commutes with A and M, so run_case solves the symmetric
-and the antisymmetric sector apart and merges their pairs.
+and the antisymmetric sector apart, each for its share of nev, and merges
+their pairs.
 """
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -22,7 +24,7 @@ from maxwell2d import eig, study
 from maxwell2d.meshgen import node_mirror
 from maxwell2d.study import build_mesh, stabilization_length
 from maxwell2d.system import mirror_permutation
-from dense_oracle import solve_dense
+from dense_oracle import DENSE_LIMIT, solve_dense
 
 MESHES = ("uniform", "cc", "ps")
 
@@ -131,13 +133,14 @@ def test_no_mirror_on_the_crack_pencil():
 
 
 def solved_sectors(monkeypatch):
-    """Record the pencil and spectrum of each solve run_case makes."""
+    """Record the pencil, config and spectrum of each solve run_case
+    makes."""
     solved = []
     solve = study.solve_generalized
 
     def record(pencil, config):
         spectrum = solve(pencil, config)
-        solved.append((pencil, spectrum))
+        solved.append((pencil, config, spectrum))
         return spectrum
 
     monkeypatch.setattr(study, "solve_generalized", record)
@@ -187,7 +190,7 @@ def test_double_falls_one_partner_per_sector(monkeypatch):
     config = StudyConfig(domain=SQUARE_PI, mesh="cc", formulation="sg",
                          N_list=(4,), nev=4)
     case = run_case(config, 4)
-    for _, spectrum in solved:
+    for _, _, spectrum in solved:
         assert np.count_nonzero(
             np.abs(spectrum.values - 4.2647) < 5e-5) == 1
     head = case.spectrum.values[:config.nev + 1]
@@ -206,22 +209,25 @@ def test_sector_record_and_factor_size(monkeypatch):
     spectrum = run_case(config, 5).spectrum
     reduced = reduced_case(config, 5)
     whole = solve_generalized(reduced, config.solver_config)
-    sectors = [s for _, s in solved]
+    sectors = [s for _, _, s in solved]
     assert spectrum.lu_nnz == max(s.lu_nnz for s in sectors)
     assert spectrum.lu_nnz <= 0.5 * whole.lu_nnz
     assert spectrum.n_op_applications == \
         sum(s.n_op_applications for s in sectors)
     assert spectrum.shift_retries == sum(s.shift_retries for s in sectors)
     assert spectrum.shift == min(s.shift for s in sectors)
-    assert sum(pencil.K.shape[0] for pencil, _ in solved) == reduced.n
+    assert sum(pencil.K.shape[0] for pencil, _, _ in solved) == reduced.n
 
 
-def test_mirrorless_case_is_the_whole_pencil():
-    # the crack is the one-sector case: run_case's arithmetic is the
-    # whole pencil's, bit for bit
+def test_mirrorless_case_is_the_whole_pencil(monkeypatch):
+    # the crack is the one-sector case: its share is all of nev, so
+    # run_case solves once and its arithmetic is the whole pencil's, bit
+    # for bit
+    solved = solved_sectors(monkeypatch)
     config = StudyConfig(domain=CRACKED_SQUARE, mesh="ps",
                          formulation="osgs", N_list=(4,), nev=4)
     case = run_case(config, 4)
+    assert [c for _, c, _ in solved] == [config.solver_config]
     whole = solve_generalized(reduced_case(config, 4), config.solver_config)
     assert np.array_equal(case.spectrum.values, whole.values)
     assert np.array_equal(case.spectrum.vectors, whole.vectors)
@@ -244,3 +250,84 @@ def test_factor_uses_single_column_panels(monkeypatch):
     run_case(StudyConfig(domain=SQUARE_PI, mesh="cc", formulation="sg",
                          N_list=(3,), nev=2), 3)
     assert panels == [1, 1]
+
+
+def full_nev_merge(config, N):
+    """The merge of every sector solved for all of nev, as run_case's
+    fallback does."""
+    reduced = reduced_case(config, N)
+    sectors = eig.mirror_sectors(reduced, config.shift,
+                                 mirror_permutation(reduced))
+    spectrum = eig.merge_sectors(
+        [(Q, solve_generalized(pencil, config.solver_config))
+         for Q, pencil in sectors], config.nev + eig.GUARD_PAIRS)
+    return filter_zeros(spectrum) if config.formulation == "sg" else spectrum
+
+
+@pytest.mark.parametrize("config, N, double", [
+    (StudyConfig(domain=SQUARE_PI, mesh="ps", formulation="sg",
+                 N_list=(5,), nev=17), 5, None),
+    (StudyConfig(domain=L_SHAPE, mesh="cc", formulation="osgs", degree=2,
+                 corner=CornerStrategy.BISECTOR_NORMAL, ell=0.3, c_u=0.85,
+                 c_p=0.5, N_list=(5,), nev=5), 5, None),
+    # the double 4.2647 has one partner in each sector, and each sector's
+    # share, 2 + 8 pairs, keeps its partner
+    (StudyConfig(domain=SQUARE_PI, mesh="cc", formulation="sg",
+                 N_list=(4,), nev=4), 4, 4.2647),
+], ids=["square-sg-ps", "lshape-osgs-p2-cc-bisector", "square-sg-cc-double"])
+def test_share_merge_matches_the_full_nev_merge(monkeypatch, config, N,
+                                                double):
+    solved = solved_sectors(monkeypatch)
+    spectrum = run_case(config, N).spectrum
+    share = replace(config.solver_config, nev=math.ceil(config.nev / 2))
+    assert [c for _, c, _ in solved] == [share] * 2   # no fallback
+    full = full_nev_merge(config, N)
+    count = len(full.values)
+    assert len(spectrum.values) == count
+    assert_allclose(spectrum.values, full.values, rtol=1e-12)
+    reduced = reduced_case(config, N)
+    if reduced.n <= DENSE_LIMIT:
+        oracle = solve_dense(reduced)
+        if config.formulation == "sg":
+            oracle = filter_zeros(oracle)
+        oracle = oracle.values[oracle.values >= config.shift][:count]
+    else:   # L-shape P2 N=5, 3,681 dofs: the unsplit pencil's Lanczos
+        oracle = solve_generalized(reduced, config.solver_config).values
+    assert_allclose(spectrum.values, oracle, rtol=1e-10)
+    if double is not None:
+        assert np.count_nonzero(
+            np.abs(spectrum.values - double) < 5e-5) == 2
+
+
+def test_short_share_merge_falls_back_to_the_full_nev(monkeypatch):
+    # square SG/CC N=2: the sectors' windows stop at their rank M, so the
+    # share merge holds fewer than nev + GUARD_PAIRS pairs; run_case
+    # re-solves each sector for all of nev and reports every solve
+    solved = solved_sectors(monkeypatch)
+    config = StudyConfig(domain=SQUARE_PI, mesh="cc", formulation="sg",
+                         N_list=(2,), nev=2)
+    spectrum = run_case(config, 2).spectrum
+    full = config.solver_config
+    assert [c for _, c, _ in solved] == [replace(full, nev=1)] * 2 + \
+        [full] * 2
+    expected = full_nev_merge(config, 2)
+    for name in ("values", "vectors", "residuals"):
+        assert np.array_equal(getattr(spectrum, name),
+                              getattr(expected, name))
+    assert (spectrum.lu_nnz, spectrum.shift) == \
+        (expected.lu_nnz, expected.shift)
+    spectra = [s for _, _, s in solved]
+    assert spectrum.n_op_applications == \
+        sum(s.n_op_applications for s in spectra) > expected.n_op_applications
+    assert spectrum.shift_retries == sum(s.shift_retries for s in spectra)
+
+
+def test_sectors_converge_their_share():
+    # square SG/PS N=25, sg-ps's finest square: 186 factor solves when
+    # each sector converges nev + 8 pairs, 136 for ceil(nev / 2) + 8
+    config = StudyConfig(domain=SQUARE_PI, mesh="ps", formulation="sg",
+                         N_list=(25,), nev=17, seed=1)
+    spectrum = run_case(config, 25).spectrum
+    full = full_nev_merge(config, 25)
+    assert spectrum.n_op_applications <= 0.8 * full.n_op_applications
+    assert_allclose(spectrum.values, full.values, rtol=1e-12)
