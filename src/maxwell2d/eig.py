@@ -41,19 +41,18 @@ a signed permutation S of the reduced dofs (``system.mirror_permutation``),
 commutes with A and M, so the pencil splits exactly into a symmetric and an
 antisymmetric block and its spectrum is the union of theirs (Bossavit
 (1986), "Symmetry, groups, and boundary value problems", CMAME 56).
-``mirror_sectors`` spans each sector by (e_i +- s e_j) / sqrt 2 over the
-mirror pairs plus the fixed dofs, and orders both on one node graph folded
-onto orbit representatives.  A sector is an ordinary ShiftedPencil with a
-factor of under half the whole pencil's entries (L-shape OSGS/P2 CC N=10:
-1,049,694 and 1,037,876 against 2,237,174), and run_case solves the two one
-after the other, each for its share of the pairs, ceil(nev / 2) plus the
-full guard (square SG/PS N=25, nev 17: 136 factor solves against 186 when
-each converges nev + 8).  Each list is complete from the shift to its top
-value, so ``merge_sectors`` keeps the pairs up to the lower top.  Where
-that leaves fewer than nev + GUARD_PAIRS pairs, run_case solves every
-sector once more for all of nev and merges those lists instead.  The
-cracked square has no mirror and is its own one sector, its share all of
-nev.
+``mirror_sectors``, the one builder of a ShiftedPencil, spans each sector
+by (e_i +- s e_j) / sqrt 2 over the mirror pairs plus the fixed dofs and
+orders them on one folded node graph; with no mirror, the cracked
+square's, it reads the identity and its one sector is the whole pencil.  A
+sector's factor holds under half the whole pencil's entries (L-shape
+OSGS/P2 CC N=10: 1,049,694 and 1,037,876 against 2,237,174), and run_case
+solves each for its share of the pairs, ceil(nev / 2) plus the full guard
+(square SG/PS N=25, nev 17: 136 factor solves against 186 when each
+converges nev + 8).  Each list is complete from the shift to its top
+value, so ``merge_sectors`` keeps the pairs up to the lower top, lifted by
+Q; where they fall short of nev + GUARD_PAIRS and a full-nev solve can add
+some, run_case solves every sector again for all of nev.
 
 The factor is the largest object of a solve.  Beside it live only the
 sectors' M and K = P (A - sigma M) P' in node order, the CSC matrix splu
@@ -165,10 +164,10 @@ class Spectrum:
     # 0 by construction, eigsh's pairs being real; perfbench reads it, and
     # the tests' dense QZ oracle counts the complex pairs it drops here
     n_complex_rejected: int = 0
-    # merged over mirror sectors by merge_sectors: the largest sector's
-    # fill, as the factors never coexist; solves and retries summed; the
-    # lowest shift.  Where run_case re-solves a short share merge for all
-    # of nev, solves and retries also count the discarded share solves
+    # merged over a case's sectors, one without a mirror, by merge_sectors:
+    # the largest sector's fill, as the factors never coexist; solves and
+    # retries summed; the lowest shift.  Where run_case re-solves a short
+    # share merge for all of nev, they also count the discarded share solves
     lu_nnz: int = 0                # fill of the shift-invert factor
     n_op_applications: int = 0     # factor solves, one per column, lift too
     shift: float = 0.0             # the shift the factor used
@@ -216,27 +215,23 @@ def node_ordering(elements: np.ndarray, *columns: np.ndarray) -> list:
     return [np.argsort(position[node], kind="stable") for node in columns]
 
 
-def _retained_nodes(system: EvpSystem) -> np.ndarray:
-    """The node of each reduced dof."""
-    dofs = system.constraints.retained_dofs() \
-        if system.constraints is not None else np.arange(system.n)
-    return dofs % system.dofmap.n_scalar
-
-
 def lanczos_window(nev: int) -> int:
     """Lanczos basis size (ARPACK's ncv) for nev reported values, before
     the cap at rank M."""
     return max(4 * nev, nev + 20)
 
 
-def mass_support(system: EvpSystem) -> np.ndarray:
-    """The reduced dofs with a nonzero M row, ascending.  Their count, rank
-    M, bounds the size of the finite spectrum, reached unless A is singular
-    on the M-null rows."""
-    return _nonzero_rows(system.M)
+def lanczos_size(nev: int, rank: int) -> tuple:
+    """ARPACK's window ncv and pair count k for nev reported values on a
+    pencil of rank M: the window stops at rank M, and k one short of it."""
+    ncv = min(lanczos_window(nev), rank)
+    return ncv, min(nev + GUARD_PAIRS, ncv - 1)
 
 
-def _nonzero_rows(M: sp.spmatrix) -> np.ndarray:
+def mass_support(M: sp.spmatrix) -> np.ndarray:
+    """The nonzero rows of M, ascending.  Their count, rank M, bounds the
+    size of the finite spectrum, reached unless A is singular on the M-null
+    rows."""
     return np.flatnonzero(abs(M).sum(axis=1))
 
 
@@ -265,31 +260,24 @@ class ShiftedPencil:
     sigma: float
 
 
-def shifted_pencil(system: EvpSystem, sigma: float) -> ShiftedPencil:
-    """The whole pencil at shift sigma, ordered by node_ordering."""
-    perm, = node_ordering(system.dofmap.element_nodes,
-                          _retained_nodes(system))
-    return ShiftedPencil((system.A - sigma * system.M)[perm][:, perm].tocsc(),
-                         system.M, perm, mass_support(system), sigma)
-
-
 def mirror_sectors(system: EvpSystem, sigma: float, mirror) -> list:
     """The pencil at shift sigma split by a mirror, one ``(Q, pencil)`` per
-    sector: the orthonormal basis Q of the sector and the ShiftedPencil of
-    Q' A Q and Q' M Q.  Without a mirror, the one sector is the whole
-    pencil and Q is None.
+    nonempty sector: the orthonormal basis Q of the sector and the
+    ShiftedPencil of Q' A Q and Q' M Q.
 
-    mirror is ``system.mirror_permutation``'s ``(image, sign)``.  Over
-    each pair of dofs i < j = image[i] the symmetric sector takes (e_i +
-    sign[i] e_j) / sqrt 2 and the antisymmetric one (e_i - sign[i] e_j) /
-    sqrt 2; a fixed dof e_i goes to the sector of its sign.  A sector's
-    columns follow their leading dof i, so its u columns lead as M's u rows
-    do.  One node order, on the node graph folded onto orbit
-    representatives, orders both sectors."""
-    if mirror is None:
-        return [(None, shifted_pencil(system, sigma))]
-    image, sign = mirror
-    node = _retained_nodes(system)
+    mirror is ``system.mirror_permutation``'s ``(image, sign)``; None is
+    the identity, every dof fixed of sign +1, whose one sector is the whole
+    pencil.  Over each pair of dofs i < j = image[i] the symmetric sector
+    takes (e_i + sign[i] e_j) / sqrt 2 and the antisymmetric one (e_i -
+    sign[i] e_j) / sqrt 2; a fixed dof e_i goes to the sector of its sign.
+    A sector's columns follow their leading dof i, so its u columns lead as
+    M's u rows do.  One node order, on the node graph folded onto orbit
+    representatives, orders every sector."""
+    image, sign = mirror if mirror is not None else (
+        np.arange(system.n), np.ones(system.n))
+    dofs = system.constraints.retained_dofs() \
+        if system.constraints is not None else np.arange(system.n)
+    node = dofs % system.dofmap.n_scalar   # of each reduced dof
     fold = np.arange(system.dofmap.n_scalar)   # node -> orbit representative
     fold[node] = np.minimum(node, node[image])
     lead = np.flatnonzero(image >= np.arange(system.n))
@@ -297,6 +285,8 @@ def mirror_sectors(system: EvpSystem, sigma: float, mirror) -> list:
     bases, heads = [], []
     for parity in (1.0, -1.0):
         cols = paired | (sign[lead] == parity)
+        if not cols.any():
+            continue
         head, pairs = lead[cols], np.flatnonzero(paired[cols])
         rows = np.concatenate([head, partner[cols][pairs]])
         vals = np.concatenate([np.where(paired[cols], np.sqrt(0.5), 1.0),
@@ -312,7 +302,7 @@ def mirror_sectors(system: EvpSystem, sigma: float, mirror) -> list:
         M = (Q.T @ system.M @ Q).tocsr()
         K = Qp.T @ system.A @ Qp - sigma * M[perm][:, perm]
         sectors.append((Q, ShiftedPencil(K.tocsc(), M, perm,
-                                         _nonzero_rows(M), sigma)))
+                                         mass_support(M), sigma)))
     return sectors
 
 
@@ -367,17 +357,16 @@ def solve_generalized(pencil: ShiftedPencil | EvpSystem,
     spectrum, so a small pencil gives at most rank M - 1 values, and rank M
     below 2 is an EigenSolveError.  Every returned pair is certified against
     ||A x - lambda M x|| <= 1e-8 (1 + |lambda|) ||x||, read from A - sigma M.
-    An EvpSystem is first made its ShiftedPencil at config.shift.
+    An EvpSystem is first made its one sector at config.shift.
     """
     if not isinstance(pencil, ShiftedPencil):
-        pencil = shifted_pencil(pencil, config.shift)
+        (_, pencil), = mirror_sectors(pencil, config.shift, None)
     sigma = pencil.sigma   # a retry moves the pencil's
     rank = pencil.support.size
     if rank < 2:
         raise EigenSolveError(
             f"rank M is {rank}: too few finite eigenvalues for Lanczos")
-    ncv = min(lanczos_window(config.nev), rank)
-    k = min(config.nev + GUARD_PAIRS, ncv - 1)
+    ncv, k = lanczos_size(config.nev, rank)
     v0 = np.random.default_rng(config.seed).standard_normal(pencil.K.shape[0])
     last = None
     for retries in range(3):
@@ -420,8 +409,7 @@ def merge_sectors(parts: list, count: int) -> Spectrum:
     kept = [(Q, s, s.values <= top) for Q, s in parts]
     values = np.concatenate([s.values[k] for _, s, k in kept])
     order = np.argsort(values, kind="stable")[:count]
-    vectors = np.hstack([s.vectors[:, k] if Q is None else Q @ s.vectors[:, k]
-                         for Q, s, k in kept])
+    vectors = np.hstack([Q @ s.vectors[:, k] for Q, s, k in kept])
     spectra = [s for _, s in parts]
     return Spectrum(
         values=values[order], vectors=vectors[:, order],

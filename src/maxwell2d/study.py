@@ -17,7 +17,7 @@ import numpy as np
 
 from . import meshgen
 from .eig import GUARD_PAIRS, ZERO_TOL, SolverConfig, Spectrum, \
-    filter_zeros, is_integer, merge_sectors, mirror_sectors, \
+    filter_zeros, is_integer, lanczos_size, merge_sectors, mirror_sectors, \
     solve_generalized
 from .fem import DEGREES, FORMULATION_FIELDS, DofMap
 from .meshgen import DomainKind, Mesh
@@ -199,11 +199,12 @@ def run_case(config: StudyConfig, N: int) -> Case:
     The pencil is solved by mirror sectors, and the merged spectrum keeps
     the first nev + GUARD_PAIRS pairs; a mesh without a mirror is the one
     sector.  Each sector converges its share, ceil(nev / sectors) plus the
-    guard.  A merge that falls short of nev + GUARD_PAIRS, where one
-    sector's list tops out below the pairs the other needs, re-solves every
-    sector once at the full nev, and its record counts the discarded share
-    solves too.  The solves hold only the sectors' M and shifted pencils:
-    the reduced A is dropped before the first factorization."""
+    guard.  A merge that falls short of nev + GUARD_PAIRS re-solves every
+    sector once at the full nev, its record counting the share solves too,
+    unless that changes no sector's ``lanczos_size``: rank M at most the
+    share's nev + GUARD_PAIRS + 1 gives both solves the same window and
+    pairs.  The solves hold only the sectors' M and shifted pencils: the
+    reduced A is dropped before the first factorization."""
     mesh = build_mesh(config, N)
     if config.formulation == "sg":
         system = build_sg(mesh, config.degree)
@@ -226,7 +227,10 @@ def run_case(config: StudyConfig, N: int) -> Case:
                               for Q, pencil in sectors], count)
 
     spectrum = solve(share)
-    if share != solver and len(spectrum.values) < count:
+    ranks = [pencil.support.size for _, pencil in sectors]
+    if len(spectrum.values) < count and any(
+            lanczos_size(share.nev, r) != lanczos_size(solver.nev, r)
+            for r in ranks):
         spent = spectrum.n_op_applications, spectrum.shift_retries
         spectrum = solve(solver)
         spectrum = replace(

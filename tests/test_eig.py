@@ -25,9 +25,28 @@ from maxwell2d.study import (build_mesh, compute_eigenfunction,
 from dense_oracle import solve_dense
 
 
+def one_sector(system, sigma):
+    """The pencil that solve_generalized makes of a system: the one sector
+    of the identity mirror."""
+    (_, pencil), = eig.mirror_sectors(system, sigma, None)
+    return pencil
+
+
+def whole_pencil(system, sigma):
+    """The whole pencil by its formula, the one sector's oracle: K = (A -
+    sigma M)[perm][:, perm] on the node ordering of the retained dofs, with
+    M and its nonzero rows."""
+    dofs = system.constraints.retained_dofs() \
+        if system.constraints is not None else np.arange(system.n)
+    perm, = node_ordering(system.dofmap.element_nodes,
+                          dofs % system.dofmap.n_scalar)
+    K = (system.A - sigma * system.M)[perm][:, perm].tocsc()
+    return K, system.M, perm, np.flatnonzero(abs(system.M).sum(axis=1))
+
+
 def whole_ordering(system):
     """node_ordering of the whole reduced pencil, as its solve reads it."""
-    return eig.shifted_pencil(system, 0.5).perm
+    return one_sector(system, 0.5).perm
 
 
 def reduced_sg(domain, mesh, **kwargs):
@@ -103,7 +122,7 @@ def test_shift_invert_matches_dense_oracle():
              (reduce_system(crack_system, build_constraints(
                  crack_system.dofmap)), 10)]
     assert [r.n for r, _ in cases[-2:]] == [298, 162]
-    rank = eig.mass_support(cases[-1][0]).size
+    rank = eig.mass_support(cases[-1][0].M).size
     assert rank == 45 > eig.lanczos_window(10) == 40
     for reduced, nev in cases:
         dense = filter_zeros(solve_dense(reduced))
@@ -124,7 +143,8 @@ def test_small_finite_spectrum_caps_the_lanczos_window():
     # and two zero modes, which go
     reduced = reduced_stabilized(build_osgs, build_criss_cross(SQUARE_PI, 2))
     sg = reduced_sg(SQUARE_PI, build_criss_cross(SQUARE_PI, 2))
-    assert eig.mass_support(reduced).size == eig.mass_support(sg).size == 14
+    assert eig.mass_support(reduced.M).size == \
+        eig.mass_support(sg.M).size == 14
     assert eig.lanczos_window(3) == 23
     for system, nev, reported in ((reduced, 3, 11), (sg, 17, 11)):
         spec = solve_generalized(system, SolverConfig(nev=nev))
@@ -146,7 +166,8 @@ def test_finite_spectrum_can_fall_short_of_mass_rank():
     assert reduced.n == 114
     dense = solve_dense(reduced)
     assert dense.n_complex_rejected == 0
-    assert len(dense.values) == 29 < eig.mass_support(reduced).size == 30
+    assert len(dense.values) == 29 < \
+        eig.mass_support(reduced.M).size == 30
 
 
 @pytest.mark.parametrize("solver", ["dense", "shift-invert"])
@@ -209,7 +230,7 @@ def test_small_pencil_matches_the_oracle_above_the_shift(case, seed):
     reduced = reduced_case(StudyConfig(
         domain=domain, mesh=mesh, formulation=formulation, degree=degree,
         N_list=(N,)), N)
-    rank = eig.mass_support(reduced).size
+    rank = eig.mass_support(reduced.M).size
     assert 2 <= rank <= eig.lanczos_window(nev)
     spec = solve_generalized(reduced, SolverConfig(nev=nev, seed=seed))
     assert spec.lu_nnz > 0
@@ -325,6 +346,33 @@ def test_node_ordering_reads_only_mesh_and_constraints(change):
     else:
         other = replace(reduced, A=2.0 * reduced.A, M=3.0 * reduced.M)
     assert np.array_equal(whole_ordering(other), whole_ordering(reduced))
+
+
+@pytest.mark.parametrize("case", ["crack-osgs-ps", "toy"])
+def test_one_sector_is_the_whole_pencil_formula(case):
+    # without a mirror, mirror_sectors' one sector is the whole pencil by
+    # its formula array for array, its basis Q the identity: the crack's
+    # arithmetic is that of (A - sigma M)[perm][:, perm]
+    if case == "toy":   # a dense A, and M with null rows among its support
+        B = np.random.default_rng(0).standard_normal((40, 40))
+        d = np.ones(40)
+        d[1::4] = 0.0
+        system = toy_system(B + B.T, np.diag(d))
+    else:
+        system = reduced_case(StudyConfig(
+            domain=CRACKED_SQUARE, mesh="ps", formulation="osgs",
+            N_list=(4,)), 4)
+    (Q, pencil), = eig.mirror_sectors(system, 0.5, None)
+    assert abs(Q - sp.identity(system.n)).max() == 0
+    K, M, perm, support = whole_pencil(system, 0.5)
+    for got, want in ((pencil.K, K), (pencil.M, M)):
+        assert (got.format, got.shape) == (want.format, want.shape)
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
+    assert np.array_equal(pencil.perm, perm)
+    assert np.array_equal(pencil.support, support)
+    assert 0 < support.size < system.n   # M-null rows: the lift's path
+    assert pencil.sigma == 0.5
 
 
 def test_solve_holds_one_pencil(monkeypatch):
@@ -513,7 +561,7 @@ def test_certify_block_residuals():
     config = SolverConfig(nev=6)
     spec = solve_generalized(reduced, config)
     # the certificate's own formula, from the pencil the solve held
-    pencil = eig.shifted_pencil(reduced, config.shift)
+    pencil = one_sector(reduced, config.shift)
     K, M, perm, sigma = pencil.K, pencil.M, pencil.perm, pencil.sigma
     assert spec.shift == sigma
     per_pair = [np.linalg.norm(K @ x[perm] - (lam - sigma) * (M @ x)[perm])
@@ -566,9 +614,9 @@ def test_mass_rank_counted_once_per_solve(monkeypatch):
     counts = []
     mass_support = eig.mass_support
 
-    def counted(system):
-        counts.append(system)
-        return mass_support(system)
+    def counted(M):
+        counts.append(M)
+        return mass_support(M)
 
     monkeypatch.setattr(eig, "mass_support", counted)
     mesh = powell_sabin_refine(build_uniform(CRACKED_SQUARE, 4))
@@ -593,7 +641,7 @@ def test_mass_support_need_not_lead():
     d = np.ones(60)
     d[1::3] = 0.0
     system = toy_system(B @ B.T / 60 + np.eye(60), np.diag(d))
-    assert eig.mass_support(system).size == 40
+    assert eig.mass_support(system.M).size == 40
     spec = solve_generalized(system, SolverConfig(nev=3, shift=0.0))
     dense = solve_dense(system)
     assert len(spec.values) == 11
@@ -608,7 +656,7 @@ def test_window_near_mass_rank_converges():
     config = StudyConfig(domain=SQUARE_PI, mesh="cc", formulation="osgs",
                          N_list=(16,))
     reduced = reduced_case(config, 16)
-    assert (reduced.n, eig.mass_support(reduced).size) == (3138, 1022)
+    assert (reduced.n, eig.mass_support(reduced.M).size) == (3138, 1022)
     base = solve_generalized(reduced, SolverConfig(nev=200)).values
     assert len(base) == 208
     for nev in (250, 300):
@@ -677,7 +725,7 @@ def test_failed_factorization_names_the_pencils_shift(monkeypatch):
         raise RuntimeError("Factor is exactly singular")
 
     A = np.diag(np.arange(1.0, 41.0))
-    pencil = eig.shifted_pencil(toy_system(A, np.eye(40)), 0.3)
+    pencil = one_sector(toy_system(A, np.eye(40)), 0.3)
     monkeypatch.setattr(spla, "splu", failing)
     with pytest.raises(EigenSolveError, match="factorization failed near "
                        "sigma=0.3: Factor is exactly singular"):

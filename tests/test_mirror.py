@@ -222,7 +222,8 @@ def test_sector_record_and_factor_size(monkeypatch):
 def test_mirrorless_case_is_the_whole_pencil(monkeypatch):
     # the crack is the one-sector case: its share is all of nev, so
     # run_case solves once and its arithmetic is the whole pencil's, bit
-    # for bit
+    # for bit; test_eig checks that one sector against the whole pencil's
+    # formula
     solved = solved_sectors(monkeypatch)
     config = StudyConfig(domain=CRACKED_SQUARE, mesh="ps",
                          formulation="osgs", N_list=(4,), nev=4)
@@ -299,18 +300,43 @@ def test_share_merge_matches_the_full_nev_merge(monkeypatch, config, N,
             np.abs(spectrum.values - double) < 5e-5) == 2
 
 
-def test_short_share_merge_falls_back_to_the_full_nev(monkeypatch):
-    # square SG/CC N=2: the sectors' windows stop at their rank M, so the
-    # share merge holds fewer than nev + GUARD_PAIRS pairs; run_case
-    # re-solves each sector for all of nev and reports every solve
+def test_short_share_merge_is_final_where_no_window_grows(monkeypatch):
+    # square SG/CC N=2, nev 2: each sector's rank M, 7, is at most its
+    # share's nev + GUARD_PAIRS + 1, so the share solve and a full-nev solve
+    # get the same window, rank M, and the same rank M - 1 pairs: the share
+    # merge holds fewer than nev + GUARD_PAIRS pairs, but run_case keeps it
     solved = solved_sectors(monkeypatch)
     config = StudyConfig(domain=SQUARE_PI, mesh="cc", formulation="sg",
                          N_list=(2,), nev=2)
     spectrum = run_case(config, 2).spectrum
-    full = config.solver_config
-    assert [c for _, c, _ in solved] == [replace(full, nev=1)] * 2 + \
-        [full] * 2
+    share = replace(config.solver_config, nev=1)
+    assert [c for _, c, _ in solved] == [share] * 2
+    assert [p.support.size for p, _, _ in solved] == [7, 7]
     expected = full_nev_merge(config, 2)
+    assert len(spectrum.values) < config.nev + eig.GUARD_PAIRS
+    for name in ("values", "vectors", "residuals"):
+        assert np.array_equal(getattr(spectrum, name),
+                              getattr(expected, name))
+    assert (spectrum.lu_nnz, spectrum.n_op_applications, spectrum.shift) == \
+        (expected.lu_nnz, expected.n_op_applications, expected.shift)
+
+
+def test_short_share_merge_falls_back_to_the_full_nev(monkeypatch):
+    # square SG/CC N=10, nev 80: the sectors' rank M, 199, is above the
+    # share's window, and the share merge holds at most 87 of nev +
+    # GUARD_PAIRS = 88 pairs, even counting the partners of a double at the
+    # lower top (nev 60 falls one short only where round-off puts that
+    # partner above the top); run_case re-solves each sector for all of nev
+    # and reports every solve
+    solved = solved_sectors(monkeypatch)
+    config = StudyConfig(domain=SQUARE_PI, mesh="cc", formulation="sg",
+                         N_list=(10,), nev=80)
+    spectrum = run_case(config, 10).spectrum
+    full = config.solver_config
+    assert [c for _, c, _ in solved] == [replace(full, nev=40)] * 2 + \
+        [full] * 2
+    assert [p.support.size for p, _, _ in solved] == [199] * 4
+    expected = full_nev_merge(config, 10)
     for name in ("values", "vectors", "residuals"):
         assert np.array_equal(getattr(spectrum, name),
                               getattr(expected, name))
@@ -320,6 +346,9 @@ def test_short_share_merge_falls_back_to_the_full_nev(monkeypatch):
     assert spectrum.n_op_applications == \
         sum(s.n_op_applications for s in spectra) > expected.n_op_applications
     assert spectrum.shift_retries == sum(s.shift_retries for s in spectra)
+    whole = filter_zeros(solve_generalized(reduced_case(config, 10), full))
+    assert len(spectrum.values) == len(whole.values) == 88
+    assert_allclose(spectrum.values, whole.values, rtol=1e-12)
 
 
 def test_sectors_converge_their_share():
